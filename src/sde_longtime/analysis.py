@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import UsageError
 from .model import MonotoneConstants, theorem_admissible_p_max
@@ -43,6 +42,20 @@ def mc_mean_with_se(samples, p: float = 1.0) -> MomentEstimate:
     return estimate_from_samples(samples, p)
 
 
+def _ols(x: np.ndarray, y: np.ndarray):
+    """Least-squares line through (x, y) as (slope, intercept, r), with the
+    arithmetic of scipy.stats.linregress, zero-variance cases included."""
+    if np.max(x) == np.min(x):
+        raise UsageError("cannot fit a line: all abscissae are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    return slope, np.mean(y) - slope * np.mean(x), r
+
+
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -61,11 +74,9 @@ def fit_order(hs: Sequence[float], errors: Sequence[float]) -> FitResult:
         raise UsageError(f"need at least 2 points to fit an order, got {hs.size}")
     if np.any(hs <= 0.0) or np.any(errors <= 0.0):
         raise UsageError("step sizes and errors must be positive for a log-log fit")
-    if np.unique(hs).size < 2:
-        raise UsageError("step sizes must not all coincide")
-    res = linregress(np.log2(hs), np.log2(errors))
-    return FitResult(slope=float(res.slope), intercept=float(res.intercept),
-                     r_squared=float(res.rvalue) ** 2, n_points=int(hs.size))
+    slope, intercept, r = _ols(np.log2(hs), np.log2(errors))
+    return FitResult(slope=float(slope), intercept=float(intercept),
+                     r_squared=float(r) ** 2, n_points=int(hs.size))
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,7 @@ def decay_slope(times: Sequence[float], values: Sequence[float]) -> float:
     keep = v > 0.0
     if keep.sum() < 2:
         raise UsageError("need at least 2 positive values for a decay fit")
-    return float(linregress(t[keep], np.log(v[keep])).slope)
+    return float(_ols(t[keep], np.log(v[keep]))[0])
 
 
 def stationarity_gap(times: Sequence[float], values: Sequence[float]):

@@ -100,7 +100,9 @@ class SdeProblem:
     hooks evaluate whole ensembles (leading batch axis) and an analytic
     Jacobian; the simulation engine falls back to row loops and finite
     differences when they are absent, so custom problems only need the two
-    core callables.
+    core callables. Construction probes each supplied callable once at the
+    origin (d + 1 rows for the batch hooks) and raises UsageError on a wrong
+    output shape, which numpy would otherwise broadcast silently.
     """
 
     name: str
@@ -116,8 +118,24 @@ class SdeProblem:
     drift_jacobian_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise UsageError(f"dimensions must be >= 1, got d={self.d}, m={self.m}")
+        d, m = self.d, self.m
+        if d < 1 or m < 1:
+            raise UsageError(f"dimensions must be >= 1, got d={d}, m={m}")
+        x, X, dW = np.zeros(d), np.zeros((d + 1, d)), np.zeros((d + 1, m))
+        for name, args, expected in (
+                ("drift", (x,), (d,)),
+                ("diffusion", (x,), (d, m)),
+                ("drift_jacobian", (x,), (d, d)),
+                ("drift_batch", (X,), (d + 1, d)),
+                ("diffusion_apply", (X, dW), (d + 1, d)),
+                ("drift_jacobian_batch", (X,), (d + 1, d, d))):
+            fn = getattr(self, name)
+            if fn is None:
+                continue
+            shape = np.shape(fn(*args))
+            if shape != expected:
+                raise UsageError(f"{name} of {self.name} returned shape {shape} "
+                                 f"on a probe, expected {expected}")
 
     @property
     def f0_norm_sq(self) -> float:
@@ -187,9 +205,6 @@ def drift_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     x = _validate_state(problem, x)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(problem.drift(x), dtype=float)
-    if out.shape != (problem.d,):
-        raise UsageError(
-            f"drift of {problem.name} returned shape {out.shape}, expected ({problem.d},)")
     if not np.all(np.isfinite(out)):
         raise DomainError(f"drift of {problem.name} overflowed at |x|={_norm(x):.3e}")
     return out
@@ -200,10 +215,6 @@ def diffusion_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     x = _validate_state(problem, x)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(problem.diffusion(x), dtype=float)
-    if out.shape != (problem.d, problem.m):
-        raise UsageError(
-            f"diffusion of {problem.name} returned shape {out.shape}, "
-            f"expected ({problem.d}, {problem.m})")
     if not np.all(np.isfinite(out)):
         raise DomainError(
             f"diffusion of {problem.name} overflowed at |x|={_norm(x):.3e}")
@@ -366,8 +377,9 @@ def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
 # sampled checks
 # ---------------------------------------------------------------------------
 
-def _sample_pairs(spec: SampleSpec, d: int):
-    """Seeded scale-stratified state pairs; returns (X, Y), both (n, d)."""
+def _pair_differences(rows, d: int, spec: SampleSpec):
+    """Seeded scale-stratified state pairs (X, Y), both (n, d), with
+    dX = X - Y, nsq = |dX|^2 and dF = rows(X) - rows(Y) for a batch drift."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
     X = gen.uniform(spec.lo, spec.hi, (spec.n_pairs, d))
     Y = gen.uniform(spec.lo, spec.hi, (spec.n_pairs, d))
@@ -376,7 +388,11 @@ def _sample_pairs(spec: SampleSpec, d: int):
     X[half:] *= scale
     Y[half:] *= scale
     keep = np.linalg.norm(X - Y, axis=1) > 0.0
-    return X[keep], Y[keep]
+    X, Y = X[keep], Y[keep]
+    dX = X - Y
+    nsq = np.einsum("ij,ij->i", dX, dX)
+    dF = np.asarray(rows(X), dtype=float) - np.asarray(rows(Y), dtype=float)
+    return X, Y, dX, nsq, dF
 
 
 def _pair_margins(problem: SdeProblem, spec: SampleSpec):
@@ -388,10 +404,8 @@ def _pair_margins(problem: SdeProblem, spec: SampleSpec):
       b_i = ||g(x)-g(y)||_F^2 / |x-y|^2,
     so the monotone margin at (p*, alpha1) is max_i a_i + (2p*-1)/2 b_i + alpha1.
     """
-    X, Y = _sample_pairs(spec, problem.d)
-    dX = X - Y
-    nsq = np.einsum("ij,ij->i", dX, dX)
-    dF = drift_rows(problem, X) - drift_rows(problem, Y)
+    X, Y, dX, nsq, dF = _pair_differences(
+        lambda Z: drift_rows(problem, Z), problem.d, spec)
     a = np.einsum("ij,ij->i", dX, dF) / nsq
     if problem.diffusion_apply is not None and problem.m == 1:
         # one-column diffusion: Frobenius norm of g(x)-g(y) is a plain norm
@@ -482,10 +496,8 @@ def check_poly_lipschitz(problem: SdeProblem,
         raise UsageError(f"kappa must be >= 1, got {kappa}")
     if c1 <= 0.0:
         raise UsageError(f"c1 must be positive, got {c1}")
-    X, Y = _sample_pairs(spec, problem.d)
-    dX = X - Y
-    nsq = np.einsum("ij,ij->i", dX, dX)
-    dF = drift_rows(problem, X) - drift_rows(problem, Y)
+    X, Y, _, nsq, dF = _pair_differences(
+        lambda Z: drift_rows(problem, Z), problem.d, spec)
     fsq = np.einsum("ij,ij->i", dF, dF)
     pw = 2.0 * kappa - 2.0
     growth = 1.0 + np.linalg.norm(X, axis=1) ** pw + np.linalg.norm(Y, axis=1) ** pw
@@ -501,10 +513,7 @@ def check_poly_lipschitz(problem: SdeProblem,
 def _certify_c1(drift_batch, kappa: float, d: int,
                 spec: SampleSpec = SampleSpec()) -> float:
     """Smallest sampled c1 for the polynomial Lipschitz condition, with 5% headroom."""
-    X, Y = _sample_pairs(spec, d)
-    dX = X - Y
-    nsq = np.einsum("ij,ij->i", dX, dX)
-    dF = np.asarray(drift_batch(X)) - np.asarray(drift_batch(Y))
+    X, Y, _, nsq, dF = _pair_differences(drift_batch, d, spec)
     fsq = np.einsum("ij,ij->i", dF, dF)
     pw = 2.0 * kappa - 2.0
     growth = 1.0 + np.linalg.norm(X, axis=1) ** pw + np.linalg.norm(Y, axis=1) ** pw

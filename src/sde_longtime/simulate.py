@@ -7,6 +7,12 @@ of the fine ones. Running the coarse grid at factor 1 therefore reproduces the
 reference bit for bit (zero error), and every level of a dyadic ladder sees
 the identical total noise.
 
+One kernel, `_coupled_steps`, implements that coupling for every protocol,
+and each protocol is a small reducer over the states it yields: the running
+supremum of the reference-to-coarse gap (strong error), a statistic at the
+record steps (moment and contraction traces), or the terminal states
+(one-step and remainder probes).
+
 Ensembles are processed in fixed-size path chunks, each path drawing from its
 own (master_seed, path_index) substream, with noise generated in bounded time
 blocks. Chunk size and block size are constants independent of thread count
@@ -24,6 +30,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +38,7 @@ import numpy as np
 from .errors import UsageError
 from .model import SdeProblem
 from .noise import NoiseGrid, pairwise_block_sum, path_generator
-from .schemes import SchemeConfig, step_batch, step_ceiling
+from .schemes import SchemeConfig, _row_norms, step_batch, step_ceiling
 
 __all__ = [
     "MomentEstimate",
@@ -154,18 +161,21 @@ def resolve_threads(requested: Optional[int] = None) -> int:
     return n
 
 
-def _chunk_spans(n_paths: int):
-    return [(lo, min(lo + CHUNK_PATHS, n_paths))
-            for lo in range(0, n_paths, CHUNK_PATHS)]
+def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
+    """Run `worker(gens)` over path chunks, `gens` holding one generator per
+    path of the chunk; results in path order."""
+    if n_paths < 1:
+        raise UsageError(f"n_paths must be >= 1, got {n_paths}")
 
+    def run(paths):
+        return worker([path_generator(master_seed, i) for i in paths])
 
-def _map_chunks(worker, n_paths: int, threads: int):
-    """Run `worker(lo, hi)` over path chunks, results in path order."""
-    spans = _chunk_spans(n_paths)
+    spans = [range(lo, min(lo + CHUNK_PATHS, n_paths))
+             for lo in range(0, n_paths, CHUNK_PATHS)]
     if threads <= 1 or len(spans) == 1:
-        return [worker(lo, hi) for lo, hi in spans]
+        return [run(s) for s in spans]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(lambda s: worker(*s), spans))
+        return list(ex.map(run, spans))
 
 
 def _time_blocks(n_steps: int, unit: int):
@@ -192,31 +202,58 @@ def _tile_x0(problem: SdeProblem, x0, n: int) -> np.ndarray:
     return np.tile(x0, (n, 1))
 
 
-def _row_norms(Z: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", Z, Z))
+def _exact_multiple(a: float, b: float, a_name: str, b_name: str) -> int:
+    """a / b as a positive integer, checked in exact rational arithmetic."""
+    ok = b > 0.0 and math.isfinite(a) and math.isfinite(b)
+    q = Fraction(a) / Fraction(b) if ok else Fraction(0)
+    if q.denominator != 1 or q < 1:
+        raise UsageError(
+            f"{a_name}={a} is not an integer multiple of {b_name}={b}")
+    return q.numerator
 
 
-def _exact_factor(h: float, h_ref: float) -> int:
-    f = h / h_ref
-    k = round(f)
-    if k < 1 or abs(f - k) > 1e-9 * max(1.0, abs(f)):
-        raise UsageError(f"h={h} is not an integer multiple of h_ref={h_ref}")
-    return int(k)
+# ---------------------------------------------------------------------------
+# the coupled-path kernel
+# ---------------------------------------------------------------------------
+
+def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig, gens,
+                   h_fine: float, n_fine: int, tracks):
+    """Advance coupled tracks over one chunk of paths on shared noise.
+
+    `gens` holds one generator per path; each track is (x0, factor, h), a
+    start state and a step of size h taken every `factor` fine steps, on the
+    pairwise sums of `factor` fine increments of size h_fine. Yields
+    (k, states) for the fine indices k = 0..n_fine; at each k > 0 every track
+    whose factor divides k has just been stepped, in track order, and
+    `states` lists the current state batch of every track.
+    """
+    Zs = [_tile_x0(problem, x0, len(gens)) for x0, _, _ in tracks]
+    yield 0, Zs
+    factors = {f for _, f, _ in tracks}
+    sqrt_h = math.sqrt(h_fine)
+    for t0, t1 in _time_blocks(n_fine, math.lcm(*factors)):
+        W = _noise_block(gens, t1 - t0, problem.m, sqrt_h)
+        Wf = {f: W if f == 1 else pairwise_block_sum(W, f, axis=1)
+              for f in factors}
+        for k in range(t0 + 1, t1 + 1):
+            for i, (_, f, h) in enumerate(tracks):
+                if k % f == 0:
+                    n = k // f - 1
+                    Zs[i] = step_batch(problem, scheme_cfg, Zs[i],
+                                       Wf[f][:, n - t0 // f], h, step_index=n)
+            yield k, Zs
 
 
-def _exact_steps(T: float, h: float) -> int:
-    n = T / h
-    k = round(n)
-    if k < 1 or abs(n - k) > 1e-9 * max(1.0, abs(n)):
-        raise UsageError(f"T={T} is not an integer multiple of h={h}")
-    return int(k)
-
-
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
+def _merge_estimates(partials, p: float, n_paths: int):
+    """One MomentEstimate per slot from per-chunk lists of
+    (samples, n_divergent), merged in path order."""
+    estimates = []
+    for slot in zip(*partials):
+        samples = np.concatenate([s for s, _ in slot])
+        n_div = sum(n for _, n in slot)
+        estimates.append(estimate_from_samples(samples, p, n_paths=n_paths,
+                                               n_divergent=n_div))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -272,62 +309,38 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     bounds control; paths are dropped from the first non-finite state onward
     and counted as divergent.
     """
-    if n_paths < 1:
-        raise UsageError(f"n_paths must be >= 1, got {n_paths}")
     if not h_list:
         raise UsageError("h_list must be nonempty")
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     if h_ref > min(hs):
         raise UsageError(f"h_ref={h_ref} must not exceed the smallest h={min(hs)}")
-    factors = [_exact_factor(h, h_ref) for h in hs]
-    n_fine = _exact_steps(T, h_ref)
-    for h, f in zip(hs, factors):
-        if n_fine % f != 0:
-            raise UsageError(f"h={h} does not divide the horizon T={T} evenly")
+    factors = [_exact_multiple(h, h_ref, "h", "h_ref") for h in hs]
+    n_fine = _exact_multiple(T, h_ref, "T", "h_ref")
+    for h in hs:
+        _exact_multiple(T, h, "T", "h")
     threads = resolve_threads(threads)
-    unit = _lcm_all(factors)
-    blocks = _time_blocks(n_fine, unit)
-    sqrt_h = math.sqrt(h_ref)
+    tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
 
-    def worker(lo, hi):
-        B = hi - lo
-        gens = [path_generator(master_seed, i) for i in range(lo, hi)]
-        Zr = _tile_x0(problem, x0, B)
-        Zc = [_tile_x0(problem, x0, B) for _ in factors]
+    def worker(gens):
+        B = len(gens)
         alive = [np.ones(B, dtype=bool) for _ in factors]
         run_sup = [np.zeros(B) for _ in factors]
-        for (t0, t1) in blocks:
-            W = _noise_block(gens, t1 - t0, problem.m, sqrt_h)
-            Wc = [W if f == 1 else pairwise_block_sum(W, f, axis=1)
-                  for f in factors]
-            for j in range(t1 - t0):
-                Zr = step_batch(problem, scheme_cfg, Zr, W[:, j], h_ref,
-                                step_index=t0 + j)
-                done = t0 + j + 1
-                for idx, f in enumerate(factors):
-                    if done % f:
-                        continue
-                    k = done // f - 1
-                    Zc[idx] = step_batch(problem, scheme_cfg, Zc[idx],
-                                         Wc[idx][:, k - t0 // f], hs[idx],
-                                         step_index=k)
-                    with np.errstate(invalid="ignore"):
-                        ok = (np.isfinite(Zr).all(axis=1)
-                              & np.isfinite(Zc[idx]).all(axis=1))
-                        alive[idx] &= ok
-                        diff = np.where(alive[idx][:, None], Zr - Zc[idx], 0.0)
-                    np.maximum(run_sup[idx], _row_norms(diff),
-                               out=run_sup[idx])
+        steps = _coupled_steps(problem, scheme_cfg, gens, h_ref, n_fine, tracks)
+        for k, (Zr, *Zc) in steps:
+            for idx, f in enumerate(factors):
+                if k % f:
+                    continue
+                with np.errstate(invalid="ignore"):
+                    ok = (np.isfinite(Zr).all(axis=1)
+                          & np.isfinite(Zc[idx]).all(axis=1))
+                    alive[idx] &= ok
+                    diff = np.where(alive[idx][:, None], Zr - Zc[idx], 0.0)
+                np.maximum(run_sup[idx], _row_norms(diff), out=run_sup[idx])
         return [(run_sup[idx][alive[idx]], int(B - alive[idx].sum()))
                 for idx in range(len(factors))]
 
-    partials = _map_chunks(worker, n_paths, threads)
-    estimates = []
-    for idx in range(len(factors)):
-        samples = np.concatenate([part[idx][0] for part in partials])
-        n_div = sum(part[idx][1] for part in partials)
-        estimates.append(estimate_from_samples(samples, p, n_paths=n_paths,
-                                               n_divergent=n_div))
+    estimates = _merge_estimates(_map_chunks(worker, n_paths, master_seed,
+                                             threads), p, n_paths)
     return ErrorCurve(model=problem.name, scheme=scheme_cfg.variant, p=p, T=T,
                       h_ref=h_ref, hs=tuple(hs), estimates=tuple(estimates))
 
@@ -349,51 +362,29 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     `starts` is a list of initial states (one trajectory per entry);
     `statistic(Zs)` maps the list of state batches to per-path magnitudes.
     """
-    n_steps = _exact_steps(T, h)
+    n_steps = _exact_multiple(T, h, "T", "h")
     rec = _record_indices(n_steps, n_records)
-    rec_set = {k: i for i, k in enumerate(rec)}
+    rec_set = set(rec)
     threads = resolve_threads(threads)
-    blocks = _time_blocks(n_steps, 1)
-    sqrt_h = math.sqrt(h)
+    tracks = [(x0, 1, h) for x0 in starts]
 
-    def worker(lo, hi):
-        B = hi - lo
-        gens = [path_generator(master_seed, i) for i in range(lo, hi)]
-        Zs = [_tile_x0(problem, x0, B) for x0 in starts]
+    def worker(gens):
+        B = len(gens)
         alive = np.ones(B, dtype=bool)
-        samples = [None] * len(rec)
-        divergent = [0] * len(rec)
-
-        def record(step):
-            i = rec_set.get(step)
-            if i is None:
-                return
+        records = []
+        for k, Zs in _coupled_steps(problem, scheme_cfg, gens, h, n_steps, tracks):
+            if k not in rec_set:
+                continue
             for Z in Zs:
-                alive[:] &= np.all(np.isfinite(Z), axis=1)
+                alive &= np.all(np.isfinite(Z), axis=1)
             with np.errstate(invalid="ignore"):
                 s = statistic(Zs)
-            samples[i] = s[alive]
-            divergent[i] = int(B - alive.sum())
+            records.append((s[alive], int(B - alive.sum())))
+        return records
 
-        record(0)
-        for (t0, t1) in blocks:
-            W = _noise_block(gens, t1 - t0, problem.m, sqrt_h)
-            for j in range(t1 - t0):
-                for ti in range(len(Zs)):
-                    Zs[ti] = step_batch(problem, scheme_cfg, Zs[ti], W[:, j], h,
-                                        step_index=t0 + j)
-                record(t0 + j + 1)
-        return samples, divergent
-
-    partials = _map_chunks(worker, n_paths, threads)
     times = np.asarray([k * h for k in rec])
-    estimates = []
-    for i in range(len(rec)):
-        samples = np.concatenate([part[0][i] for part in partials])
-        n_div = sum(part[1][i] for part in partials)
-        estimates.append(estimate_from_samples(samples, p, n_paths=n_paths,
-                                               n_divergent=n_div))
-    return times, estimates
+    return times, _merge_estimates(_map_chunks(worker, n_paths, master_seed,
+                                               threads), p, n_paths)
 
 
 def moment_trace(problem: SdeProblem, scheme_cfg: SchemeConfig, T: float,
@@ -461,22 +452,15 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     results = []
     for h in hs:
         h_fine = h / substeps
-        sqrt_hf = math.sqrt(h_fine)
+        tracks = [(x, 1, h_fine), (x, substeps, h)]
 
-        def worker(lo, hi):
-            B = hi - lo
-            gens = [path_generator(master_seed, i) for i in range(lo, hi)]
-            W = _noise_block(gens, substeps, problem.m, sqrt_hf)
-            Zf = _tile_x0(problem, x, B)
-            for j in range(substeps):
-                Zf = step_batch(problem, scheme_cfg, Zf, W[:, j], h_fine,
-                                step_index=j)
-            Wc = pairwise_block_sum(W, substeps, axis=1)
-            Zc = step_batch(problem, scheme_cfg, _tile_x0(problem, x, B),
-                            Wc[:, 0], h, step_index=0)
+        def worker(gens):
+            for _, (Zf, Zc) in _coupled_steps(problem, scheme_cfg, gens,
+                                              h_fine, substeps, tracks):
+                pass
             return Zf - Zc
 
-        diffs = np.concatenate(_map_chunks(worker, n_paths, threads))
+        diffs = np.concatenate(_map_chunks(worker, n_paths, master_seed, threads))
         strong = estimate_from_samples(_row_norms(diffs), p=1.0, n_paths=n_paths)
         mean_vec = np.asarray([math.fsum(diffs[:, j].tolist()) / n_paths
                                for j in range(problem.d)])
@@ -503,19 +487,14 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     results = []
     for h in hs:
         h_fine = h / substeps
-        sqrt_hf = math.sqrt(h_fine)
+        tracks = [(x0, 1, h_fine), (y0, 1, h_fine)]
 
-        def worker(lo, hi):
-            B = hi - lo
-            gens = [path_generator(master_seed, i) for i in range(lo, hi)]
-            W = _noise_block(gens, substeps, problem.m, sqrt_hf)
-            Zx = _tile_x0(problem, x0, B)
-            Zy = _tile_x0(problem, y0, B)
-            for j in range(substeps):
-                Zx = step_batch(problem, scheme_cfg, Zx, W[:, j], h_fine, step_index=j)
-                Zy = step_batch(problem, scheme_cfg, Zy, W[:, j], h_fine, step_index=j)
+        def worker(gens):
+            for _, (Zx, Zy) in _coupled_steps(problem, scheme_cfg, gens,
+                                              h_fine, substeps, tracks):
+                pass
             return _row_norms((Zx - Zy) - gap0)
 
-        samples = np.concatenate(_map_chunks(worker, n_paths, threads))
+        samples = np.concatenate(_map_chunks(worker, n_paths, master_seed, threads))
         results.append((h, estimate_from_samples(samples, p, n_paths=n_paths)))
     return results

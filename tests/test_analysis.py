@@ -91,6 +91,8 @@ def test_decay_slope_validation():
         decay_slope([0.0, 1.0], [0.0, 0.0])  # nothing positive to fit
     with pytest.raises(UsageError):
         decay_slope([0.0, 1.0], [1.0, 0.5, 0.25])
+    with pytest.raises(UsageError):
+        decay_slope([1.0, 1.0], [1.0, 0.5])  # all at one time
 
 
 def test_stationarity_gap_constant_trace():

@@ -1,6 +1,9 @@
 """Command-line interface: exact rationals, config merging, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -303,6 +306,42 @@ def test_custom_model_file(tmp_path):
                  "--output", str(out)]) == 2
     assert main(["check-assumptions", "--model", "custom:/nope/missing.py",
                  "--output", str(out)]) == 2
+
+
+_MISSHAPEN_CUSTOM = """
+import numpy as np
+from sde_longtime import MonotoneConstants, SdeProblem
+
+PROBLEM = SdeProblem(
+    name="ou2", d=2, m=1,
+    drift=lambda x: -x,
+    diffusion=lambda x: np.full((2, 1), 0.1),
+    constants=MonotoneConstants(alpha1=0.9, p_star=2.0, kappa=1.0, c1=1.01),
+    drift_batch=lambda X: -X[:, :1])
+"""
+
+
+def test_custom_model_with_misshapen_batch_drift_exits_2(tmp_path):
+    # d = 2 with a drift batch of shape (B, 1): numpy would broadcast it into
+    # a plausible curve, so the run must stop at load time instead
+    mod = tmp_path / "bad_model.py"
+    mod.write_text(_MISSHAPEN_CUSTOM)
+    out = tmp_path / "c.csv"
+    rc = main(["convergence", "--model", f"custom:{mod}", "--T", "1",
+               "--h-list", "2^-2,2^-3", "--h-ref", "2^-4", "--paths", "8",
+               "--threads", "1", "--output", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, sde_longtime.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "[]"
 
 
 def test_solver_failure_exits_three(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Built-in problems and the sampled certification of structural conditions."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -242,6 +244,32 @@ def test_eval_shape_validation():
         drift_eval(gl, np.ones(2))
     with pytest.raises(UsageError):
         diffusion_eval(gl, np.ones(3))
+
+
+_MISSHAPEN = {
+    "drift": lambda x: -x[:1],
+    "diffusion": lambda x: np.zeros((2,)),
+    "drift_jacobian": lambda x: -np.eye(2)[:1],
+    "drift_batch": lambda X: -X[:, :1],
+    "diffusion_apply": lambda X, dW: dW,
+    "drift_jacobian_batch": lambda X: np.zeros((X.shape[0], 2)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MISSHAPEN))
+def test_problem_rejects_wrong_output_shapes(field):
+    """Each callable is probed once at construction: a (B, 1) drift batch for
+    d = 2, say, would otherwise broadcast into plausible wrong results."""
+    good = SdeProblem(
+        name="pair", d=2, m=1,
+        drift=lambda x: -x, diffusion=lambda x: np.full((2, 1), 0.1),
+        constants=MonotoneConstants(alpha1=0.9, p_star=2.0, kappa=1.0, c1=1.01),
+        drift_jacobian=lambda x: -np.eye(2), drift_batch=lambda X: -X,
+        diffusion_apply=lambda X, dW: 0.1 * np.repeat(dW, 2, axis=1),
+        drift_jacobian_batch=lambda X: np.broadcast_to(-np.eye(2),
+                                                       (X.shape[0], 2, 2)))
+    with pytest.raises(UsageError, match=f"^{field} of"):
+        dataclasses.replace(good, **{field: _MISSHAPEN[field]})
 
 
 def test_eval_flags_non_finite_output():

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from sde_longtime import (MomentEstimate, MonotoneConstants, SchemeConfig,
                           SdeProblem, UsageError, backward_euler_step,
-                          build_ginzburg_landau, contraction_experiment,
+                          build_allen_cahn, build_ginzburg_landau,
+                          contraction_experiment, em_step,
                           estimate_from_samples, evolve_terminal, fit_order,
                           make_noise_grid, moment_trace,
                           one_step_order_experiment, path_generator,
-                          pairwise_block_sum, remainder_scaling_experiment,
-                          resolve_threads, strong_error_experiment)
+                          pairwise_block_sum, projected_euler_step,
+                          remainder_scaling_experiment, resolve_threads,
+                          simulate, strong_error_experiment)
 
 BE = SchemeConfig(variant="be")
 EM = SchemeConfig(variant="em")
@@ -254,15 +256,74 @@ def test_strong_error_grid_validation(gl):
         strong_error_experiment(gl, BE, T=1.0, h_list=[0.375],
                                 h_ref=0.125, n_paths=2)  # h does not divide T
     with pytest.raises(UsageError):
+        # 0.3 / 0.1 is 3 only up to rounding: the floats are not multiples
+        strong_error_experiment(gl, BE, T=0.9, h_list=[0.3], h_ref=0.1,
+                                n_paths=2)
+    with pytest.raises(UsageError):
         strong_error_experiment(gl, BE, T=1.0, h_list=[], h_ref=0.125, n_paths=2)
     with pytest.raises(UsageError):
         strong_error_experiment(gl, BE, T=1.0, h_list=[0.25], h_ref=0.125,
                                 n_paths=0)
 
 
+def _invariance_runs():
+    """Strong-error and moment-trace results on GL and Allen-Cahn (K=4) under
+    every scheme, 30 paths, with the current chunk and block sizes."""
+    out = {}
+    for problem, T, ladder, h_ref in (
+            (build_ginzburg_landau(), 0.5, [2.0 ** -3, 2.0 ** -4], 2.0 ** -6),
+            (build_allen_cahn(K=4), 15.0 / 2.0 ** 5,
+             [15.0 / 2.0 ** 7, 15.0 / 2.0 ** 8], 15.0 / 2.0 ** 10)):
+        for variant in ("em", "be", "pe"):
+            cfg = SchemeConfig(variant=variant)
+            out[problem.name, variant] = (
+                strong_error_experiment(problem, cfg, T=T, h_list=ladder,
+                                        h_ref=h_ref, n_paths=30, master_seed=4,
+                                        x0=2.0, threads=1),
+                moment_trace(problem, cfg, T=4 * T, h=ladder[0], n_paths=30,
+                             master_seed=5, x0=3.0, n_records=6, threads=1))
+    return out
+
+
+@pytest.fixture(scope="module")
+def invariance_reference():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "CHUNK_PATHS", 512)
+        mp.setattr(simulate, "BLOCK_STEPS", 4096)
+        return _invariance_runs()
+
+
+@pytest.mark.parametrize("chunk", [7, 512, 4096])
+@pytest.mark.parametrize("block", [3, 4096])
+def test_results_independent_of_chunk_and_block_size(chunk, block, monkeypatch,
+                                                     invariance_reference):
+    """Per-path substreams make the path chunking and the noise time blocks
+    invisible: every chunk and block size gives the chunk-512 / block-4096
+    results in every bit. Block 3 is below the coarsest factor, so it
+    exercises the rounding of blocks up to whole coarse steps."""
+    monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
+    monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+    for key, (curve, (times, ests)) in _invariance_runs().items():
+        ref_curve, (ref_times, ref_ests) = invariance_reference[key]
+        assert curve == ref_curve, key
+        npt.assert_array_equal(times, ref_times)
+        assert ests == ref_ests, key
+
+
 # ---------------------------------------------------------------------------
 # moment traces: recording, divergence tagging, step ceiling, stationarity
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("run", [
+    lambda gl: moment_trace(gl, BE, T=1.0, h=0.25, n_paths=0),
+    lambda gl: contraction_experiment(gl, BE, T=1.0, h=0.25, n_paths=0),
+    lambda gl: one_step_order_experiment(gl, BE, [0.25], 1.0, n_paths=0),
+    lambda gl: remainder_scaling_experiment(gl, BE, 1.0, 0.5, [0.25], n_paths=0),
+], ids=["moments", "contraction", "one-step", "remainder"])
+def test_protocols_require_paths(gl, run):
+    with pytest.raises(UsageError):
+        run(gl)
+
 
 def test_moment_trace_record_structure(gl):
     times, ests = moment_trace(gl, BE, T=2.0, h=2.0 ** -4, n_paths=16, p=2.0,
@@ -387,6 +448,38 @@ def test_one_step_probe_weak_below_strong(gl):
     with pytest.raises(UsageError):
         one_step_order_experiment(gl, BE, h_list=[0.25], x=1.0, n_paths=4,
                                   substeps=1)
+
+
+@pytest.mark.parametrize("variant, step", [
+    ("em", em_step), ("be", backward_euler_step),
+    ("pe", lambda problem, x, h, dW: projected_euler_step(problem, x, h, dW))])
+def test_one_step_engine_matches_stepwise_replication(gl, variant, step):
+    """One coarse step against `substeps` fine steps on the same noise,
+    rebuilt path by path from the public single-step API, must agree
+    exactly with the engine, strong and weak errors alike."""
+    hs, x, seed, n_paths, substeps = [2.0 ** -3, 2.0 ** -5], 1.0, 8, 5, 4
+    results = one_step_order_experiment(gl, SchemeConfig(variant=variant),
+                                        h_list=hs, x=x, n_paths=n_paths,
+                                        master_seed=seed, substeps=substeps,
+                                        threads=1)
+    for (h, strong, weak), h_expected in zip(results, hs):
+        h_fine = h / substeps
+        diffs = []
+        for i in range(n_paths):
+            W = (path_generator(seed, i).standard_normal((substeps, 1))
+                 * math.sqrt(h_fine))
+            xf = np.array([x])
+            for j in range(substeps):
+                xf = step(gl, xf, h_fine, W[j])
+            xc = step(gl, np.array([x]), h,
+                      pairwise_block_sum(W, substeps, axis=0)[0])
+            diffs.append(xf - xc)
+        diffs = np.asarray(diffs)
+        mean = math.fsum(diffs[:, 0].tolist()) / n_paths
+        assert h == h_expected
+        norms = [float(np.sqrt(np.dot(d, d))) for d in diffs]
+        assert strong == estimate_from_samples(norms, p=1.0, n_paths=n_paths)
+        assert weak == math.sqrt(mean * mean)
 
 
 def test_flow_remainder_scales_like_sqrt_h(gl):
