@@ -11,14 +11,16 @@ Step sizes are given as exact rationals ("2^-7", "15/2^10", "1/8", "0.125")
 and must be binary-representable, so the one-time float realization is exact
 and all divisibility checks are literal. Results go to a CSV file (schema
 below) plus a JSON sidecar; nothing in either depends on wall-clock time or
-thread count, so identical configurations produce byte-identical outputs.
+worker count, so identical configurations produce byte-identical outputs.
 
 CSV schema: `#`-prefixed comment lines (tool version, config echo, seed),
 then rows of  kind,model,scheme,p,h,t,value,std_error,n_paths,n_divergent
 (the `t` column is empty for convergence and assumption rows).
 
 Exit codes: 0 pass, 1 quantitative check failed, 2 usage error, 3 solver
-failure. SDE_LONGTIME_THREADS overrides any configured worker count.
+failure. SDE_LONGTIME_THREADS overrides any configured worker count; the
+workers are this process and forked ones (`--threads 1`, or a platform
+without fork, runs serially in this process).
 """
 
 from __future__ import annotations

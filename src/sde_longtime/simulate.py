@@ -15,9 +15,11 @@ record steps (moment and contraction traces), or the terminal states
 
 Ensembles are processed in fixed-size path chunks, each path drawing from its
 own (master_seed, path_index) substream, with noise generated in bounded time
-blocks. Chunk size and block size are constants independent of thread count
+blocks. Chunk size and block size are constants independent of worker count
 and ensemble size, so results are bit-identical whether a run uses one worker
-or many; partial results are merged in path order.
+or many; partial results are merged in path order. Several workers are the
+calling process plus forked processes, each running whole chunks; where the
+platform cannot fork, the chunks run serially in the calling process.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent: they are excluded from moment estimates from the
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -145,7 +146,8 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
-    """Worker count: SDE_LONGTIME_THREADS wins, then the argument, then cores."""
+    """Worker-process count: SDE_LONGTIME_THREADS wins, then the argument,
+    then the number of cores this process may run on."""
     env = os.environ.get("SDE_LONGTIME_THREADS")
     if env is not None:
         try:
@@ -154,6 +156,8 @@ def resolve_threads(requested: Optional[int] = None) -> int:
             raise UsageError(f"SDE_LONGTIME_THREADS must be an integer, got {env!r}")
     elif requested is not None:
         n = int(requested)
+    elif hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
     else:
         n = os.cpu_count() or 1
     if n < 1:
@@ -161,9 +165,34 @@ def resolve_threads(requested: Optional[int] = None) -> int:
     return n
 
 
+# Inside a pool worker: the chunk runner of the `_map_chunks` call that forked
+# it, installed by the pool initializer. Never set in the calling process.
+_chunk_runner = None
+
+
+def _install_chunk_runner(run) -> None:
+    global _chunk_runner
+    _chunk_runner = run
+
+
+def _run_chunk(paths):
+    return _chunk_runner(paths)
+
+
 def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
     """Run `worker(gens)` over path chunks, `gens` holding one generator per
-    path of the chunk; results in path order."""
+    path of the chunk; results in path order.
+
+    Several chunks and `threads` > 1 share the chunks among
+    P = min(threads, chunks) processes: this one, which runs chunks 0, P,
+    2P, ... itself rather than wait idle, and P - 1 forked workers that take
+    the others. Workers inherit `worker`, a closure over a problem whose
+    callables need not pickle, through the fork, so only the path ranges
+    are sent and the per-chunk results pickled back. Results are gathered in path order,
+    so an exception comes from the first failing chunk in path order, as in
+    the serial loop; a worker that dies (killed for memory, say) raises
+    BrokenProcessPool rather than leaving the run waiting. Without the fork
+    start method the chunks run serially here."""
     if n_paths < 1:
         raise UsageError(f"n_paths must be >= 1, got {n_paths}")
 
@@ -172,10 +201,22 @@ def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
 
     spans = [range(lo, min(lo + CHUNK_PATHS, n_paths))
              for lo in range(0, n_paths, CHUNK_PATHS)]
-    if threads <= 1 or len(spans) == 1:
-        return [run(s) for s in spans]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(run, spans))
+    processes = min(threads, len(spans))
+    if processes > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(processes - 1,
+                                       multiprocessing.get_context("fork"),
+                                       _install_chunk_runner, (run,))
+            try:
+                forked = pool.map(_run_chunk, [s for i, s in enumerate(spans)
+                                               if i % processes])
+                return [next(forked) if i % processes else run(s)
+                        for i, s in enumerate(spans)]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [run(s) for s in spans]
 
 
 def _time_blocks(n_steps: int, unit: int):
@@ -362,6 +403,8 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     `starts` is a list of initial states (one trajectory per entry);
     `statistic(Zs)` maps the list of state batches to per-path magnitudes.
     """
+    if n_records < 1:
+        raise UsageError(f"n_records must be >= 1, got {n_records}")
     n_steps = _exact_multiple(T, h, "T", "h")
     rec = _record_indices(n_steps, n_records)
     rec_set = set(rec)
@@ -481,6 +524,8 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     for small h; only that fitted slope is meaningful, not the constant.
     Returns a list of (h, MomentEstimate).
     """
+    if substeps < 1:
+        raise UsageError(f"substeps must be >= 1, got {substeps}")
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     threads = resolve_threads(threads)
     gap0 = np.asarray(x0, dtype=float) - np.asarray(y0, dtype=float)

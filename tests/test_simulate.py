@@ -1,7 +1,13 @@
 """Coupled-path Monte Carlo engine: determinism, coupling exactness, tagging."""
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import pickle
 import random
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_longtime import (MomentEstimate, MonotoneConstants, SchemeConfig,
-                          SdeProblem, UsageError, backward_euler_step,
+from sde_longtime import (MomentEstimate, MonotoneConstants, NewtonConfig,
+                          SchemeConfig, SdeProblem, SolverFailure, UsageError,
+                          backward_euler_step,
                           build_allen_cahn, build_ginzburg_landau,
                           contraction_experiment, em_step,
                           estimate_from_samples, evolve_terminal, fit_order,
@@ -184,6 +191,165 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads(0)
 
 
+def test_default_worker_count_is_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("SDE_LONGTIME_THREADS", raising=False)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+    assert resolve_threads() == 3
+    monkeypatch.delattr(simulate.os, "sched_getaffinity")
+    assert resolve_threads() == 64
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker processes need the fork start method")
+
+# 1030 paths make three path chunks of 512, 512 and 6 paths. At two workers
+# the caller runs chunks 0 and 2 and one forked process chunk 1; at three, two
+# forked processes run chunks 1 and 2, and the short chunk 2 finishes first.
+_WORKER_RUNS = {
+    "contraction": lambda gl, t: contraction_experiment(
+        gl, BE, T=1.0, h=2.0 ** -3, n_paths=1030, p=1.0, master_seed=3,
+        x0=2.0, y0=-1.0, n_records=4, threads=t),
+    "one-step": lambda gl, t: one_step_order_experiment(
+        gl, SchemeConfig(variant="pe"), h_list=[2.0 ** -3, 2.0 ** -4], x=1.0,
+        n_paths=1030, master_seed=4, substeps=4, threads=t),
+    "remainder": lambda gl, t: remainder_scaling_experiment(
+        gl, BE, x0=1.0, y0=0.5, h_list=[2.0 ** -2, 2.0 ** -3], n_paths=1030,
+        p=1.0, master_seed=5, substeps=4, threads=t),
+    "em-divergent": lambda gl, t: moment_trace(
+        gl, EM, T=4.0, h=2.0 ** -2, n_paths=1030, p=1.0, master_seed=6,
+        x0=2.0, n_records=4, threads=t),
+    "allen-cahn-be": lambda gl, t: strong_error_experiment(
+        build_allen_cahn(K=4), BE, T=15.0 / 2.0 ** 5,
+        h_list=[15.0 / 2.0 ** 7, 15.0 / 2.0 ** 8], h_ref=15.0 / 2.0 ** 9,
+        n_paths=1030, p=1.0, master_seed=7, x0=1.0, threads=t),
+}
+
+
+@pytest.mark.parametrize("name", list(_WORKER_RUNS))
+def test_every_protocol_is_identical_across_worker_counts(gl, name):
+    """Pickled results are compared, so arrays, inf estimates and the
+    divergence counts must match in every byte at 1, 2 and 3 workers."""
+    run = _WORKER_RUNS[name]
+    serial = run(gl, 1)
+    for threads in (2, 3):
+        assert pickle.dumps(run(gl, threads)) == pickle.dumps(serial), threads
+    if name == "em-divergent":
+        _, ests = serial
+        assert 0 < ests[-1].n_divergent < 1030  # some paths, not all
+
+
+def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl):
+    """An undamped one-iteration Newton fails at the first step of every
+    chunk with a chunk-specific worst residual; the caller must see the
+    first chunk's failure, as in the serial loop, and no worker may remain."""
+    cfg = SchemeConfig(variant="be",
+                       newton=NewtonConfig(max_iter=1, fallback="error"))
+    seen = []
+    for threads in (1, 2):
+        with pytest.raises(SolverFailure) as info:
+            strong_error_experiment(gl, cfg, T=1.0, h_list=[2.0 ** -2],
+                                    h_ref=2.0 ** -4, n_paths=1030,
+                                    master_seed=1, x0=5.0, threads=threads)
+        err = info.value
+        seen.append((str(err), err.step_index, err.residual,
+                     err.last_iterate.tolist()))
+    assert seen[0] == seen[1]
+    assert seen[0][1] == 0 and seen[0][2] > 1e-12
+    assert multiprocessing.active_children() == []
+
+
+def _acting_off_the_caller(act):
+    """dx = -x dt + dW, except that the drift calls act() in any process
+    other than the one that built the problem, i.e. in a forked worker."""
+    caller = os.getpid()
+
+    def drift(x):
+        if os.getpid() != caller:
+            act()
+        return -x
+
+    return SdeProblem(
+        name="off-caller", d=1, m=1, drift=drift,
+        diffusion=lambda x: np.ones((1, 1)),
+        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.01))
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [
+    UsageError("drift refused in a worker"),
+    SolverFailure("solve failed in a worker", last_iterate=np.array([1.5]),
+                  residual=2.5, step_index=7),
+], ids=["usage", "solver"])
+def test_error_in_a_forked_worker_reaches_the_caller(error):
+    """The caller runs chunks 0 and 2 of 1030 paths itself, so a drift that
+    raises only in another process fails chunk 1 in the forked worker; the
+    caller must receive that exception, attributes intact, and no worker
+    may remain."""
+    def fail():
+        raise error
+
+    problem = _acting_off_the_caller(fail)
+    moment_trace(problem, EM, T=0.5, h=0.25, n_paths=1030, threads=1)
+    with pytest.raises(type(error)) as info:
+        moment_trace(problem, EM, T=0.5, h=0.25, n_paths=1030, threads=2)
+    got = info.value
+    assert str(got) == str(error)
+    if isinstance(error, SolverFailure):
+        assert (got.step_index, got.residual) == (7, 2.5)
+        npt.assert_array_equal(got.last_iterate, [1.5])
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_killed_worker_fails_the_run_instead_of_hanging():
+    problem = _acting_off_the_caller(
+        lambda: os.kill(os.getpid(), signal.SIGKILL))
+
+    def waited_too_long(signum, frame):
+        raise TimeoutError("the run is still waiting for the killed worker")
+
+    previous = signal.signal(signal.SIGALRM, waited_too_long)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            moment_trace(problem, EM, T=0.5, h=0.25, n_paths=1030, threads=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_processes_are_bounded_by_the_chunks(gl, monkeypatch):
+    """threads=64 on three chunks runs three processes, the caller and two
+    forked workers; one chunk or one worker starts no pool at all."""
+
+    class NoPool(Exception):
+        pass
+
+    asked = []
+
+    def pool(processes, *args, **kwargs):
+        asked.append(processes)
+        raise NoPool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    kw = dict(T=0.25, h=0.25, p=1.0, master_seed=2, x0=1.0, n_records=1)
+    with pytest.raises(NoPool):
+        moment_trace(gl, BE, n_paths=1030, threads=64, **kw)
+    assert asked == [2]
+    moment_trace(gl, BE, n_paths=512, threads=64, **kw)
+    moment_trace(gl, BE, n_paths=1030, threads=1, **kw)
+    assert asked == [2]
+
+
 # ---------------------------------------------------------------------------
 # strong-error experiment: coupling exactness and determinism
 # ---------------------------------------------------------------------------
@@ -321,6 +487,18 @@ def test_results_independent_of_chunk_and_block_size(chunk, block, monkeypatch,
     lambda gl: remainder_scaling_experiment(gl, BE, 1.0, 0.5, [0.25], n_paths=0),
 ], ids=["moments", "contraction", "one-step", "remainder"])
 def test_protocols_require_paths(gl, run):
+    with pytest.raises(UsageError):
+        run(gl)
+
+
+@pytest.mark.parametrize("run", [
+    lambda gl: moment_trace(gl, BE, T=1.0, h=0.25, n_paths=4, n_records=0),
+    lambda gl: contraction_experiment(gl, BE, T=1.0, h=0.25, n_paths=4,
+                                      n_records=0),
+    lambda gl: remainder_scaling_experiment(gl, BE, 1.0, 0.5, [0.25],
+                                            n_paths=4, substeps=0),
+], ids=["moments", "contraction", "remainder"])
+def test_protocols_refuse_empty_records_and_substeps(gl, run):
     with pytest.raises(UsageError):
         run(gl)
 
