@@ -24,8 +24,7 @@ from .simulate import (ErrorCurve, MomentEstimate, contraction_experiment,
                        one_step_order_experiment, remainder_scaling_experiment,
                        resolve_threads, strong_error_experiment)
 from .analysis import (ConvergenceReport, FitResult, decay_slope, fit_order,
-                       make_convergence_report, mc_mean_with_se,
-                       stationarity_gap)
+                       make_convergence_report, stationarity_gap)
 
 __version__ = "0.1.0"
 
@@ -52,5 +51,5 @@ __all__ = [
     "resolve_threads", "strong_error_experiment",
     # analysis
     "ConvergenceReport", "FitResult", "decay_slope", "fit_order",
-    "make_convergence_report", "mc_mean_with_se", "stationarity_gap",
+    "make_convergence_report", "stationarity_gap",
 ]

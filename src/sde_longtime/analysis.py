@@ -18,12 +18,11 @@ import numpy as np
 from .errors import UsageError
 from .model import MonotoneConstants, theorem_admissible_p_max
 from .schemes import SchemeOrders
-from .simulate import ErrorCurve, MomentEstimate, estimate_from_samples
+from .simulate import ErrorCurve
 
 __all__ = [
     "FitResult",
     "ConvergenceReport",
-    "mc_mean_with_se",
     "fit_order",
     "make_convergence_report",
     "decay_slope",
@@ -31,15 +30,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-def mc_mean_with_se(samples, p: float = 1.0) -> MomentEstimate:
-    """(mean of s^(2p))^(1/(2p)) with its delta-method standard error.
-
-    Sums are formed with math.fsum, so the result does not depend on the
-    order of the samples.
-    """
-    return estimate_from_samples(samples, p)
 
 
 def _ols(x: np.ndarray, y: np.ndarray):

@@ -36,8 +36,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .analysis import (decay_slope, make_convergence_report, stationarity_gap)
 from .errors import SolverFailure, UsageError
@@ -299,28 +297,18 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             if hv <= 0:
                 raise UsageError(f"h must be positive, got {hv}")
             _require_dyadic(hv, "h")
-            if hv < hr:
-                raise UsageError(f"h={hv} is below h_ref={hr}")
             ratio = hv / hr
-            if ratio.denominator != 1:
-                raise UsageError(f"h={hv} is not an integer multiple of h_ref={hr}")
             if cfg.enforce_step_ceiling and (ratio.numerator &
                                              (ratio.numerator - 1)) != 0:
                 raise UsageError(
                     f"--enforce-step-ceiling requires a dyadic ladder; "
                     f"h={hv} is {ratio} x h_ref")
-            if (cfg.T / hv).denominator != 1:
-                raise UsageError(f"h={hv} does not divide T={cfg.T}")
-        if (cfg.T / hr).denominator != 1:
-            raise UsageError(f"h_ref={hr} does not divide T={cfg.T}")
     else:
         if cfg.h is None:
             raise UsageError(f"{cfg.command} needs --h")
         if cfg.h <= 0:
             raise UsageError(f"h must be positive, got {cfg.h}")
         _require_dyadic(cfg.h, "h")
-        if (cfg.T / cfg.h).denominator != 1:
-            raise UsageError(f"h={cfg.h} does not divide T={cfg.T}")
     if cfg.command == "contractivity" and tuple(cfg.x0) == tuple(cfg.y0):
         raise UsageError("contractivity needs distinct --x0 and --y0")
 
@@ -340,7 +328,7 @@ def build_problem(cfg: ExperimentConfig) -> SdeProblem:
     mod = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(mod)
-    except OSError as exc:
+    except Exception as exc:
         raise UsageError(f"cannot load custom model from {path}: {exc}") from exc
     problem = getattr(mod, "PROBLEM", None)
     if not isinstance(problem, SdeProblem):
@@ -348,14 +336,10 @@ def build_problem(cfg: ExperimentConfig) -> SdeProblem:
     return problem
 
 
-def _state_for(problem: SdeProblem, values: tuple):
-    if len(values) == 1:
-        return values[0]
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (problem.d,):
-        raise UsageError(
-            f"state has {arr.size} components, problem needs {problem.d}")
-    return arr
+def _state_for(values: tuple):
+    """One value fills every component of the state; the experiments check
+    the shape of several."""
+    return values[0] if len(values) == 1 else values
 
 
 def _config_echo(cfg: ExperimentConfig) -> str:
@@ -430,7 +414,7 @@ def run(cfg: ExperimentConfig) -> int:
             problem, scheme_cfg, T=float(cfg.T),
             h_list=[float(h) for h in cfg.h_list], h_ref=float(cfg.h_ref),
             n_paths=cfg.n_paths, p=cfg.p, master_seed=cfg.master_seed,
-            x0=_state_for(problem, cfg.x0), threads=cfg.threads)
+            x0=_state_for(cfg.x0), threads=cfg.threads)
         report = make_convergence_report(
             curve, scheme_orders(cfg.scheme), band=cfg.band, r2_min=cfg.r2_min,
             residual_tol=scheme_cfg.newton.residual_tol,
@@ -450,15 +434,15 @@ def run(cfg: ExperimentConfig) -> int:
             times, ests = moment_trace(
                 problem, scheme_cfg, T=float(cfg.T), h=h, n_paths=cfg.n_paths,
                 p=cfg.p, master_seed=cfg.master_seed,
-                x0=_state_for(problem, cfg.x0), threads=cfg.threads)
+                x0=_state_for(cfg.x0), threads=cfg.threads)
             kind = "moments"
         else:
             _enforce_ceiling(cfg, problem, [cfg.h])
             times, ests = contraction_experiment(
                 problem, scheme_cfg, T=float(cfg.T), h=h, n_paths=cfg.n_paths,
                 p=cfg.p, master_seed=cfg.master_seed,
-                x0=_state_for(problem, cfg.x0),
-                y0=_state_for(problem, cfg.y0), threads=cfg.threads)
+                x0=_state_for(cfg.x0),
+                y0=_state_for(cfg.y0), threads=cfg.threads)
             kind = "contractivity"
         rows = [dict(base, kind=kind, h=h, t=float(t), value=e.value,
                      std_error=e.std_error, n_paths=e.n_paths,

@@ -39,7 +39,6 @@ __all__ = [
     "drift_eval",
     "diffusion_eval",
     "drift_rows",
-    "diffusion_rows",
     "build_ginzburg_landau",
     "build_allen_cahn",
     "check_contractive_monotone",
@@ -91,55 +90,83 @@ class MonotoneConstants:
         return 2.0 * f0_norm_sq + 2.0 * self.c1 * (self.kappa - 1.0) / self.kappa
 
 
+def _probe(problem_name: str, d: int, m: int, probes) -> None:
+    """Check the dimensions, then call each supplied callable of `probes`, a
+    sequence of (name, callable or None, argument shapes, expected shape),
+    once on zero arguments; UsageError on a wrong output shape, which numpy
+    would otherwise broadcast silently."""
+    if d < 1 or m < 1:
+        raise UsageError(f"dimensions must be >= 1, got d={d}, m={m}")
+    for name, fn, arg_shapes, expected in probes:
+        if fn is None:
+            continue
+        shape = np.shape(fn(*(np.zeros(s) for s in arg_shapes)))
+        if shape != expected:
+            raise UsageError(f"{name} of {problem_name} returned shape {shape} "
+                             f"on a probe, expected {expected}")
+
+
 @dataclass(frozen=True)
 class SdeProblem:
-    """An SDE plus claimed constants and optional fast-path evaluators.
+    """An SDE plus claimed constants, evaluated on whole ensembles of states.
 
-    drift maps a state vector (d,) to (d,); diffusion maps (d,) to the (d, m)
-    matrix applied to the Brownian increment. The optional *_batch / _apply
-    hooks evaluate whole ensembles (leading batch axis) and an analytic
-    Jacobian; the simulation engine falls back to row loops and finite
-    differences when they are absent, so custom problems only need the two
-    core callables. Construction probes each supplied callable once at the
-    origin (d + 1 rows for the batch hooks) and raises UsageError on a wrong
-    output shape, which numpy would otherwise broadcast silently.
+    drift_batch maps states X of shape (B, d) to the drifts (B, d);
+    diffusion_apply maps X and Brownian increments dW of shape (B, m) to the
+    rows g(x) dw, shape (B, d); the optional drift_jacobian_batch maps X to
+    the Jacobians (B, d, d), and without it the implicit solve uses central
+    finite differences of drift_batch. Pointwise callables on one state go
+    through `SdeProblem.from_pointwise`. Construction probes each callable
+    once at the origin on d + 1 rows and raises UsageError on a wrong output
+    shape.
     """
 
     name: str
     d: int
     m: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
+    drift_batch: Callable[[np.ndarray], np.ndarray]
+    diffusion_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constants: MonotoneConstants
     params: dict = field(default_factory=dict)
-    drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    drift_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    diffusion_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     drift_jacobian_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        d, m = self.d, self.m
-        if d < 1 or m < 1:
-            raise UsageError(f"dimensions must be >= 1, got d={d}, m={m}")
-        x, X, dW = np.zeros(d), np.zeros((d + 1, d)), np.zeros((d + 1, m))
-        for name, args, expected in (
-                ("drift", (x,), (d,)),
-                ("diffusion", (x,), (d, m)),
-                ("drift_jacobian", (x,), (d, d)),
-                ("drift_batch", (X,), (d + 1, d)),
-                ("diffusion_apply", (X, dW), (d + 1, d)),
-                ("drift_jacobian_batch", (X,), (d + 1, d, d))):
-            fn = getattr(self, name)
-            if fn is None:
-                continue
-            shape = np.shape(fn(*args))
-            if shape != expected:
-                raise UsageError(f"{name} of {self.name} returned shape {shape} "
-                                 f"on a probe, expected {expected}")
+        d, m, n = self.d, self.m, self.d + 1
+        _probe(self.name, d, m, (
+            ("drift_batch", self.drift_batch, ((n, d),), (n, d)),
+            ("diffusion_apply", self.diffusion_apply, ((n, d), (n, m)), (n, d)),
+            ("drift_jacobian_batch", self.drift_jacobian_batch, ((n, d),),
+             (n, d, d))))
+
+    @classmethod
+    def from_pointwise(cls, name: str, d: int, m: int, drift, diffusion,
+                       constants: MonotoneConstants,
+                       params: Optional[dict] = None,
+                       drift_jacobian=None) -> "SdeProblem":
+        """A problem from callables on one state: drift (d,) -> (d,),
+        diffusion (d,) -> the (d, m) matrix, and the optional drift_jacobian
+        (d,) -> (d, d). Each is probed once at the origin; the batch
+        callables built here loop over the rows, the only row loops over
+        user callables in the package.
+        """
+        _probe(name, d, m, (("drift", drift, ((d,),), (d,)),
+                            ("diffusion", diffusion, ((d,),), (d, m)),
+                            ("drift_jacobian", drift_jacobian, ((d,),), (d, d))))
+
+        def rows(fn, X):
+            return np.stack([np.asarray(fn(x), dtype=float) for x in X])
+
+        def diffusion_apply(X, dW):
+            return np.einsum("bdm,bm->bd", rows(diffusion, X), dW)
+
+        jacobian = (None if drift_jacobian is None
+                    else lambda X: rows(drift_jacobian, X))
+        return cls(name=name, d=d, m=m, drift_batch=lambda X: rows(drift, X),
+                   diffusion_apply=diffusion_apply, constants=constants,
+                   params=dict(params or {}), drift_jacobian_batch=jacobian)
 
     @property
     def f0_norm_sq(self) -> float:
-        f0 = np.asarray(self.drift(np.zeros(self.d)), dtype=float)
+        f0 = drift_rows(self, np.zeros((1, self.d)))[0]
         return float(np.dot(f0, f0))
 
     @property
@@ -204,7 +231,7 @@ def drift_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     """Evaluate the drift at a single validated state."""
     x = _validate_state(problem, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(problem.drift(x), dtype=float)
+        out = drift_rows(problem, x[None, :])[0]
     if not np.all(np.isfinite(out)):
         raise DomainError(f"drift of {problem.name} overflowed at |x|={_norm(x):.3e}")
     return out
@@ -214,7 +241,7 @@ def diffusion_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     """Evaluate the (d, m) diffusion matrix at a single validated state."""
     x = _validate_state(problem, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(problem.diffusion(x), dtype=float)
+        out = _diffusion_columns(problem, x[None, :])[0].T
     if not np.all(np.isfinite(out)):
         raise DomainError(
             f"diffusion of {problem.name} overflowed at |x|={_norm(x):.3e}")
@@ -223,14 +250,16 @@ def diffusion_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
 
 def drift_rows(problem: SdeProblem, X: np.ndarray) -> np.ndarray:
     """Drift over a batch of states (n, d) -> (n, d)."""
-    if problem.drift_batch is not None:
-        return np.asarray(problem.drift_batch(X), dtype=float)
-    return np.stack([np.asarray(problem.drift(x), dtype=float) for x in X])
+    return np.asarray(problem.drift_batch(X), dtype=float)
 
 
-def diffusion_rows(problem: SdeProblem, X: np.ndarray) -> np.ndarray:
-    """Diffusion matrices over a batch of states (n, d) -> (n, d, m)."""
-    return np.stack([np.asarray(problem.diffusion(x), dtype=float) for x in X])
+def _diffusion_columns(problem: SdeProblem, X: np.ndarray) -> np.ndarray:
+    """The columns g(x) e_j, j < m, of the diffusion at each row x of X, as
+    (n, m, d): diffusion_apply on m copies of each row with the unit
+    increments."""
+    n, m = X.shape[0], problem.m
+    G = problem.diffusion_apply(np.repeat(X, m, axis=0), np.tile(np.eye(m), (n, 1)))
+    return np.asarray(G, dtype=float).reshape(n, m, problem.d)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +286,6 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     if a >= 0.0:
         raise UsageError(
             f"eta + sigma^2/2 = {a} must be negative for a dissipative problem")
-
-    def drift(x):
-        return a * x - theta * x ** 3
-
-    def diffusion(x):
-        return np.asarray([[sigma * x[0]]])
-
-    def drift_jacobian(x):
-        return np.asarray([[a - 3.0 * theta * x[0] ** 2]])
 
     def drift_batch(X):
         return a * X - theta * X ** 3
@@ -294,11 +314,9 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     constants = MonotoneConstants(alpha1=alpha1, p_star=p_star, kappa=kappa,
                                   c1=c1, beta1=beta1)
     return SdeProblem(
-        name="gl", d=1, m=1, drift=drift, diffusion=diffusion,
-        constants=constants,
+        name="gl", d=1, m=1, drift_batch=drift_batch,
+        diffusion_apply=diffusion_apply, constants=constants,
         params={"eta": eta, "sigma": sigma, "theta": theta},
-        drift_jacobian=drift_jacobian, drift_batch=drift_batch,
-        diffusion_apply=diffusion_apply,
         drift_jacobian_batch=drift_jacobian_batch)
 
 
@@ -338,15 +356,6 @@ def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
     else:
         raise UsageError(f"g_kind must be 'sine_plus_one' or a callable, got {g_kind!r}")
 
-    def drift(x):
-        return A @ x + x - x ** 3
-
-    def diffusion(x):
-        return np.asarray(g_scalar(x), dtype=float)[:, None]
-
-    def drift_jacobian(x):
-        return A + np.eye(d) - 3.0 * np.diag(x ** 2)
-
     def drift_batch(X):
         return X @ A + X - X ** 3          # A is symmetric
 
@@ -366,10 +375,9 @@ def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
     constants = MonotoneConstants(alpha1=1.0, p_star=3.5, kappa=kappa,
                                   c1=c1, beta1=beta1)
     return SdeProblem(
-        name="allen-cahn", d=d, m=1, drift=drift, diffusion=diffusion,
-        constants=constants, params={"K": K, "g": g_name},
-        drift_jacobian=drift_jacobian, drift_batch=drift_batch,
-        diffusion_apply=diffusion_apply,
+        name="allen-cahn", d=d, m=1, drift_batch=drift_batch,
+        diffusion_apply=diffusion_apply, constants=constants,
+        params={"K": K, "g": g_name},
         drift_jacobian_batch=drift_jacobian_batch)
 
 
@@ -407,15 +415,11 @@ def _pair_margins(problem: SdeProblem, spec: SampleSpec):
     X, Y, dX, nsq, dF = _pair_differences(
         lambda Z: drift_rows(problem, Z), problem.d, spec)
     a = np.einsum("ij,ij->i", dX, dF) / nsq
-    if problem.diffusion_apply is not None and problem.m == 1:
-        # one-column diffusion: Frobenius norm of g(x)-g(y) is a plain norm
-        ones = np.ones((X.shape[0], 1))
-        dG = problem.diffusion_apply(X, ones) - problem.diffusion_apply(Y, ones)
-        gsq = np.einsum("ij,ij->i", dG, dG)
-    else:
-        dG = diffusion_rows(problem, X) - diffusion_rows(problem, Y)
-        gsq = np.einsum("ijk,ijk->i", dG, dG)
-    b = gsq / nsq
+    # the m columns of g(x) - g(y), flattened: their squared norm is the
+    # squared Frobenius norm
+    dG = (_diffusion_columns(problem, X)
+          - _diffusion_columns(problem, Y)).reshape(X.shape[0], -1)
+    b = np.einsum("ij,ij->i", dG, dG) / nsq
     return a, b
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverFailure, UsageError
-from .model import SdeProblem, diffusion_eval, drift_rows, diffusion_rows
+from .model import SdeProblem, _validate_state, drift_rows
 
 __all__ = [
     "NewtonConfig",
@@ -79,14 +79,10 @@ class SchemeConfig:
 
     variant: str = "be"
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    projection_exponent_override: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise UsageError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if (self.projection_exponent_override is not None
-                and self.projection_exponent_override <= 0.0):
-            raise UsageError("projection exponent override must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,20 +141,10 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", Z, Z))
 
 
-def _apply_diffusion_batch(problem: SdeProblem, Z: np.ndarray,
-                           dW: np.ndarray) -> np.ndarray:
-    if problem.diffusion_apply is not None:
-        return np.asarray(problem.diffusion_apply(Z, dW), dtype=float)
-    G = diffusion_rows(problem, Z)
-    return np.einsum("bdm,bm->bd", G, dW)
-
-
 def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
     """Drift Jacobians over a batch, (B, d) -> (B, d, d)."""
     if problem.drift_jacobian_batch is not None:
         return np.asarray(problem.drift_jacobian_batch(Z), dtype=float)
-    if problem.drift_jacobian is not None:
-        return np.stack([np.asarray(problem.drift_jacobian(z), dtype=float) for z in Z])
     # central finite differences, one column at a time
     d = problem.d
     eps = 1e-6 * (1.0 + np.max(np.abs(Z), axis=1))
@@ -212,7 +198,7 @@ def em_step(problem: SdeProblem, x: np.ndarray, h: float, dW: np.ndarray) -> np.
 
 def _em_step_batch(problem, Z, dW, h):
     with np.errstate(over="ignore", invalid="ignore"):
-        return Z + h * drift_rows(problem, Z) + _apply_diffusion_batch(problem, Z, dW)
+        return Z + h * drift_rows(problem, Z) + problem.diffusion_apply(Z, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +319,12 @@ def backward_euler_step(problem: SdeProblem, x: np.ndarray, h: float,
     if h <= 0.0:
         raise UsageError(f"h must be positive, got {h}")
     dW = _check_dw(problem, dW)
-    g = diffusion_eval(problem, x)
-    b = np.asarray(x, dtype=float) + g @ dW
-    return solve_implicit(problem, b, h, cfg)
+    x = _validate_state(problem, x)
+    return _be_step_batch(problem, x[None, :], dW[None, :], h, cfg)[0]
 
 
 def _be_step_batch(problem, Z, dW, h, cfg, step_index=None):
-    b = Z + _apply_diffusion_batch(problem, Z, dW)
+    b = Z + problem.diffusion_apply(Z, dW)
     return solve_implicit_batch(problem, b, h, cfg, step_index=step_index)
 
 
@@ -347,17 +332,13 @@ def _be_step_batch(problem, Z, dW, h, cfg, step_index=None):
 # projection and projected Euler
 # ---------------------------------------------------------------------------
 
-def _projection_radius(h: float, kappa: float,
-                       exponent_override: Optional[float] = None) -> float:
+def _projection_radius(h: float, kappa: float) -> float:
     if not (0.0 < h <= 1.0):
         raise UsageError(f"projection requires h in (0, 1], got {h}")
-    e = exponent_override if exponent_override is not None \
-        else 1.0 / (2.0 * (kappa + 1.0))
-    return h ** (-e)
+    return h ** (-1.0 / (2.0 * (kappa + 1.0)))
 
 
-def project(x: np.ndarray, h: float, kappa: float,
-            exponent_override: Optional[float] = None) -> np.ndarray:
+def project(x: np.ndarray, h: float, kappa: float) -> np.ndarray:
     """Radial projection onto the ball of radius R = h^(-1/(2(kappa+1))).
 
     Identity inside the ball, x * R/|x| outside; 1-Lipschitz and fixes the
@@ -365,7 +346,7 @@ def project(x: np.ndarray, h: float, kappa: float,
     needs.
     """
     x = np.asarray(x, dtype=float)
-    R = _projection_radius(h, kappa, exponent_override)
+    R = _projection_radius(h, kappa)
     nrm = float(np.sqrt(np.dot(x, x)))
     if nrm <= R:
         return x.copy()
@@ -379,8 +360,7 @@ def project_batch(Z: np.ndarray, R: float) -> np.ndarray:
 
 
 def projected_euler_step(problem: SdeProblem, x: np.ndarray, h: float,
-                         dW: np.ndarray,
-                         cfg: SchemeConfig = SchemeConfig(variant="pe")) -> np.ndarray:
+                         dW: np.ndarray) -> np.ndarray:
     """One projected Euler step: explicit Euler from the projected state.
 
     The returned state is the raw Euler output; the next step projects it
@@ -391,15 +371,14 @@ def projected_euler_step(problem: SdeProblem, x: np.ndarray, h: float,
     if x.shape != (problem.d,):
         raise UsageError(
             f"state shape {x.shape} does not match problem dimension ({problem.d},)")
-    return _pe_step_batch(problem, x[None, :], dW[None, :], h, cfg)[0]
+    return _pe_step_batch(problem, x[None, :], dW[None, :], h)[0]
 
 
-def _pe_step_batch(problem, Z, dW, h, cfg):
-    R = _projection_radius(h, problem.constants.kappa,
-                           cfg.projection_exponent_override)
+def _pe_step_batch(problem, Z, dW, h):
+    R = _projection_radius(h, problem.constants.kappa)
     Zb = project_batch(Z, R)
     with np.errstate(over="ignore", invalid="ignore"):
-        return Zb + h * drift_rows(problem, Zb) + _apply_diffusion_batch(problem, Zb, dW)
+        return Zb + h * drift_rows(problem, Zb) + problem.diffusion_apply(Zb, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -413,4 +392,4 @@ def step_batch(problem: SdeProblem, cfg: SchemeConfig, Z: np.ndarray,
         return _em_step_batch(problem, Z, dW, h)
     if cfg.variant == "be":
         return _be_step_batch(problem, Z, dW, h, cfg.newton, step_index=step_index)
-    return _pe_step_batch(problem, Z, dW, h, cfg)
+    return _pe_step_batch(problem, Z, dW, h)

@@ -231,16 +231,18 @@ def _noise_block(gens, n_t: int, m: int, sqrt_h: float) -> np.ndarray:
     return np.stack([g.standard_normal((n_t, m)) for g in gens]) * sqrt_h
 
 
-def _tile_x0(problem: SdeProblem, x0, n: int) -> np.ndarray:
+def _start_state(problem: SdeProblem, x0, name: str = "x0") -> np.ndarray:
+    """x0 as a finite state of shape (d,); a scalar fills every component.
+    Every protocol checks its start states before any chunk runs."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
         x0 = np.full(problem.d, float(x0))
     if x0.shape != (problem.d,):
-        raise UsageError(
-            f"x0 shape {x0.shape} does not match problem dimension ({problem.d},)")
+        raise UsageError(f"{name} shape {x0.shape} does not match problem "
+                         f"dimension ({problem.d},)")
     if not np.all(np.isfinite(x0)):
-        raise UsageError(f"x0 must be finite, got {x0}")
-    return np.tile(x0, (n, 1))
+        raise UsageError(f"{name} must be finite, got {x0}")
+    return x0
 
 
 def _exact_multiple(a: float, b: float, a_name: str, b_name: str) -> int:
@@ -262,13 +264,14 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig, gens,
     """Advance coupled tracks over one chunk of paths on shared noise.
 
     `gens` holds one generator per path; each track is (x0, factor, h), a
-    start state and a step of size h taken every `factor` fine steps, on the
-    pairwise sums of `factor` fine increments of size h_fine. Yields
+    start state from `_start_state` and a step of size h taken every
+    `factor` fine steps, on the pairwise sums of `factor` fine increments
+    of size h_fine. Yields
     (k, states) for the fine indices k = 0..n_fine; at each k > 0 every track
     whose factor divides k has just been stepped, in track order, and
     `states` lists the current state batch of every track.
     """
-    Zs = [_tile_x0(problem, x0, len(gens)) for x0, _, _ in tracks]
+    Zs = [np.tile(x0, (len(gens), 1)) for x0, _, _ in tracks]
     yield 0, Zs
     factors = {f for _, f, _ in tracks}
     sqrt_h = math.sqrt(h_fine)
@@ -327,7 +330,7 @@ def evolve_terminal(problem: SdeProblem, scheme_cfg: SchemeConfig, h: float,
         if incs.shape != (n_steps, problem.m):
             raise UsageError(
                 f"noise shape {incs.shape}, expected ({n_steps}, {problem.m})")
-    Z = _tile_x0(problem, x0, 1)
+    Z = np.tile(_start_state(problem, x0), (1, 1))
     for k in range(n_steps):
         Z = step_batch(problem, scheme_cfg, Z, incs[k][None, :], h, step_index=k)
     return Z[0]
@@ -360,6 +363,7 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     for h in hs:
         _exact_multiple(T, h, "T", "h")
     threads = resolve_threads(threads)
+    x0 = _start_state(problem, x0)
     tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
 
     def worker(gens):
@@ -400,8 +404,9 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     """Shared machinery for moment traces (one trajectory per path) and
     contraction traces (two coupled trajectories per path).
 
-    `starts` is a list of initial states (one trajectory per entry);
-    `statistic(Zs)` maps the list of state batches to per-path magnitudes.
+    `starts` is a list of start states from `_start_state` (one trajectory
+    per entry); `statistic(Zs)` maps the list of state batches to per-path
+    magnitudes.
     """
     if n_records < 1:
         raise UsageError(f"n_records must be >= 1, got {n_records}")
@@ -447,7 +452,8 @@ def moment_trace(problem: SdeProblem, scheme_cfg: SchemeConfig, T: float,
             raise UsageError(
                 f"h={h} exceeds the {scheme_cfg.variant} theorem ceiling {ceiling}")
     return _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
-                             [x0], lambda Zs: _row_norms(Zs[0]),
+                             [_start_state(problem, x0)],
+                             lambda Zs: _row_norms(Zs[0]),
                              threads, n_records)
 
 
@@ -463,9 +469,8 @@ def contraction_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     exp(-alpha1 t) in the 2p-th moment, and the implicit scheme inherits the
     decay. Returns (times, estimates).
     """
-    x0a = np.asarray(x0, dtype=float)
-    y0a = np.asarray(y0, dtype=float)
-    if np.array_equal(np.atleast_1d(x0a), np.atleast_1d(y0a)):
+    x0, y0 = _start_state(problem, x0), _start_state(problem, y0, "y0")
+    if np.array_equal(x0, y0):
         raise UsageError("x0 and y0 must differ for a contraction experiment")
     return _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
                              [x0, y0], lambda Zs: _row_norms(Zs[0] - Zs[1]),
@@ -492,6 +497,7 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
         raise UsageError(f"substeps must be >= 2, got {substeps}")
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     threads = resolve_threads(threads)
+    x = _start_state(problem, x, "x")
     results = []
     for h in hs:
         h_fine = h / substeps
@@ -528,7 +534,8 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
         raise UsageError(f"substeps must be >= 1, got {substeps}")
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     threads = resolve_threads(threads)
-    gap0 = np.asarray(x0, dtype=float) - np.asarray(y0, dtype=float)
+    x0, y0 = _start_state(problem, x0), _start_state(problem, y0, "y0")
+    gap0 = x0 - y0
     results = []
     for h in hs:
         h_fine = h / substeps

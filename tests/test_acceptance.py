@@ -31,8 +31,8 @@ from sde_longtime import (SchemeConfig, build_allen_cahn,
                           make_convergence_report, make_noise_grid,
                           max_feasible_pstar, moment_trace,
                           one_step_order_experiment, pairwise_block_sum,
-                          coarsen, project, scheme_orders, stationarity_gap,
-                          strong_error_experiment)
+                          coarsen, drift_eval, project, scheme_orders,
+                          stationarity_gap, strong_error_experiment)
 from sde_longtime.schemes import solve_implicit_batch
 
 GL = build_ginzburg_landau(eta=-1.5, sigma=1.0, theta=1.0)
@@ -166,7 +166,7 @@ def test_criterion_8_implicit_solver_certification(criterion):
     for problem, h in ((GL, 4.0), (AC, 1.0)):   # h = 1/alpha1 for each
         b = rng.uniform(-10.0, 10.0, size=(1000, problem.d))
         z = solve_implicit_batch(problem, b, h)  # raises on any failure
-        f = np.stack([problem.drift(r) for r in z])
+        f = np.stack([drift_eval(problem, r) for r in z])
         resid = np.linalg.norm(z - h * f - b, axis=1)
         worst = max(worst, float(resid.max()))
     criterion(8, "implicit solves certified to tolerance", worst <= 1e-12,

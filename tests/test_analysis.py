@@ -7,8 +7,7 @@ import pytest
 
 from sde_longtime import (ErrorCurve, MomentEstimate, UsageError, decay_slope,
                           build_ginzburg_landau, fit_order,
-                          make_convergence_report, mc_mean_with_se,
-                          estimate_from_samples, scheme_orders,
+                          make_convergence_report, scheme_orders,
                           stationarity_gap)
 
 
@@ -64,11 +63,6 @@ def test_fit_order_validation():
         fit_order([0.25, 0.25], [0.1, 0.05])  # abscissa collapses
     with pytest.raises(UsageError):
         fit_order([0.5, 0.25], [0.1, 0.05, 0.02])
-
-
-def test_mc_mean_with_se_is_the_moment_estimator():
-    samples = [0.5, 1.5, 2.5]
-    assert mc_mean_with_se(samples, p=2.0) == estimate_from_samples(samples, p=2.0)
 
 
 # ---------------------------------------------------------------------------

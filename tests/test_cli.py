@@ -283,7 +283,7 @@ _CUSTOM = """
 import numpy as np
 from sde_longtime import MonotoneConstants, SdeProblem
 
-PROBLEM = SdeProblem(
+PROBLEM = SdeProblem.from_pointwise(
     name="ou", d=1, m=1,
     drift=lambda x: -x,
     diffusion=lambda x: np.full((1, 1), 0.1),
@@ -308,16 +308,34 @@ def test_custom_model_file(tmp_path):
                  "--output", str(out)]) == 2
 
 
+_UNLOADABLE = {
+    "syntax-error": "PROBLEM = (\n",
+    # the problem fields before the batch-first interface
+    "unknown-keyword": _CUSTOM.replace("SdeProblem.from_pointwise(",
+                                       "SdeProblem("),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNLOADABLE))
+def test_custom_model_that_fails_to_load_exits_2(tmp_path, name):
+    mod = tmp_path / "broken_model.py"
+    mod.write_text(_UNLOADABLE[name])
+    out = tmp_path / "a.csv"
+    rc = main(["check-assumptions", "--model", f"custom:{mod}",
+               "--output", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 _MISSHAPEN_CUSTOM = """
 import numpy as np
 from sde_longtime import MonotoneConstants, SdeProblem
 
 PROBLEM = SdeProblem(
     name="ou2", d=2, m=1,
-    drift=lambda x: -x,
-    diffusion=lambda x: np.full((2, 1), 0.1),
-    constants=MonotoneConstants(alpha1=0.9, p_star=2.0, kappa=1.0, c1=1.01),
-    drift_batch=lambda X: -X[:, :1])
+    drift_batch=lambda X: -X[:, :1],
+    diffusion_apply=lambda X, dW: 0.1 * np.repeat(dW, 2, axis=1),
+    constants=MonotoneConstants(alpha1=0.9, p_star=2.0, kappa=1.0, c1=1.01))
 """
 
 

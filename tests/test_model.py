@@ -1,7 +1,5 @@
 """Built-in problems and the sampled certification of structural conditions."""
 
-import dataclasses
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,13 +11,14 @@ from sde_longtime import (DomainError, MonotoneConstants, SampleSpec,
                           build_ginzburg_landau, check_contractive_monotone,
                           check_poly_lipschitz, diffusion_eval, drift_eval,
                           max_feasible_pstar, theorem_admissible_p_max)
+from sde_longtime.model import _pair_differences
 
 
 def _linear_problem(rate=1.0, noise=0.1):
     """Scalar Ornstein-Uhlenbeck: globally Lipschitz, kappa = 1."""
     c = MonotoneConstants(alpha1=rate - 0.5 * 0.0, p_star=2.0, kappa=1.0,
                           c1=rate * rate * 1.01)
-    return SdeProblem(
+    return SdeProblem.from_pointwise(
         name="ou", d=1, m=1,
         drift=lambda x: -rate * x,
         diffusion=lambda x: np.full((1, 1), noise),
@@ -180,6 +179,39 @@ def test_max_feasible_pstar_zero_when_even_one_fails():
     assert max_feasible_pstar(gl, alpha1=50.0) == 0.0
 
 
+_SCALES = np.array([1.0, 0.5])
+
+
+def _diagonal_pair(pointwise):
+    """d = m = 2: drift -x - x^3 componentwise and diffusion diag(s x) with
+    s = (1, 1/2), each component driven by its own Brownian motion."""
+    kw = dict(name="diagonal", d=2, m=2, constants=MonotoneConstants(
+        alpha1=0.25, p_star=1.25, kappa=3.0, c1=10.0))
+    if pointwise:
+        return SdeProblem.from_pointwise(
+            drift=lambda x: -x - x ** 3,
+            diffusion=lambda x: np.diag(_SCALES * x), **kw)
+    return SdeProblem(drift_batch=lambda X: -X - X ** 3,
+                      diffusion_apply=lambda X, dW: _SCALES * X * dW, **kw)
+
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["batch", "pointwise"])
+def test_monotone_margin_with_two_noise_columns(pointwise):
+    """||g(x) - g(y)||_F^2 must sum over both columns of g: the worst margin
+    equals the one computed from the full 2 x 2 diffusion matrices."""
+    problem = _diagonal_pair(pointwise)
+    spec = SampleSpec(n_pairs=2000, seed=9)
+    X, Y, dX, nsq, dF = _pair_differences(lambda Z: -Z - Z ** 3, 2, spec)
+    dG = (np.einsum("ij,jk->ijk", _SCALES * X, np.eye(2))
+          - np.einsum("ij,jk->ijk", _SCALES * Y, np.eye(2)))
+    direct = np.max((np.einsum("ij,ij->i", dX, dF)
+                     + 0.75 * np.einsum("ijk,ijk->i", dG, dG)) / nsq + 0.25)
+    report = check_contractive_monotone(problem, spec=spec)
+    assert report.worst_margin == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    npt.assert_array_equal(diffusion_eval(problem, np.array([2.0, -4.0])),
+                           [[2.0, 0.0], [0.0, -2.0]])
+
+
 # ---------------------------------------------------------------------------
 # polynomial Lipschitz checker and growth constants
 # ---------------------------------------------------------------------------
@@ -255,21 +287,30 @@ _MISSHAPEN = {
     "drift_jacobian_batch": lambda X: np.zeros((X.shape[0], 2)),
 }
 
+_PAIR = dict(name="pair", d=2, m=1, constants=MonotoneConstants(
+    alpha1=0.9, p_star=2.0, kappa=1.0, c1=1.01))
+
 
 @pytest.mark.parametrize("field", sorted(_MISSHAPEN))
 def test_problem_rejects_wrong_output_shapes(field):
-    """Each callable is probed once at construction: a (B, 1) drift batch for
-    d = 2, say, would otherwise broadcast into plausible wrong results."""
-    good = SdeProblem(
-        name="pair", d=2, m=1,
-        drift=lambda x: -x, diffusion=lambda x: np.full((2, 1), 0.1),
-        constants=MonotoneConstants(alpha1=0.9, p_star=2.0, kappa=1.0, c1=1.01),
-        drift_jacobian=lambda x: -np.eye(2), drift_batch=lambda X: -X,
-        diffusion_apply=lambda X, dW: 0.1 * np.repeat(dW, 2, axis=1),
-        drift_jacobian_batch=lambda X: np.broadcast_to(-np.eye(2),
-                                                       (X.shape[0], 2, 2)))
+    """Each callable is probed once at construction, the batch fields by the
+    problem and the pointwise ones by `from_pointwise`: a (B, 1) drift batch
+    for d = 2, say, would otherwise broadcast into plausible wrong results."""
+    batch = dict(drift_batch=lambda X: -X,
+                 diffusion_apply=lambda X, dW: 0.1 * np.repeat(dW, 2, axis=1),
+                 drift_jacobian_batch=lambda X: np.broadcast_to(
+                     -np.eye(2), (X.shape[0], 2, 2)))
+    pointwise = dict(drift=lambda x: -x,
+                     diffusion=lambda x: np.full((2, 1), 0.1),
+                     drift_jacobian=lambda x: -np.eye(2))
+    SdeProblem(**_PAIR, **batch)
+    SdeProblem.from_pointwise(**_PAIR, **pointwise)
     with pytest.raises(UsageError, match=f"^{field} of"):
-        dataclasses.replace(good, **{field: _MISSHAPEN[field]})
+        if field in batch:
+            SdeProblem(**_PAIR, **dict(batch, **{field: _MISSHAPEN[field]}))
+        else:
+            SdeProblem.from_pointwise(
+                **_PAIR, **dict(pointwise, **{field: _MISSHAPEN[field]}))
 
 
 def test_eval_flags_non_finite_output():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from sde_longtime import (MonotoneConstants, NewtonConfig, SchemeConfig,
                           SdeProblem, SolverFailure, UsageError,
                           backward_euler_step, build_allen_cahn,
-                          build_ginzburg_landau, drift_jacobian, em_step,
-                          project, projected_euler_step, scheme_orders,
-                          solve_implicit, step_ceiling)
+                          build_ginzburg_landau, drift_eval, drift_jacobian,
+                          em_step, project, projected_euler_step,
+                          scheme_orders, solve_implicit, step_ceiling)
 from sde_longtime.schemes import (VARIANTS, project_batch,
                                   solve_implicit_batch, step_batch)
 
@@ -25,10 +25,10 @@ def gl():
 def _still_problem(d=2):
     """Zero drift, zero diffusion: every scheme must return the state unchanged."""
     c = MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.0)
-    return SdeProblem(name="still", d=d, m=1,
-                      drift=lambda x: np.zeros(d),
-                      diffusion=lambda x: np.zeros((d, 1)),
-                      constants=c)
+    return SdeProblem.from_pointwise(name="still", d=d, m=1,
+                                     drift=lambda x: np.zeros(d),
+                                     diffusion=lambda x: np.zeros((d, 1)),
+                                     constants=c)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,9 @@ def test_implicit_solve_linear_resolvent_value():
     # b / (1 + h) = 0.8; the custom problem exercises the finite-difference
     # Jacobian path, so the root is exact only to the residual tolerance.
     c = MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.01)
-    lin = SdeProblem(name="lin", d=1, m=1, drift=lambda x: -x,
-                     diffusion=lambda x: np.zeros((1, 1)), constants=c)
+    lin = SdeProblem.from_pointwise(name="lin", d=1, m=1, drift=lambda x: -x,
+                                    diffusion=lambda x: np.zeros((1, 1)),
+                                    constants=c)
     z = solve_implicit(lin, np.array([1.0]), 0.25)
     assert z[0] == pytest.approx(0.8, abs=1e-11)
 
@@ -118,12 +119,6 @@ def test_projection_is_identity_inside_ball():
     y = project(x, 0.25, 3.0)  # R = 4^(1/8) > 1 > |x| = 0.5
     npt.assert_array_equal(y, x)
     assert y is not x  # caller's state must never alias the scheme's output
-
-
-def test_projection_exponent_override():
-    # override 1/2 at h = 1/16 gives R = 4 regardless of kappa
-    y = project(np.array([5.0, 0.0]), 1.0 / 16.0, 3.0, exponent_override=0.5)
-    npt.assert_allclose(y, [4.0, 0.0], rtol=1e-15)
 
 
 _coords = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
@@ -179,7 +174,7 @@ def test_implicit_residuals_recomputed(gl):
     rng = np.random.default_rng(11)
     b = rng.uniform(-5.0, 5.0, size=(64, 1))
     z = solve_implicit_batch(gl, b, 0.25)
-    resid = z - 0.25 * np.stack([gl.drift(r) for r in z]) - b
+    resid = z - 0.25 * np.stack([drift_eval(gl, r) for r in z]) - b
     assert float(np.max(np.abs(resid))) <= 1e-12
 
 
@@ -188,7 +183,7 @@ def test_implicit_residuals_multidimensional():
     rng = np.random.default_rng(12)
     b = rng.uniform(-2.0, 2.0, size=(32, 3))
     z = solve_implicit_batch(ac, b, 15.0 / 2.0 ** 10)
-    f = np.stack([ac.drift(r) for r in z])
+    f = np.stack([drift_eval(ac, r) for r in z])
     resid = np.linalg.norm(z - (15.0 / 2.0 ** 10) * f - b, axis=1)
     assert float(np.max(resid)) <= 1e-12
 
@@ -275,7 +270,7 @@ def test_step_batch_matches_single_steps(variant, gl):
             elif variant == "be":
                 one = backward_euler_step(problem, Z[i], h, dW[i])
             else:
-                one = projected_euler_step(problem, Z[i], h, dW[i], cfg)
+                one = projected_euler_step(problem, Z[i], h, dW[i])
             npt.assert_array_equal(out[i], one)
 
 
@@ -301,10 +296,10 @@ def test_drift_jacobian_at_origin(gl):
 
 def test_drift_jacobian_finite_difference_fallback():
     c = MonotoneConstants(alpha1=0.5, p_star=2.0, kappa=3.0, c1=10.0)
-    cubic = SdeProblem(name="bare-cubic", d=1, m=1,
-                       drift=lambda x: -x ** 3,
-                       diffusion=lambda x: np.zeros((1, 1)),
-                       constants=c)
+    cubic = SdeProblem.from_pointwise(name="bare-cubic", d=1, m=1,
+                                      drift=lambda x: -x ** 3,
+                                      diffusion=lambda x: np.zeros((1, 1)),
+                                      constants=c)
     J = drift_jacobian(cubic, np.array([1.5]))
     assert J[0, 0] == pytest.approx(-6.75, rel=1e-5)
 
@@ -356,7 +351,7 @@ def test_projected_drift_obeys_step_budget(gl, x, k):
     stable regime in one move."""
     h = 2.0 ** -k
     y = project(np.array([x]), h, gl.constants.kappa)
-    fy = float(gl.drift(y)[0])
+    fy = float(drift_eval(gl, y)[0])
     assert fy * fy <= gl.c2 / h + gl.c3
 
 
@@ -376,8 +371,6 @@ def test_newton_config_validation():
 def test_scheme_config_validation():
     with pytest.raises(UsageError):
         SchemeConfig(variant="heun")
-    with pytest.raises(UsageError):
-        SchemeConfig(variant="pe", projection_exponent_override=-0.5)
 
 
 def test_step_size_and_shape_validation(gl):

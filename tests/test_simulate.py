@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sde_longtime import (MomentEstimate, MonotoneConstants, NewtonConfig,
                           SchemeConfig, SdeProblem, SolverFailure, UsageError,
-                          backward_euler_step,
+                          backward_euler_step, check_contractive_monotone,
                           build_allen_cahn, build_ginzburg_landau,
                           contraction_experiment, em_step,
                           estimate_from_samples, evolve_terminal, fit_order,
@@ -40,10 +40,10 @@ def _deterministic_linear():
     """dx = -x dt with zero diffusion: the implicit step has the closed form
     z_(n+1) = z_n / (1 + h), so everything downstream is checkable exactly."""
     c = MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.01)
-    return SdeProblem(name="lin", d=1, m=1,
-                      drift=lambda x: -x,
-                      diffusion=lambda x: np.zeros((1, 1)),
-                      constants=c)
+    return SdeProblem.from_pointwise(name="lin", d=1, m=1,
+                                     drift=lambda x: -x,
+                                     diffusion=lambda x: np.zeros((1, 1)),
+                                     constants=c)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def _acting_off_the_caller(act):
             act()
         return -x
 
-    return SdeProblem(
+    return SdeProblem.from_pointwise(
         name="off-caller", d=1, m=1, drift=drift,
         diffusion=lambda x: np.ones((1, 1)),
         constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.01))
@@ -348,6 +348,68 @@ def test_worker_processes_are_bounded_by_the_chunks(gl, monkeypatch):
     moment_trace(gl, BE, n_paths=512, threads=64, **kw)
     moment_trace(gl, BE, n_paths=1030, threads=1, **kw)
     assert asked == [2]
+
+
+_MISSHAPEN_START = {
+    "strong": lambda gl, x0: strong_error_experiment(
+        gl, BE, T=0.5, h_list=[0.25], h_ref=0.125, n_paths=1030, x0=x0,
+        threads=2),
+    "moments": lambda gl, x0: moment_trace(
+        gl, BE, T=0.5, h=0.25, n_paths=1030, x0=x0, threads=2),
+    "contraction": lambda gl, x0: contraction_experiment(
+        gl, BE, T=0.5, h=0.25, n_paths=1030, x0=x0, y0=0.0, threads=2),
+    "one-step": lambda gl, x0: one_step_order_experiment(
+        gl, BE, [0.25], x0, n_paths=1030, substeps=2, threads=2),
+    "remainder": lambda gl, x0: remainder_scaling_experiment(
+        gl, BE, x0, 0.5, [0.25], n_paths=1030, substeps=2, threads=2),
+}
+
+
+@pytest.mark.parametrize("name", list(_MISSHAPEN_START))
+def test_start_states_are_checked_before_any_fork(gl, name, monkeypatch):
+    """A two-component start state for the scalar problem is refused before
+    the worker pool exists, not from inside a chunk."""
+    asked = []
+
+    def pool(*args, **kwargs):
+        asked.append(args)
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    with pytest.raises(UsageError, match=r"shape \(2,\) does not match"):
+        _MISSHAPEN_START[name](gl, [1.0, 2.0])
+    assert asked == []
+
+
+def _cubic(pointwise):
+    """dX = (-X - X^3) dt + X dW, through `from_pointwise` or as batch
+    callables, with analytic Jacobians in both forms."""
+    kw = dict(name="cubic", d=1, m=1,
+              constants=build_ginzburg_landau().constants)
+    if pointwise:
+        return SdeProblem.from_pointwise(
+            drift=lambda x: -x - x ** 3, diffusion=lambda x: x[:, None],
+            drift_jacobian=lambda x: np.diag(-1.0 - 3.0 * x ** 2), **kw)
+    return SdeProblem(
+        drift_batch=lambda X: -X - X ** 3, diffusion_apply=lambda X, dW: X * dW,
+        drift_jacobian_batch=lambda X: (-1.0 - 3.0 * X ** 2)[..., None], **kw)
+
+
+def test_pointwise_adapter_matches_the_batch_callables():
+    """The same problem through the adapter's row loops and through batch
+    callables gives pickled-equal strong errors (be and pe, one and two
+    workers) and monotone reports."""
+    results = {}
+    for pointwise in (True, False):
+        problem = _cubic(pointwise)
+        runs = [strong_error_experiment(
+                    problem, SchemeConfig(variant=v), T=0.5,
+                    h_list=[2.0 ** -2, 2.0 ** -3], h_ref=2.0 ** -5,
+                    n_paths=1030, master_seed=8, x0=1.5, threads=t)
+                for v in ("be", "pe") for t in (1, 2)]
+        runs.append(check_contractive_monotone(problem))
+        results[pointwise] = [pickle.dumps(r) for r in runs]
+    assert results[True] == results[False]
 
 
 # ---------------------------------------------------------------------------
