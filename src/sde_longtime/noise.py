@@ -6,6 +6,13 @@ substream keyed by ``(master_seed, path_index)`` through numpy's
 how many other paths exist, which worker generated them, or whether they were
 produced in one call or streamed in blocks.
 
+`path_generator` builds one path's generator and is the reference for its
+stream. The engine instead computes the Philox keys of a whole path chunk in
+one vectorized pass (`path_keys`, SeedSequence's hash mixing on uint32
+arrays) and runs one generator per chunk, restoring each path's key or saved
+state into it before that path draws; the rows are bit for bit the reference
+streams.
+
 Coarsening sums consecutive fine increments with a fixed pairwise
 (balanced-tree) order. For power-of-two factors the tree composes exactly, so
 ``coarsen(coarsen(g, 2), 2)`` and ``coarsen(g, 4)`` agree bit for bit and the
@@ -24,6 +31,14 @@ from .errors import UsageError
 
 __all__ = ["NoiseGrid", "make_noise_grid", "coarsen", "pairwise_block_sum"]
 
+# SeedSequence's hash constants (numpy.random.bit_generator, after O'Neill's
+# seed_seq design); `path_keys` replays its mixing on arrays of paths.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+
 
 def path_seed_sequence(master_seed: int, path_index: int) -> np.random.SeedSequence:
     """Seed material for one path's substream: child `path_index` of the master seed."""
@@ -33,6 +48,74 @@ def path_seed_sequence(master_seed: int, path_index: int) -> np.random.SeedSeque
 def path_generator(master_seed: int, path_index: int) -> np.random.Generator:
     """Counter-based generator for one path, independent of all other paths."""
     return np.random.Generator(np.random.Philox(path_seed_sequence(master_seed, path_index)))
+
+
+def check_master_seed(master_seed) -> int:
+    """`master_seed` as a non-negative int, or a usage error."""
+    if isinstance(master_seed, (int, np.integer)) and not isinstance(
+            master_seed, bool) and master_seed >= 0:
+        return int(master_seed)
+    raise UsageError(
+        f"master seed must be a non-negative integer, got {master_seed!r}")
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's uint32 hash on arrays, with its running multiplier."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def path_keys(master_seed: int, indices) -> np.ndarray:
+    """(n, 2) uint64 Philox keys of the given paths' substreams.
+
+    Row j equals ``path_seed_sequence(master_seed, indices[j])
+    .generate_state(2, np.uint64)``, the key `path_generator` seeds its
+    Philox with. Indices below 2**32 are one spawn-key word, so their keys
+    come from one pass of SeedSequence's uint32 hash mixing over the whole
+    array; any other index goes through SeedSequence itself.
+    """
+    seed = check_master_seed(master_seed)
+    idx = np.asarray(indices, dtype=np.int64)
+    keys = np.empty((idx.size, 2), dtype=np.uint64)
+    small = (idx >= 0) & (idx <= _MASK32)
+    words = []                     # little-endian seed words, [0] for 0
+    while True:
+        words.append(np.array([seed & _MASK32], dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_WORDS - len(words))
+    entropy = words + [idx[small].astype(np.uint32)]
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = _hashmix(_INIT_B, _MULT_B)
+    state = [out(w).astype(np.uint64) for w in pool]
+    keys[small, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[small, 1] = state[2] | (state[3] << np.uint64(32))
+    for j in np.flatnonzero(~small):
+        keys[j] = path_seed_sequence(master_seed, int(idx[j])).generate_state(
+            2, np.uint64)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -75,6 +158,7 @@ def make_noise_grid(master_seed: int, path_index: int, m: int,
         raise UsageError(f"m must be positive, got {m}")
     if path_index < 0:
         raise UsageError(f"path_index must be nonnegative, got {path_index}")
+    check_master_seed(master_seed)
     gen = path_generator(master_seed, path_index)
     increments = gen.standard_normal((n_fine, m)) * math.sqrt(h_fine)
     return NoiseGrid(master_seed=master_seed, path_index=path_index, m=m,

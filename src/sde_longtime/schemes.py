@@ -261,11 +261,13 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
         if d == 1 and cfg.fallback == "scalar_bisection_if_d1":
             z[bad, 0] = _bisect_scalar(problem, b[bad, 0], h, tol)
             return z
-        worst = int(np.nanargmax(np.where(np.isfinite(rn), rn, np.inf)))
+        # the first failing row, not the worst: which row is worst depends
+        # on which other paths share the batch
+        first = int(np.flatnonzero(bad)[0])
         raise SolverFailure(
             f"implicit solve did not converge within {cfg.max_iter} iterations "
-            f"(worst residual {rn[worst]:.3e})",
-            last_iterate=z[worst].copy(), residual=float(rn[worst]),
+            f"(residual {rn[first]:.3e} in the first failing row)",
+            last_iterate=z[first].copy(), residual=float(rn[first]),
             step_index=step_index)
     return z
 

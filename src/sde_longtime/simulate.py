@@ -13,13 +13,17 @@ supremum of the reference-to-coarse gap (strong error), a statistic at the
 record steps (moment and contraction traces), or the terminal states
 (one-step and remainder probes).
 
-Ensembles are processed in fixed-size path chunks, each path drawing from its
-own (master_seed, path_index) substream, with noise generated in bounded time
-blocks. Chunk size and block size are constants independent of worker count
-and ensemble size, so results are bit-identical whether a run uses one worker
-or many; partial results are merged in path order. Several workers are the
-calling process plus forked processes, each running whole chunks; where the
-platform cannot fork, the chunks run serially in the calling process.
+Ensembles are processed in path chunks, each path drawing from its own
+(master_seed, path_index) substream, with noise generated in bounded time
+blocks. A chunk runs one generator, into which each path's key or saved
+state is restored before the path draws, so a chunk holds no generator per
+path. The chunk size is an even share of the paths per worker, clamped to
+[CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a constant. Neither
+changes any result, because every row is its own path's stream, so results
+are bit-identical whether a run uses one worker or many; partial results are
+merged in path order. Several workers are the calling process plus forked
+processes, each running whole chunks; where the platform cannot fork, the
+chunks run serially in the calling process.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent: they are excluded from moment estimates from the
@@ -38,7 +42,8 @@ import numpy as np
 
 from .errors import UsageError
 from .model import SdeProblem
-from .noise import NoiseGrid, pairwise_block_sum, path_generator
+from .noise import (NoiseGrid, check_master_seed, pairwise_block_sum,
+                    path_generator, path_keys)
 from .schemes import SchemeConfig, _row_norms, step_batch, step_ceiling
 
 __all__ = [
@@ -53,10 +58,11 @@ __all__ = [
     "resolve_threads",
 ]
 
-# Paths per vectorized batch and fine steps per noise block. Fixed constants:
-# changing them never changes results (per-path streams are position-keyed),
-# but they are part of no contract and exist only to bound memory while
-# keeping the per-step numpy call overhead amortized over many paths.
+# Least paths per vectorized batch (a chunk holds up to twice as many) and
+# fine steps per noise block. Changing them never changes results (per-path
+# streams are position-keyed), but they are part of no contract and exist
+# only to bound memory while keeping the per-step numpy call overhead
+# amortized over many paths.
 CHUNK_PATHS = 512
 BLOCK_STEPS = 4096
 
@@ -179,9 +185,19 @@ def _run_chunk(paths):
     return _chunk_runner(paths)
 
 
+def _chunk_spans(n_paths: int, threads: int):
+    """The path chunks, as ranges of path indices. A chunk is an even share
+    of the paths per worker, but at least CHUNK_PATHS paths so numpy's
+    per-call overhead stays amortized and at most 2 * CHUNK_PATHS so a noise
+    block stays small."""
+    size = min(2 * CHUNK_PATHS, max(CHUNK_PATHS, -(-n_paths // threads)))
+    return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+
+
 def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
-    """Run `worker(gens)` over path chunks, `gens` holding one generator per
-    path of the chunk; results in path order.
+    """Run `worker(paths)` over the path chunks, `paths` the range of one
+    chunk's path indices; results in path order. The master seed and the
+    path count are checked before any chunk runs.
 
     Several chunks and `threads` > 1 share the chunks among
     P = min(threads, chunks) processes: this one, which runs chunks 0, P,
@@ -193,14 +209,10 @@ def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
     the serial loop; a worker that dies (killed for memory, say) raises
     BrokenProcessPool rather than leaving the run waiting. Without the fork
     start method the chunks run serially here."""
+    check_master_seed(master_seed)
     if n_paths < 1:
         raise UsageError(f"n_paths must be >= 1, got {n_paths}")
-
-    def run(paths):
-        return worker([path_generator(master_seed, i) for i in paths])
-
-    spans = [range(lo, min(lo + CHUNK_PATHS, n_paths))
-             for lo in range(0, n_paths, CHUNK_PATHS)]
+    spans = _chunk_spans(n_paths, threads)
     processes = min(threads, len(spans))
     if processes > 1:
         import multiprocessing
@@ -208,15 +220,15 @@ def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
             from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(processes - 1,
                                        multiprocessing.get_context("fork"),
-                                       _install_chunk_runner, (run,))
+                                       _install_chunk_runner, (worker,))
             try:
                 forked = pool.map(_run_chunk, [s for i, s in enumerate(spans)
                                                if i % processes])
-                return [next(forked) if i % processes else run(s)
+                return [next(forked) if i % processes else worker(s)
                         for i, s in enumerate(spans)]
             finally:
                 pool.shutdown(cancel_futures=True)
-    return [run(s) for s in spans]
+    return [worker(s) for s in spans]
 
 
 def _time_blocks(n_steps: int, unit: int):
@@ -225,10 +237,35 @@ def _time_blocks(n_steps: int, unit: int):
     return [(lo, min(lo + per, n_steps)) for lo in range(0, n_steps, per)]
 
 
-def _noise_block(gens, n_t: int, m: int, sqrt_h: float) -> np.ndarray:
-    """(B, n_t, m) increments, drawn path by path so each row is exactly the
-    slice of that path's one-shot stream."""
-    return np.stack([g.standard_normal((n_t, m)) for g in gens]) * sqrt_h
+def _path_states(master_seed: int, paths: range):
+    """One generator for the chunk `paths`, and an iterator over each path's
+    start state in it.
+
+    The generator is `path_generator`'s for the first path; every path's
+    start state is that fresh state (counter 0, empty buffer) with the
+    path's own key, which is exactly how `path_generator` starts it. The
+    states are made one at a time, as the paths draw."""
+    gen = path_generator(master_seed, paths.start)
+    fresh = gen.bit_generator.state
+    return gen, (dict(fresh, state=dict(fresh["state"], key=key))
+                 for key in path_keys(master_seed, paths).tolist())
+
+
+def _noise_block(gen, states, shape, sqrt_h: float, carry: bool):
+    """Increments of shape (B, n_t, m), drawn path by path so each row is
+    exactly the slice of that path's one-shot stream: row b is drawn from the
+    b-th of `states` restored into `gen`. Returns the block and, with `carry`
+    (a later block follows), the states the paths left off in, else None."""
+    W = np.empty(shape)
+    bits = gen.bit_generator
+    ends = [] if carry else None
+    for row, state in zip(W, states):
+        bits.state = state
+        gen.standard_normal(out=row)
+        if carry:
+            ends.append(bits.state)
+    W *= sqrt_h
+    return W, ends
 
 
 def _start_state(problem: SdeProblem, x0, name: str = "x0") -> np.ndarray:
@@ -259,24 +296,27 @@ def _exact_multiple(a: float, b: float, a_name: str, b_name: str) -> int:
 # the coupled-path kernel
 # ---------------------------------------------------------------------------
 
-def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig, gens,
-                   h_fine: float, n_fine: int, tracks):
+def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
+                   master_seed: int, paths: range, h_fine: float, n_fine: int,
+                   tracks):
     """Advance coupled tracks over one chunk of paths on shared noise.
 
-    `gens` holds one generator per path; each track is (x0, factor, h), a
-    start state from `_start_state` and a step of size h taken every
-    `factor` fine steps, on the pairwise sums of `factor` fine increments
-    of size h_fine. Yields
+    `paths` are the chunk's path indices, whose substreams of `master_seed`
+    drive it; each track is (x0, factor, h), a start state from
+    `_start_state` and a step of size h taken every `factor` fine steps, on
+    the pairwise sums of `factor` fine increments of size h_fine. Yields
     (k, states) for the fine indices k = 0..n_fine; at each k > 0 every track
     whose factor divides k has just been stepped, in track order, and
     `states` lists the current state batch of every track.
     """
-    Zs = [np.tile(x0, (len(gens), 1)) for x0, _, _ in tracks]
+    Zs = [np.tile(x0, (len(paths), 1)) for x0, _, _ in tracks]
     yield 0, Zs
     factors = {f for _, f, _ in tracks}
     sqrt_h = math.sqrt(h_fine)
+    gen, states = _path_states(master_seed, paths)
     for t0, t1 in _time_blocks(n_fine, math.lcm(*factors)):
-        W = _noise_block(gens, t1 - t0, problem.m, sqrt_h)
+        W, states = _noise_block(gen, states, (len(paths), t1 - t0, problem.m),
+                                 sqrt_h, carry=t1 < n_fine)
         Wf = {f: W if f == 1 else pairwise_block_sum(W, f, axis=1)
               for f in factors}
         for k in range(t0 + 1, t1 + 1):
@@ -366,11 +406,12 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     x0 = _start_state(problem, x0)
     tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
 
-    def worker(gens):
-        B = len(gens)
+    def worker(paths):
+        B = len(paths)
         alive = [np.ones(B, dtype=bool) for _ in factors]
         run_sup = [np.zeros(B) for _ in factors]
-        steps = _coupled_steps(problem, scheme_cfg, gens, h_ref, n_fine, tracks)
+        steps = _coupled_steps(problem, scheme_cfg, master_seed, paths, h_ref,
+                               n_fine, tracks)
         for k, (Zr, *Zc) in steps:
             for idx, f in enumerate(factors):
                 if k % f:
@@ -416,11 +457,12 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     threads = resolve_threads(threads)
     tracks = [(x0, 1, h) for x0 in starts]
 
-    def worker(gens):
-        B = len(gens)
+    def worker(paths):
+        B = len(paths)
         alive = np.ones(B, dtype=bool)
         records = []
-        for k, Zs in _coupled_steps(problem, scheme_cfg, gens, h, n_steps, tracks):
+        for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths, h,
+                                    n_steps, tracks):
             if k not in rec_set:
                 continue
             for Z in Zs:
@@ -503,9 +545,9 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
         h_fine = h / substeps
         tracks = [(x, 1, h_fine), (x, substeps, h)]
 
-        def worker(gens):
-            for _, (Zf, Zc) in _coupled_steps(problem, scheme_cfg, gens,
-                                              h_fine, substeps, tracks):
+        def worker(paths):
+            for _, (Zf, Zc) in _coupled_steps(problem, scheme_cfg, master_seed,
+                                              paths, h_fine, substeps, tracks):
                 pass
             return Zf - Zc
 
@@ -541,9 +583,9 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
         h_fine = h / substeps
         tracks = [(x0, 1, h_fine), (y0, 1, h_fine)]
 
-        def worker(gens):
-            for _, (Zx, Zy) in _coupled_steps(problem, scheme_cfg, gens,
-                                              h_fine, substeps, tracks):
+        def worker(paths):
+            for _, (Zx, Zy) in _coupled_steps(problem, scheme_cfg, master_seed,
+                                              paths, h_fine, substeps, tracks):
                 pass
             return _row_norms((Zx - Zy) - gap0)
 

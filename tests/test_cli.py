@@ -352,6 +352,17 @@ def test_custom_model_with_misshapen_batch_drift_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_negative_seed_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    rc = main(["moments", "--model", "gl", "--scheme", "be", "--T", "1",
+               "--h", "2^-2", "--paths", "8", "--x0", "1", "--seed", "-1",
+               "--output", str(out)])
+    assert rc == 2
+    assert "master seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".json").exists()
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, sde_longtime.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sde_longtime import (NoiseGrid, UsageError, coarsen, make_noise_grid,
                           pairwise_block_sum, path_generator,
                           path_seed_sequence)
+from sde_longtime.noise import path_keys
+from sde_longtime.simulate import _noise_block, _path_states
 
 
 def _tree_sum(rows):
@@ -130,3 +132,43 @@ def test_grid_records_its_coordinates():
     assert (grid.m, grid.n_fine) == (2, 16)
     assert grid.h_fine == 0.25
     assert grid.increments.shape == (16, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 + 3, 2 ** 130 + 1])
+def test_path_keys_are_the_seed_sequence_keys(seed):
+    """The vectorized keys equal SeedSequence's, for one-, three- and
+    five-word seeds, at both ends of the one-word index range and at 2**32,
+    the first index that goes through SeedSequence itself."""
+    indices = [0, 1, 2 ** 32 - 1, 2 ** 32]
+    expect = [path_seed_sequence(seed, i).generate_state(2, np.uint64)
+              for i in indices]
+    keys = path_keys(seed, indices)
+    assert keys.dtype == np.uint64
+    npt.assert_array_equal(keys, expect)
+    npt.assert_array_equal(path_keys(seed, range(40, 300)),
+                           [path_seed_sequence(seed, i).generate_state(
+                               2, np.uint64) for i in range(40, 300)])
+
+
+def test_path_keys_refuse_a_bad_master_seed():
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(UsageError, match="master seed"):
+            path_keys(seed, [0])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("seed, paths", [
+    (7, range(0, 6)), (2 ** 130 + 1, range(2 ** 32 - 3, 2 ** 32 + 2))])
+def test_chunk_blocks_are_the_path_generator_streams(m, seed, paths):
+    """One generator per chunk, with each path's key and then its saved
+    state restored into it, draws exactly the rows `path_generator` draws
+    for every path, across two blocks."""
+    gen, states = _path_states(seed, paths)
+    first, states = _noise_block(gen, states, (len(paths), 5, m), 0.5,
+                                 carry=True)
+    second, ends = _noise_block(gen, states, (len(paths), 3, m), 0.5,
+                                carry=False)
+    assert ends is None
+    expect = np.stack([path_generator(seed, i).standard_normal((8, m))
+                       for i in paths]) * 0.5
+    npt.assert_array_equal(np.concatenate([first, second], axis=1), expect)

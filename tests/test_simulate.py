@@ -209,9 +209,11 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="worker processes need the fork start method")
 
-# 1030 paths make three path chunks of 512, 512 and 6 paths. At two workers
-# the caller runs chunks 0 and 2 and one forked process chunk 1; at three, two
-# forked processes run chunks 1 and 2, and the short chunk 2 finishes first.
+# 1030 paths make path chunks of 1024 and 6 paths at one worker, 515 and 515
+# at two, and 512, 512 and 6 at three, so these runs also compare three
+# chunkings. At two workers the caller runs chunk 0 and one forked process
+# chunk 1; at three, two forked processes run chunks 1 and 2, and the short
+# chunk 2 finishes first.
 _WORKER_RUNS = {
     "contraction": lambda gl, t: contraction_experiment(
         gl, BE, T=1.0, h=2.0 ** -3, n_paths=1030, p=1.0, master_seed=3,
@@ -247,8 +249,9 @@ def test_every_protocol_is_identical_across_worker_counts(gl, name):
 
 def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl):
     """An undamped one-iteration Newton fails at the first step of every
-    chunk with a chunk-specific worst residual; the caller must see the
-    first chunk's failure, as in the serial loop, and no worker may remain."""
+    chunk; the caller must see the first chunk's failure, as in the serial
+    loop, although the chunks differ (1024 + 6 paths at one worker, 515 +
+    515 at two), and no worker may remain."""
     cfg = SchemeConfig(variant="be",
                        newton=NewtonConfig(max_iter=1, fallback="error"))
     seen = []
@@ -288,8 +291,9 @@ def _acting_off_the_caller(act):
                   residual=2.5, step_index=7),
 ], ids=["usage", "solver"])
 def test_error_in_a_forked_worker_reaches_the_caller(error):
-    """The caller runs chunks 0 and 2 of 1030 paths itself, so a drift that
-    raises only in another process fails chunk 1 in the forked worker; the
+    """At two workers the caller runs chunk 0 of 1030 paths itself, so a
+    drift that raises only in another process fails chunk 1 in the forked
+    worker; the
     caller must receive that exception, attributes intact, and no worker
     may remain."""
     def fail():
@@ -348,6 +352,36 @@ def test_worker_processes_are_bounded_by_the_chunks(gl, monkeypatch):
     moment_trace(gl, BE, n_paths=512, threads=64, **kw)
     moment_trace(gl, BE, n_paths=1030, threads=1, **kw)
     assert asked == [2]
+
+
+def test_chunks_share_the_paths_between_the_workers():
+    """A chunk is an even share of the paths per worker, clamped to
+    [CHUNK_PATHS, 2 * CHUNK_PATHS]."""
+    def sizes(n_paths, threads):
+        return [len(s) for s in simulate._chunk_spans(n_paths, threads)]
+
+    assert sizes(16384, 1) == [1024] * 16
+    assert sizes(1024, 2) == [512, 512]
+    assert sizes(1030, 64) == [512, 512, 6]
+    spans = simulate._chunk_spans(1030, 2)
+    assert [s.start for s in spans] == [0, 515] and spans[-1].stop == 1030
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_a_bad_master_seed_is_refused_before_any_chunk(gl, seed, monkeypatch):
+    """A seed SeedSequence would reject is a usage error raised before the
+    worker pool exists or any chunk runs."""
+    def pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    def chunk(*args, **kwargs):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(simulate, "path_generator", chunk)
+    with pytest.raises(UsageError, match="master seed must be a non-negative"):
+        moment_trace(gl, BE, T=0.5, h=0.25, n_paths=1030, master_seed=seed,
+                     threads=2)
 
 
 _MISSHAPEN_START = {
@@ -521,14 +555,16 @@ def invariance_reference():
         return _invariance_runs()
 
 
-@pytest.mark.parametrize("chunk", [7, 512, 4096])
+@pytest.mark.parametrize("chunk", [5, 7, 11, 512, 4096])
 @pytest.mark.parametrize("block", [3, 4096])
 def test_results_independent_of_chunk_and_block_size(chunk, block, monkeypatch,
                                                      invariance_reference):
     """Per-path substreams make the path chunking and the noise time blocks
     invisible: every chunk and block size gives the chunk-512 / block-4096
-    results in every bit. Block 3 is below the coarsest factor, so it
-    exercises the rounding of blocks up to whole coarse steps."""
+    results in every bit. On 30 paths CHUNK_PATHS 5, 7 and 11 give chunks of
+    10, 14 and 22 paths, not powers of two. Block 3 is below the coarsest
+    factor, so it exercises the rounding of blocks up to whole coarse
+    steps."""
     monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
     monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
     for key, (curve, (times, ests)) in _invariance_runs().items():
