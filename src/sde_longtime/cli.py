@@ -428,16 +428,14 @@ def run(cfg: ExperimentConfig) -> int:
 
     if cfg.command in ("moments", "contractivity"):
         h = float(cfg.h)
+        _enforce_ceiling(cfg, problem, [cfg.h])
         if cfg.command == "moments":
-            if cfg.enforce_step_ceiling:
-                _enforce_ceiling(cfg, problem, [cfg.h])
             times, ests = moment_trace(
                 problem, scheme_cfg, T=float(cfg.T), h=h, n_paths=cfg.n_paths,
                 p=cfg.p, master_seed=cfg.master_seed,
                 x0=_state_for(cfg.x0), threads=cfg.threads)
             kind = "moments"
         else:
-            _enforce_ceiling(cfg, problem, [cfg.h])
             times, ests = contraction_experiment(
                 problem, scheme_cfg, T=float(cfg.T), h=h, n_paths=cfg.n_paths,
                 p=cfg.p, master_seed=cfg.master_seed,

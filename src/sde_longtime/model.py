@@ -24,7 +24,7 @@ is tightest -- is always probed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -494,33 +494,32 @@ def check_poly_lipschitz(problem: SdeProblem,
     growth constants c2 = 2 c1 (kappa+1)/kappa and
     c3 = 2 |f(0)|^2 + 2 c1 (kappa-1)/kappa.
     """
-    kappa = problem.constants.kappa if kappa is None else float(kappa)
-    c1 = problem.constants.c1 if c1 is None else float(c1)
-    if kappa < 1.0:
-        raise UsageError(f"kappa must be >= 1, got {kappa}")
-    if c1 <= 0.0:
-        raise UsageError(f"c1 must be positive, got {c1}")
-    X, Y, _, nsq, dF = _pair_differences(
-        lambda Z: drift_rows(problem, Z), problem.d, spec)
+    constants = replace(
+        problem.constants,
+        kappa=problem.constants.kappa if kappa is None else float(kappa),
+        c1=problem.constants.c1 if c1 is None else float(c1))
+    fsq, nsq, growth = _lipschitz_pairs(
+        lambda Z: drift_rows(problem, Z), problem.d, constants.kappa, spec)
+    worst = float(np.max(fsq / nsq - constants.c1 * growth))
+    return AssumptionReport(condition="polynomial_lipschitz", n_pairs=len(nsq),
+                            worst_margin=worst, passed=worst <= 0.0,
+                            c2=constants.c2, c3=constants.c3(problem.f0_norm_sq))
+
+
+def _lipschitz_pairs(rows, d: int, kappa: float, spec: SampleSpec):
+    """Per sampled pair: |f(x)-f(y)|^2, |x-y|^2 and the growth term
+    1 + |x|^(2 kappa-2) + |y|^(2 kappa-2)."""
+    X, Y, _, nsq, dF = _pair_differences(rows, d, spec)
     fsq = np.einsum("ij,ij->i", dF, dF)
     pw = 2.0 * kappa - 2.0
     growth = 1.0 + np.linalg.norm(X, axis=1) ** pw + np.linalg.norm(Y, axis=1) ** pw
-    margins = fsq / nsq - c1 * growth
-    worst = float(np.max(margins))
-    c2 = 2.0 * c1 * (kappa + 1.0) / kappa
-    c3 = 2.0 * problem.f0_norm_sq + 2.0 * c1 * (kappa - 1.0) / kappa
-    return AssumptionReport(condition="polynomial_lipschitz", n_pairs=len(nsq),
-                            worst_margin=worst, passed=worst <= 0.0,
-                            c2=c2, c3=c3)
+    return fsq, nsq, growth
 
 
 def _certify_c1(drift_batch, kappa: float, d: int,
                 spec: SampleSpec = SampleSpec()) -> float:
     """Smallest sampled c1 for the polynomial Lipschitz condition, with 5% headroom."""
-    X, Y, _, nsq, dF = _pair_differences(drift_batch, d, spec)
-    fsq = np.einsum("ij,ij->i", dF, dF)
-    pw = 2.0 * kappa - 2.0
-    growth = 1.0 + np.linalg.norm(X, axis=1) ** pw + np.linalg.norm(Y, axis=1) ** pw
+    fsq, nsq, growth = _lipschitz_pairs(drift_batch, d, kappa, spec)
     return 1.05 * float(np.max(fsq / (nsq * growth)))
 
 

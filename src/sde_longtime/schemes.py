@@ -9,9 +9,9 @@ Euler-Maruyama is provided as the baseline that visibly fails there, so its
 step never raises on overflow -- it returns the non-finite state and callers
 tag the path divergent.
 
-Public step functions act on a single state vector; the *_batch variants act
-on ensembles with a leading batch axis and perform the identical floating
-point operations elementwise, so a batch of one reproduces the public result
+`step_batch` advances an ensemble with a leading batch axis. The public
+single-state functions check the shapes of one state and run `step_batch`
+(or `solve_implicit_batch`) on a batch of one, so they reproduce a batch row
 bit for bit.
 """
 
@@ -45,32 +45,21 @@ __all__ = [
 
 VARIANTS = ("em", "be", "pe")
 
-_FALLBACKS = ("damped_newton", "scalar_bisection_if_d1", "error")
-
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Controls for the per-step implicit solve.
-
-    fallback:
-      * "damped_newton"            -- halve the Newton step while the residual grows
-      * "scalar_bisection_if_d1"   -- damping plus, for scalar problems, a
-                                      guaranteed bracket bisection rescue
-      * "error"                    -- undamped; raise as soon as iterations run out
-    """
+    """Controls for the per-step implicit solve, a damped Newton iteration:
+    each row must reach residual_tol within max_iter iterations, or the solve
+    raises SolverFailure."""
 
     residual_tol: float = 1e-12
     max_iter: int = 50
-    fallback: str = "damped_newton"
 
     def __post_init__(self):
         if self.residual_tol <= 0.0:
             raise UsageError(f"residual_tol must be positive, got {self.residual_tol}")
         if self.max_iter < 1:
             raise UsageError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.fallback not in _FALLBACKS:
-            raise UsageError(
-                f"fallback must be one of {_FALLBACKS}, got {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -157,22 +146,32 @@ def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
+def _row(v, width: int, what: str = "state", dim: str = "problem") -> np.ndarray:
+    """v as a batch of one row; UsageError unless its shape is (width,)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (width,):
+        raise UsageError(
+            f"{what} shape {v.shape} does not match {dim} dimension ({width},)")
+    return v[None, :]
+
+
+def _single_step(problem: SdeProblem, cfg: SchemeConfig, x, h: float,
+                 dW) -> np.ndarray:
+    """`step_batch` on a batch of one, after the single-state checks: h > 0
+    (the projection checks its own range of h), the shapes of x and dW, and
+    for backward Euler a finite x (DomainError otherwise)."""
+    if cfg.variant != "pe" and h <= 0.0:
+        raise UsageError(f"h must be positive, got {h}")
+    dW = _row(dW, problem.m, "increment", "noise")
+    if cfg.variant == "be":
+        _validate_state(problem, x)
+    return step_batch(problem, cfg, _row(x, problem.d), dW, h)[0]
+
+
 def drift_jacobian(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     """(d, d) Jacobian of the drift: analytic when the problem provides one,
     otherwise central finite differences with step 1e-6 * (1 + |x|_inf)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.d,):
-        raise UsageError(
-            f"state shape {x.shape} does not match problem dimension ({problem.d},)")
-    return _jacobian_rows(problem, x[None, :])[0]
-
-
-def _check_dw(problem: SdeProblem, dW: np.ndarray) -> np.ndarray:
-    dW = np.asarray(dW, dtype=float)
-    if dW.shape != (problem.m,):
-        raise UsageError(
-            f"increment shape {dW.shape} does not match noise dimension ({problem.m},)")
-    return dW
+    return _jacobian_rows(problem, _row(x, problem.d))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +185,7 @@ def em_step(problem: SdeProblem, x: np.ndarray, h: float, dW: np.ndarray) -> np.
     scheme can and does blow up, and the non-finite result is the divergence
     tag the ensemble layer counts.
     """
-    if h <= 0.0:
-        raise UsageError(f"h must be positive, got {h}")
-    dW = _check_dw(problem, dW)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.d,):
-        raise UsageError(
-            f"state shape {x.shape} does not match problem dimension ({problem.d},)")
-    return _em_step_batch(problem, x[None, :], dW[None, :], h)[0]
-
-
-def _em_step_batch(problem, Z, dW, h):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Z + h * drift_rows(problem, Z) + problem.diffusion_apply(Z, dW)
+    return _single_step(problem, SchemeConfig(variant="em"), x, h, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +199,11 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
 
     Newton iteration from z = b with analytic (or finite-difference) Jacobians;
     the strong monotonicity of z - h f(z) for dissipative drift makes the root
-    unique, and plain Newton almost always converges in a handful of
-    iterations. Damping and the scalar bisection bracket exist for robustness
-    at extreme states.
+    unique, and Newton almost always converges in a handful of iterations.
+    A row's step is halved while it would raise that row's residual, which
+    keeps the iteration robust at extreme states. A row still above
+    cfg.residual_tol after cfg.max_iter iterations raises SolverFailure,
+    naming the first such row. Non-finite rows stay NaN.
     """
     B, d = b.shape
     finite = np.isfinite(b).all(axis=1)
@@ -229,7 +218,6 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     z = b.copy()
     F = z - h * drift_rows(problem, z) - b
     rn = _row_norms(F)
-    damped = cfg.fallback != "error"
     eye = np.eye(d)
     for _ in range(cfg.max_iter):
         conv = rn <= tol
@@ -245,8 +233,6 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
             z_new = z - alpha[:, None] * dz
             F_new = z_new - h * drift_rows(problem, z_new) - b
             rn_new = _row_norms(F_new)
-            if not damped:
-                break
             worse = ~conv & ~(rn_new <= rn) & (alpha > 1e-8)
             if not bool(np.any(worse)):
                 break
@@ -258,9 +244,6 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
 
     bad = ~(rn <= tol)
     if bool(np.any(bad)):
-        if d == 1 and cfg.fallback == "scalar_bisection_if_d1":
-            z[bad, 0] = _bisect_scalar(problem, b[bad, 0], h, tol)
-            return z
         # the first failing row, not the worst: which row is worst depends
         # on which other paths share the batch
         first = int(np.flatnonzero(bad)[0])
@@ -272,62 +255,19 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     return z
 
 
-def _bisect_scalar(problem: SdeProblem, b: np.ndarray, h: float,
-                   tol: float) -> np.ndarray:
-    """Guaranteed-bracket bisection for scalar implicit solves.
-
-    z - h f(z) - b is increasing for dissipative drift and the growth bound
-    |f(z)|^2 <= c2 |z|^(2 kappa) + c3 confines the root to
-    |z| <= |b| + h sqrt(c2 |b|^(2 kappa) + c3) + 1.
-    """
-    kappa = problem.constants.kappa
-    c2, c3 = problem.c2, problem.c3
-    width = np.abs(b) + h * np.sqrt(c2 * np.abs(b) ** (2.0 * kappa) + c3) + 1.0
-    lo, hi = -width, width
-
-    def resid(v):
-        return v - h * drift_rows(problem, v[:, None])[:, 0] - b
-
-    flo = resid(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = resid(mid)
-        if bool(np.all(np.abs(fm) <= tol)):
-            return mid
-        left = (fm > 0.0) == (flo > 0.0)
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fm, flo)
-        hi = np.where(left, hi, mid)
-    raise SolverFailure("bisection bracket failed to reach residual tolerance",
-                        last_iterate=0.5 * (lo + hi), residual=float(np.max(np.abs(fm))))
-
-
 def solve_implicit(problem: SdeProblem, b: np.ndarray, h: float,
                    cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
     """Solve z - h f(z) = b for a single right-hand side (d,)."""
     if h <= 0.0:
         raise UsageError(f"h must be positive, got {h}")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (problem.d,):
-        raise UsageError(
-            f"rhs shape {b.shape} does not match problem dimension ({problem.d},)")
-    return solve_implicit_batch(problem, b[None, :], h, cfg)[0]
+    return solve_implicit_batch(problem, _row(b, problem.d, "rhs"), h, cfg)[0]
 
 
 def backward_euler_step(problem: SdeProblem, x: np.ndarray, h: float,
                         dW: np.ndarray,
                         cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
     """One drift-implicit Euler step: solve z = x + g(x) dW + h f(z)."""
-    if h <= 0.0:
-        raise UsageError(f"h must be positive, got {h}")
-    dW = _check_dw(problem, dW)
-    x = _validate_state(problem, x)
-    return _be_step_batch(problem, x[None, :], dW[None, :], h, cfg)[0]
-
-
-def _be_step_batch(problem, Z, dW, h, cfg, step_index=None):
-    b = Z + problem.diffusion_apply(Z, dW)
-    return solve_implicit_batch(problem, b, h, cfg, step_index=step_index)
+    return _single_step(problem, SchemeConfig(variant="be", newton=cfg), x, h, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +285,14 @@ def project(x: np.ndarray, h: float, kappa: float) -> np.ndarray:
 
     Identity inside the ball, x * R/|x| outside; 1-Lipschitz and fixes the
     origin, which is exactly what the projected scheme's stability argument
-    needs.
+    needs. This is `project_batch` on one row.
     """
-    x = np.asarray(x, dtype=float)
     R = _projection_radius(h, kappa)
-    nrm = float(np.sqrt(np.dot(x, x)))
-    if nrm <= R:
-        return x.copy()
-    return x * (R / nrm)
+    return project_batch(np.asarray(x, dtype=float)[None, :], R)[0]
 
 
 def project_batch(Z: np.ndarray, R: float) -> np.ndarray:
+    """Rowwise radial projection of a batch (B, d) onto the ball of radius R."""
     nrm = _row_norms(Z)
     scale = np.where(nrm > R, R / np.where(nrm > 0.0, nrm, 1.0), 1.0)
     return Z * scale[:, None]
@@ -368,19 +305,7 @@ def projected_euler_step(problem: SdeProblem, x: np.ndarray, h: float,
     The returned state is the raw Euler output; the next step projects it
     again, so iterating this map reproduces the projected scheme exactly.
     """
-    dW = _check_dw(problem, dW)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.d,):
-        raise UsageError(
-            f"state shape {x.shape} does not match problem dimension ({problem.d},)")
-    return _pe_step_batch(problem, x[None, :], dW[None, :], h)[0]
-
-
-def _pe_step_batch(problem, Z, dW, h):
-    R = _projection_radius(h, problem.constants.kappa)
-    Zb = project_batch(Z, R)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Zb + h * drift_rows(problem, Zb) + problem.diffusion_apply(Zb, dW)
+    return _single_step(problem, SchemeConfig(variant="pe"), x, h, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +314,13 @@ def _pe_step_batch(problem, Z, dW, h):
 
 def step_batch(problem: SdeProblem, cfg: SchemeConfig, Z: np.ndarray,
                dW: np.ndarray, h: float, step_index: Optional[int] = None) -> np.ndarray:
-    """Advance a batch of states one step under the configured scheme."""
-    if cfg.variant == "em":
-        return _em_step_batch(problem, Z, dW, h)
+    """Advance a batch of states one step under the configured scheme:
+    backward Euler solves z - h f(z) = Z + g(Z) dW; projected Euler is the
+    explicit step from the projected states."""
     if cfg.variant == "be":
-        return _be_step_batch(problem, Z, dW, h, cfg.newton, step_index=step_index)
-    return _pe_step_batch(problem, Z, dW, h)
+        return solve_implicit_batch(problem, Z + problem.diffusion_apply(Z, dW),
+                                    h, cfg.newton, step_index=step_index)
+    if cfg.variant == "pe":
+        Z = project_batch(Z, _projection_radius(h, problem.constants.kappa))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Z + h * drift_rows(problem, Z) + problem.diffusion_apply(Z, dW)

@@ -44,7 +44,7 @@ from .errors import UsageError
 from .model import SdeProblem
 from .noise import (NoiseGrid, check_master_seed, pairwise_block_sum,
                     path_generator, path_keys)
-from .schemes import SchemeConfig, _row_norms, step_batch, step_ceiling
+from .schemes import SchemeConfig, _row_norms, step_batch
 
 __all__ = [
     "MomentEstimate",
@@ -114,8 +114,7 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
     (the explicit scheme en route to blow-up) yield an inf estimate rather
     than an exception.
     """
-    if p <= 0.0:
-        raise UsageError(f"p must be positive, got {p}")
+    _check_p(p)
     s = np.asarray(samples, dtype=float).ravel()
     if np.any(s < 0.0):
         raise UsageError("samples must be nonnegative magnitudes")
@@ -149,6 +148,11 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
         value, std_error = 0.0, 0.0
     return MomentEstimate(value=value, std_error=std_error, p=p,
                           n_paths=n_paths, n_divergent=n_divergent)
+
+
+def _check_p(p: float) -> None:
+    if p <= 0.0:
+        raise UsageError(f"p must be positive, got {p}")
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
@@ -292,6 +296,16 @@ def _exact_multiple(a: float, b: float, a_name: str, b_name: str) -> int:
     return q.numerator
 
 
+def _step_list(h_list) -> list:
+    """The distinct steps of h_list, largest first, refusing an empty list
+    and any step that is not positive and finite."""
+    hs = sorted(set(float(h) for h in h_list), reverse=True)
+    if not hs or not all(0.0 < h < math.inf for h in hs):
+        raise UsageError("h_list must be nonempty, with every h positive and "
+                         f"finite, got {list(h_list)}")
+    return hs
+
+
 # ---------------------------------------------------------------------------
 # the coupled-path kernel
 # ---------------------------------------------------------------------------
@@ -393,9 +407,8 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     bounds control; paths are dropped from the first non-finite state onward
     and counted as divergent.
     """
-    if not h_list:
-        raise UsageError("h_list must be nonempty")
-    hs = sorted(set(float(h) for h in h_list), reverse=True)
+    _check_p(p)
+    hs = _step_list(h_list)
     if h_ref > min(hs):
         raise UsageError(f"h_ref={h_ref} must not exceed the smallest h={min(hs)}")
     factors = [_exact_multiple(h, h_ref, "h", "h_ref") for h in hs]
@@ -451,6 +464,7 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     """
     if n_records < 1:
         raise UsageError(f"n_records must be >= 1, got {n_records}")
+    _check_p(p)
     n_steps = _exact_multiple(T, h, "T", "h")
     rec = _record_indices(n_steps, n_records)
     rec_set = set(rec)
@@ -479,8 +493,7 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
 
 def moment_trace(problem: SdeProblem, scheme_cfg: SchemeConfig, T: float,
                  h: float, n_paths: int, p: float = 1.0, master_seed: int = 0,
-                 x0=1.0, n_records: int = 100, threads: Optional[int] = None,
-                 enforce_step_ceiling: bool = False):
+                 x0=1.0, n_records: int = 100, threads: Optional[int] = None):
     """Time series of (E |Z_t|^(2p))^(1/(2p)) thinned to ~n_records points.
 
     Returns (times, estimates). Divergent paths are excluded from the first
@@ -488,11 +501,6 @@ def moment_trace(problem: SdeProblem, scheme_cfg: SchemeConfig, T: float,
     how the explicit scheme's blow-up on superlinear problems is surfaced
     rather than hidden.
     """
-    if enforce_step_ceiling:
-        ceiling = step_ceiling(scheme_cfg.variant, p, problem.constants.alpha1)
-        if h > ceiling * (1.0 + 1e-12):
-            raise UsageError(
-                f"h={h} exceeds the {scheme_cfg.variant} theorem ceiling {ceiling}")
     return _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
                              [_start_state(problem, x0)],
                              lambda Zs: _row_norms(Zs[0]),
@@ -537,7 +545,7 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     """
     if substeps < 2:
         raise UsageError(f"substeps must be >= 2, got {substeps}")
-    hs = sorted(set(float(h) for h in h_list), reverse=True)
+    hs = _step_list(h_list)
     threads = resolve_threads(threads)
     x = _start_state(problem, x, "x")
     results = []
@@ -574,7 +582,8 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     """
     if substeps < 1:
         raise UsageError(f"substeps must be >= 1, got {substeps}")
-    hs = sorted(set(float(h) for h in h_list), reverse=True)
+    _check_p(p)
+    hs = _step_list(h_list)
     threads = resolve_threads(threads)
     x0, y0 = _start_state(problem, x0), _start_state(problem, y0, "y0")
     gap0 = x0 - y0

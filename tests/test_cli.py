@@ -130,6 +130,12 @@ def test_step_ceiling_flag(tmp_path):
                "--h", "2", "--p", "4", "--paths", "4",
                "--enforce-step-ceiling", "--output", out])
     assert rc == 2
+    # the projected ceiling 1/(2 p alpha1) = 1/2 refuses h = 1, which the
+    # implicit ceiling admits
+    pe_at_1 = ["moments", "--model", "gl", "--T", "8", "--h", "1", "--p", "4",
+               "--paths", "4", "--enforce-step-ceiling", "--output", out]
+    assert main(pe_at_1 + ["--scheme", "pe"]) == 2
+    assert main(pe_at_1 + ["--scheme", "be"]) == 0
     # the ceiling check also demands a power-of-two ladder over h_ref
     rc = main(["convergence", "--model", "gl", "--T", "3",
                "--h-list", "3/8,3/16", "--h-ref", "1/16", "--paths", "8",

@@ -166,8 +166,18 @@ def test_project_batch_matches_single():
         npt.assert_allclose(out[i], expect, rtol=5e-16, atol=0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_project_is_project_batch_on_one_row(d):
+    rng = np.random.default_rng(31)
+    Z = rng.normal(scale=2.0, size=(200, d))
+    h, kappa = 2.0 ** -4, 3.0
+    out = project_batch(Z, h ** (-1.0 / (2.0 * (kappa + 1.0))))
+    for i in range(200):
+        npt.assert_array_equal(project(Z[i], h, kappa), out[i])
+
+
 # ---------------------------------------------------------------------------
-# implicit solve: residuals, nonexpansiveness, fallbacks, failure reporting
+# implicit solve: residuals, nonexpansiveness, failure reporting
 # ---------------------------------------------------------------------------
 
 def test_implicit_residuals_recomputed(gl):
@@ -200,7 +210,7 @@ def test_resolvent_is_nonexpansive(gl, b1, b2, h):
 
 
 def test_solver_failure_reports_iterate_and_residual(gl):
-    cfg = NewtonConfig(fallback="error", max_iter=1)
+    cfg = NewtonConfig(max_iter=1)
     with pytest.raises(SolverFailure) as exc:
         solve_implicit_batch(gl, np.array([[5.0]]), 0.5, cfg, step_index=7)
     err = exc.value
@@ -208,16 +218,6 @@ def test_solver_failure_reports_iterate_and_residual(gl):
     assert err.last_iterate.shape == (1,)
     assert err.step_index == 7
     assert "1 iterations" in str(err)
-
-
-def test_scalar_bisection_rescue_matches_newton(gl):
-    # starve Newton of iterations; the bracket bisection must still land on
-    # the same root the damped solver finds
-    rescued = solve_implicit(gl, np.array([5.0]), 0.5,
-                             NewtonConfig(fallback="scalar_bisection_if_d1",
-                                          max_iter=1))
-    reference = solve_implicit(gl, np.array([5.0]), 0.5)
-    assert rescued[0] == pytest.approx(reference[0], abs=1e-10)
 
 
 def test_divergent_rows_pass_through_solver(gl):
@@ -364,8 +364,6 @@ def test_newton_config_validation():
         NewtonConfig(residual_tol=0.0)
     with pytest.raises(UsageError):
         NewtonConfig(max_iter=0)
-    with pytest.raises(UsageError):
-        NewtonConfig(fallback="retry")
 
 
 def test_scheme_config_validation():

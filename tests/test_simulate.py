@@ -248,12 +248,11 @@ def test_every_protocol_is_identical_across_worker_counts(gl, name):
 
 
 def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl):
-    """An undamped one-iteration Newton fails at the first step of every
+    """A one-iteration damped Newton fails at the first step of every
     chunk; the caller must see the first chunk's failure, as in the serial
     loop, although the chunks differ (1024 + 6 paths at one worker, 515 +
     515 at two), and no worker may remain."""
-    cfg = SchemeConfig(variant="be",
-                       newton=NewtonConfig(max_iter=1, fallback="error"))
+    cfg = SchemeConfig(variant="be", newton=NewtonConfig(max_iter=1))
     seen = []
     for threads in (1, 2):
         with pytest.raises(SolverFailure) as info:
@@ -413,6 +412,50 @@ def test_start_states_are_checked_before_any_fork(gl, name, monkeypatch):
     with pytest.raises(UsageError, match=r"shape \(2,\) does not match"):
         _MISSHAPEN_START[name](gl, [1.0, 2.0])
     assert asked == []
+
+
+def _no_chunk(*args, **kwargs):
+    raise AssertionError("a chunk ran")
+
+
+_PROBES = {
+    "one-step": lambda gl, hs, p: one_step_order_experiment(
+        gl, BE, hs, 1.0, n_paths=4, substeps=2, threads=1),
+    "remainder": lambda gl, hs, p: remainder_scaling_experiment(
+        gl, BE, 1.0, 0.5, hs, n_paths=4, p=p, substeps=2, threads=1),
+}
+
+
+@pytest.mark.parametrize("h_list", [[], [-0.1], [0.0], [math.inf],
+                                    [0.25, math.nan]])
+@pytest.mark.parametrize("name", list(_PROBES))
+def test_probes_refuse_bad_steps_before_any_chunk(gl, name, h_list,
+                                                  monkeypatch):
+    """An empty h_list, or a step that is not positive and finite, is a
+    usage error, not a math domain error, zero errors or inf estimates."""
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    with pytest.raises(UsageError, match="h_list must be nonempty|"
+                                         "positive and finite"):
+        _PROBES[name](gl, h_list, 1.0)
+
+
+_WITH_P = {
+    "strong": lambda gl, p: strong_error_experiment(
+        gl, BE, T=0.5, h_list=[0.25], h_ref=0.125, n_paths=4, p=p, threads=1),
+    "moments": lambda gl, p: moment_trace(
+        gl, BE, T=0.5, h=0.25, n_paths=4, p=p, threads=1),
+    "contraction": lambda gl, p: contraction_experiment(
+        gl, BE, T=0.5, h=0.25, n_paths=4, p=p, y0=0.0, threads=1),
+    "remainder": lambda gl, p: _PROBES["remainder"](gl, [0.25], p),
+}
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0])
+@pytest.mark.parametrize("name", list(_WITH_P))
+def test_a_bad_p_is_refused_before_any_chunk(gl, name, p, monkeypatch):
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    with pytest.raises(UsageError, match="p must be positive"):
+        _WITH_P[name](gl, p)
 
 
 def _cubic(pointwise):
@@ -634,20 +677,6 @@ def test_moment_trace_tags_explicit_blowup(gl):
     _, ests_be = moment_trace(gl, BE, T=8.0, h=0.5, n_paths=8, p=1.0,
                               master_seed=0, x0=3.0, n_records=4, threads=1)
     assert all(e.n_divergent == 0 for e in ests_be)
-
-
-def test_moment_trace_step_ceiling_enforcement(gl):
-    # p = 4, alpha1 = 1/4: implicit ceiling min(1/(p alpha1), 1) = 1
-    with pytest.raises(UsageError):
-        moment_trace(gl, BE, T=4.0, h=2.0, n_paths=2, p=4.0,
-                     enforce_step_ceiling=True)
-    # projected ceiling is 1/(2 p alpha1) = 1/2, so h = 1 passes be, not pe
-    with pytest.raises(UsageError):
-        moment_trace(gl, SchemeConfig(variant="pe"), T=4.0, h=1.0, n_paths=2,
-                     p=4.0, enforce_step_ceiling=True)
-    times, _ = moment_trace(gl, BE, T=4.0, h=1.0, n_paths=2, p=4.0,
-                            enforce_step_ceiling=True, threads=1, n_records=4)
-    assert times[-1] == 4.0
 
 
 def test_moment_trace_reaches_statistical_equilibrium(gl):
