@@ -13,6 +13,10 @@ and all divisibility checks are literal. Results go to a CSV file (schema
 below) plus a JSON sidecar; nothing in either depends on wall-clock time or
 worker count, so identical configurations produce byte-identical outputs.
 
+Every flag is also a key of the `--config` key=value file, spelled with
+underscores for dashes (`--h-list`, `h_list`). Preset, file and flag values
+merge as text, preset < file < flag, and each merged value is converted once.
+
 CSV schema: `#`-prefixed comment lines (tool version, config echo, seed),
 then rows of  kind,model,scheme,p,h,t,value,std_error,n_paths,n_divergent
 (the `t` column is empty for convergence and assumption rows).
@@ -29,6 +33,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -42,7 +47,7 @@ from .errors import SolverFailure, UsageError
 from .model import (SdeProblem, build_allen_cahn, build_ginzburg_landau,
                     check_contractive_monotone, check_poly_lipschitz,
                     max_feasible_pstar, theorem_admissible_p_max)
-from .schemes import SchemeConfig, scheme_orders, step_ceiling
+from .schemes import VARIANTS, SchemeConfig, scheme_orders, step_ceiling
 from .simulate import (contraction_experiment, moment_trace,
                        strong_error_experiment)
 
@@ -77,11 +82,6 @@ PRESETS = {
     },
 }
 
-_CONFIG_KEYS = ("preset", "model", "scheme", "T", "h_list", "h_ref", "h",
-                "paths", "p", "seed", "threads", "output",
-                "enforce_step_ceiling", "x0", "y0", "eta", "sigma", "theta",
-                "K", "band", "r2_min")
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational step size: 'a', 'a/b', '2^-k', or 'a/2^k'.
@@ -110,8 +110,12 @@ def _require_dyadic(fr: Fraction, what: str) -> float:
         raise UsageError(
             f"{what}={fr} is not binary-representable (denominator {den} is "
             f"not a power of two); exact step arithmetic is impossible")
-    value = float(fr)
-    if Fraction(value) != fr:
+    try:
+        value = float(fr)
+        exact = Fraction(value) == fr
+    except OverflowError:
+        exact = False
+    if not exact:
         raise UsageError(f"{what}={fr} cannot be realized exactly as a float")
     return value
 
@@ -140,11 +144,49 @@ class ExperimentConfig:
     model_params: dict = field(default_factory=dict)
 
 
-def _parse_states(text) -> tuple:
+def _states(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+# Every option: its key -> the conversion of its text value. Each key is a
+# config-file key and, with dashes for underscores, a flag of every
+# subcommand. A preset converts to its entries; eta, sigma, theta and K are
+# model parameters; the other keys are ExperimentConfig fields, which hold
+# the defaults (renamed by _FIELDS).
+_OPTIONS = {
+    "preset": lambda name: PRESETS[name],
+    "model": str, "scheme": str,
+    "T": parse_rational, "h_ref": parse_rational, "h": parse_rational,
+    "h_list": lambda text: tuple(sorted(
+        {parse_rational(s) for s in text.split(",")}, reverse=True)),
+    "paths": int, "p": float, "seed": int, "threads": int, "output": str,
+    "enforce_step_ceiling": lambda text: _BOOLEANS[text.lower()],
+    "x0": _states, "y0": _states,
+    "eta": float, "sigma": float, "theta": float, "K": int,
+    "band": float, "r2_min": float,
+}
+
+# Flag arguments beyond a plain text value: choices, help strings, and the
+# one flag that takes no value.
+_FLAG_ARGUMENTS = {
+    "preset": dict(choices=sorted(PRESETS)),
+    "model": dict(help="gl | allen-cahn | custom:<file.py>"),
+    "scheme": dict(choices=VARIANTS),
+    "h_list": dict(help="comma-separated exact rationals"),
+    "enforce_step_ceiling": dict(action="store_const", const="true"),
+}
+_FIELDS = {"paths": "n_paths", "seed": "master_seed"}
+
+
+def _convert(key: str, text: str):
+    """The value of option `key` from its text; UsageError if malformed."""
     try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse state {text!r}") from exc
+        return _OPTIONS[key](text)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"invalid {key}: {text!r}") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -160,7 +202,7 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
         out[key] = value
     return out
@@ -174,104 +216,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--preset", choices=sorted(PRESETS))
         sp.add_argument("--config", help="key=value file; flags override it")
-        sp.add_argument("--model", help="gl | allen-cahn | custom:<file.py>")
-        sp.add_argument("--scheme", choices=("em", "be", "pe"))
-        sp.add_argument("--T")
-        sp.add_argument("--h-list", dest="h_list",
-                        help="comma-separated exact rationals")
-        sp.add_argument("--h-ref", dest="h_ref")
-        sp.add_argument("--h")
-        sp.add_argument("--paths", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--output")
-        sp.add_argument("--enforce-step-ceiling", action="store_const",
-                        const=True, dest="enforce_step_ceiling")
-        sp.add_argument("--x0")
-        sp.add_argument("--y0")
-        sp.add_argument("--eta", type=float)
-        sp.add_argument("--sigma", type=float)
-        sp.add_argument("--theta", type=float)
-        sp.add_argument("--K", type=int)
-        sp.add_argument("--band", type=float)
-        sp.add_argument("--r2-min", dest="r2_min", type=float)
+        for key in _OPTIONS:
+            sp.add_argument("--" + key.replace("_", "-"),
+                            **_FLAG_ARGUMENTS.get(key, {}))
     return parser
 
 
 def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     """Merge preset < config file < flags into a validated ExperimentConfig."""
-    args = _build_parser().parse_args(argv)
-    file_values = _read_config_file(args.config) if args.config else {}
-    preset_name = args.preset or file_values.pop("preset", None)
-    if preset_name is not None and preset_name not in PRESETS:
-        raise UsageError(f"unknown preset {preset_name!r}")
-    file_values.pop("preset", None)
-    merged: dict = dict(PRESETS[preset_name]) if preset_name else {}
-    merged.update(file_values)
-    for key in _CONFIG_KEYS:
-        if key in ("preset",):
-            continue
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-
-    command = args.command
-    model = str(merged.get("model", "gl"))
-    scheme = str(merged.get("scheme", "be"))
-    if scheme not in ("em", "be", "pe"):
-        raise UsageError(f"unknown scheme {scheme!r}")
-    if not (model in ("gl", "allen-cahn") or model.startswith("custom:")):
-        raise UsageError(f"unknown model {model!r}")
-
-    def frac(key):
-        return parse_rational(merged[key]) if key in merged else None
-
-    T = frac("T")
-    h_ref = frac("h_ref")
-    h = frac("h")
-    h_list = ()
-    if "h_list" in merged:
-        raw = merged["h_list"]
-        items = raw.split(",") if isinstance(raw, str) else list(raw)
-        h_list = tuple(sorted({parse_rational(s) for s in items}, reverse=True))
-
-    try:
-        n_paths = int(merged.get("paths", 1000))
-        p = float(merged.get("p", 1.0))
-        seed = int(merged.get("seed", 0))
-        band = float(merged.get("band", 0.1))
-        r2_min = float(merged.get("r2_min", 0.98))
-        threads = int(merged["threads"]) if "threads" in merged else None
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid numeric option: {exc}") from exc
-    enforce = merged.get("enforce_step_ceiling", False)
-    if isinstance(enforce, str):
-        if enforce.lower() in ("1", "true", "yes", "on"):
-            enforce = True
-        elif enforce.lower() in ("0", "false", "no", "off"):
-            enforce = False
-        else:
-            raise UsageError(f"enforce_step_ceiling must be boolean, got {enforce!r}")
-
-    model_params = {}
-    for key, cast in (("eta", float), ("sigma", float), ("theta", float), ("K", int)):
-        if key in merged:
-            try:
-                model_params[key] = cast(merged[key])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"invalid {key}: {merged[key]!r}") from exc
-
-    cfg = ExperimentConfig(
-        command=command, model=model, scheme=scheme, T=T, h_list=h_list,
-        h_ref=h_ref, h=h, n_paths=n_paths, p=p, master_seed=seed,
-        threads=threads, output=merged.get("output"),
-        enforce_step_ceiling=bool(enforce),
-        x0=_parse_states(merged.get("x0", "1")),
-        y0=_parse_states(merged.get("y0", "0")),
-        band=band, r2_min=r2_min, model_params=model_params)
+    args = vars(_build_parser().parse_args(argv))
+    command, config = args.pop("command"), args.pop("config")
+    merged = _read_config_file(config) if config else {}
+    merged.update((key, text) for key, text in args.items() if text is not None)
+    preset = merged.pop("preset", None)
+    if preset is not None:
+        merged = {**_convert("preset", preset), **merged}
+    values = {key: _convert(key, text) for key, text in merged.items()}
+    model_params = {key: values.pop(key) for key in ("eta", "sigma", "theta", "K")
+                    if key in values}
+    cfg = ExperimentConfig(command=command, model_params=model_params,
+                           **{_FIELDS.get(key, key): value
+                              for key, value in values.items()})
     _validate_config(cfg)
     return cfg
 
@@ -279,8 +245,12 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.n_paths < 1:
         raise UsageError(f"paths must be >= 1, got {cfg.n_paths}")
-    if cfg.p <= 0.0:
+    if not 0.0 < cfg.p < math.inf:
         raise UsageError(f"p must be positive, got {cfg.p}")
+    if cfg.scheme not in VARIANTS:
+        raise UsageError(f"unknown scheme {cfg.scheme!r}")
+    if not (cfg.model in ("gl", "allen-cahn") or cfg.model.startswith("custom:")):
+        raise UsageError(f"unknown model {cfg.model!r}")
     if cfg.command == "check-assumptions":
         return
     if cfg.T is None or cfg.T <= 0:
@@ -376,8 +346,7 @@ def _fmt(v) -> str:
 def _write_outputs(cfg: ExperimentConfig, rows, sidecar: dict) -> Path:
     out = cfg.output or f"{cfg.command.replace('-', '_')}_{cfg.model}_{cfg.scheme}.csv"
     path = Path(out)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# sde-longtime {__version__}\n")
         fh.write(f"# {_config_echo(cfg)}\n")
@@ -429,19 +398,15 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.command in ("moments", "contractivity"):
         h = float(cfg.h)
         _enforce_ceiling(cfg, problem, [cfg.h])
-        if cfg.command == "moments":
-            times, ests = moment_trace(
-                problem, scheme_cfg, T=float(cfg.T), h=h, n_paths=cfg.n_paths,
-                p=cfg.p, master_seed=cfg.master_seed,
-                x0=_state_for(cfg.x0), threads=cfg.threads)
-            kind = "moments"
+        kind = cfg.command
+        trace = dict(T=float(cfg.T), h=h, n_paths=cfg.n_paths, p=cfg.p,
+                     master_seed=cfg.master_seed, x0=_state_for(cfg.x0),
+                     threads=cfg.threads)
+        if kind == "moments":
+            times, ests = moment_trace(problem, scheme_cfg, **trace)
         else:
             times, ests = contraction_experiment(
-                problem, scheme_cfg, T=float(cfg.T), h=h, n_paths=cfg.n_paths,
-                p=cfg.p, master_seed=cfg.master_seed,
-                x0=_state_for(cfg.x0),
-                y0=_state_for(cfg.y0), threads=cfg.threads)
-            kind = "contractivity"
+                problem, scheme_cfg, y0=_state_for(cfg.y0), **trace)
         rows = [dict(base, kind=kind, h=h, t=float(t), value=e.value,
                      std_error=e.std_error, n_paths=e.n_paths,
                      n_divergent=e.n_divergent)
@@ -473,16 +438,12 @@ def run(cfg: ExperimentConfig) -> int:
     mono = check_contractive_monotone(problem)
     poly = check_poly_lipschitz(problem)
     pmax = max_feasible_pstar(problem)
-    rows = [
-        dict(base, kind="assumption-contractive_monotone",
-             p=problem.constants.p_star, value=mono.worst_margin,
-             n_paths=mono.n_pairs),
-        dict(base, kind="assumption-polynomial_lipschitz",
-             p=problem.constants.p_star, value=poly.worst_margin,
-             n_paths=poly.n_pairs),
-        dict(base, kind="assumption-max_feasible_pstar",
-             p=problem.constants.p_star, value=pmax, n_paths=mono.n_pairs),
-    ]
+    rows = [dict(base, kind=f"assumption-{kind}", p=problem.constants.p_star,
+                 value=value, n_paths=n_pairs)
+            for kind, value, n_pairs in (
+                ("contractive_monotone", mono.worst_margin, mono.n_pairs),
+                ("polynomial_lipschitz", poly.worst_margin, poly.n_pairs),
+                ("max_feasible_pstar", pmax, mono.n_pairs))]
     passed = mono.passed and poly.passed
     sidecar = dict(echo, assumptions={
         "contractive_monotone": {"worst_margin": mono.worst_margin,

@@ -223,29 +223,29 @@ def _validate_state(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(x, x)))
+def _evaluate(problem: SdeProblem, x: np.ndarray, what: str, evaluate):
+    """evaluate(X) on the validated single state x as a one-row batch X;
+    DomainError naming |x| when the result is not finite. math.hypot scales
+    its sum, so |x| stays finite for every finite state."""
+    x = _validate_state(problem, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = evaluate(x[None, :])
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{what} of {problem.name} overflowed at "
+                          f"|x|={math.hypot(*x):.3e}")
+    return out
 
 
 def drift_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     """Evaluate the drift at a single validated state."""
-    x = _validate_state(problem, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = drift_rows(problem, x[None, :])[0]
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"drift of {problem.name} overflowed at |x|={_norm(x):.3e}")
-    return out
+    return _evaluate(problem, x, "drift",
+                     lambda X: drift_rows(problem, X)[0])
 
 
 def diffusion_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
     """Evaluate the (d, m) diffusion matrix at a single validated state."""
-    x = _validate_state(problem, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _diffusion_columns(problem, x[None, :])[0].T
-    if not np.all(np.isfinite(out)):
-        raise DomainError(
-            f"diffusion of {problem.name} overflowed at |x|={_norm(x):.3e}")
-    return out
+    return _evaluate(problem, x, "diffusion",
+                     lambda X: _diffusion_columns(problem, X)[0].T)
 
 
 def drift_rows(problem: SdeProblem, X: np.ndarray) -> np.ndarray:
@@ -403,15 +403,18 @@ def _pair_differences(rows, d: int, spec: SampleSpec):
     return X, Y, dX, nsq, dF
 
 
-def _pair_margins(problem: SdeProblem, spec: SampleSpec):
-    """Per-pair building blocks of the monotone margin.
+def _monotone_margin(problem: SdeProblem, alpha1: Optional[float],
+                     spec: SampleSpec):
+    """The sampled pair count and the worst monotone margin at alpha1 (the
+    problem's claimed constant by default) as a function of p*.
 
-    Returns (a, b) with
-      a_i = (<dx, df> + alpha-free terms)/|dx|^2 ... concretely
-      a_i = <x-y, f(x)-f(y)> / |x-y|^2,
-      b_i = ||g(x)-g(y)||_F^2 / |x-y|^2,
-    so the monotone margin at (p*, alpha1) is max_i a_i + (2p*-1)/2 b_i + alpha1.
+    Per pair, a = <x-y, f(x)-f(y)> / |x-y|^2 and
+    b = ||g(x)-g(y)||_F^2 / |x-y|^2, so the margin at p* is
+    max over pairs of a + (2p*-1)/2 b + alpha1.
     """
+    alpha1 = problem.constants.alpha1 if alpha1 is None else float(alpha1)
+    if alpha1 <= 0.0:
+        raise UsageError(f"alpha1 must be positive, got {alpha1}")
     X, Y, dX, nsq, dF = _pair_differences(
         lambda Z: drift_rows(problem, Z), problem.d, spec)
     a = np.einsum("ij,ij->i", dX, dF) / nsq
@@ -420,7 +423,11 @@ def _pair_margins(problem: SdeProblem, spec: SampleSpec):
     dG = (_diffusion_columns(problem, X)
           - _diffusion_columns(problem, Y)).reshape(X.shape[0], -1)
     b = np.einsum("ij,ij->i", dG, dG) / nsq
-    return a, b
+
+    def margin(p_star):
+        return float(np.max(a + 0.5 * (2.0 * p_star - 1.0) * b + alpha1))
+
+    return len(a), margin
 
 
 def check_contractive_monotone(problem: SdeProblem,
@@ -437,15 +444,11 @@ def check_contractive_monotone(problem: SdeProblem,
     and the check passes iff it is <= 0.
     """
     p_star = problem.constants.p_star if p_star is None else float(p_star)
-    alpha1 = problem.constants.alpha1 if alpha1 is None else float(alpha1)
     if p_star < 0.5:
         raise UsageError(f"p_star must be >= 1/2, got {p_star}")
-    if alpha1 <= 0.0:
-        raise UsageError(f"alpha1 must be positive, got {alpha1}")
-    a, b = _pair_margins(problem, spec)
-    margins = a + 0.5 * (2.0 * p_star - 1.0) * b + alpha1
-    worst = float(np.max(margins))
-    return AssumptionReport(condition="contractive_monotone", n_pairs=len(a),
+    n_pairs, margin = _monotone_margin(problem, alpha1, spec)
+    worst = margin(p_star)
+    return AssumptionReport(condition="contractive_monotone", n_pairs=n_pairs,
                             worst_margin=worst, passed=worst <= 0.0)
 
 
@@ -460,14 +463,7 @@ def max_feasible_pstar(problem: SdeProblem,
     is nondecreasing in p*, so bisection is exact up to tol). Returns 0.0 when
     even p* = 1 fails and `cap` when the cap itself passes.
     """
-    alpha1 = problem.constants.alpha1 if alpha1 is None else float(alpha1)
-    if alpha1 <= 0.0:
-        raise UsageError(f"alpha1 must be positive, got {alpha1}")
-    a, b = _pair_margins(problem, spec)
-
-    def margin(p):
-        return float(np.max(a + 0.5 * (2.0 * p - 1.0) * b + alpha1))
-
+    _, margin = _monotone_margin(problem, alpha1, spec)
     if margin(1.0) > 0.0:
         return 0.0
     if margin(cap) <= 0.0:

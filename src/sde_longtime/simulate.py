@@ -151,7 +151,7 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
 
 
 def _check_p(p: float) -> None:
-    if p <= 0.0:
+    if not 0.0 < p < math.inf:
         raise UsageError(f"p must be positive, got {p}")
 
 
@@ -198,12 +198,14 @@ def _chunk_spans(n_paths: int, threads: int):
     return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
-def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
+def _map_chunks(worker, n_paths: int, master_seed: int,
+                threads: Optional[int]):
     """Run `worker(paths)` over the path chunks, `paths` the range of one
-    chunk's path indices; results in path order. The master seed and the
-    path count are checked before any chunk runs.
+    chunk's path indices; results in path order. The master seed, the path
+    count and the worker count (`resolve_threads(threads)`) are checked
+    before any chunk runs.
 
-    Several chunks and `threads` > 1 share the chunks among
+    Several chunks and more than one worker share the chunks among
     P = min(threads, chunks) processes: this one, which runs chunks 0, P,
     2P, ... itself rather than wait idle, and P - 1 forked workers that take
     the others. Workers inherit `worker`, a closure over a problem whose
@@ -216,6 +218,7 @@ def _map_chunks(worker, n_paths: int, master_seed: int, threads: int):
     check_master_seed(master_seed)
     if n_paths < 1:
         raise UsageError(f"n_paths must be >= 1, got {n_paths}")
+    threads = resolve_threads(threads)
     spans = _chunk_spans(n_paths, threads)
     processes = min(threads, len(spans))
     if processes > 1:
@@ -415,7 +418,6 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     n_fine = _exact_multiple(T, h_ref, "T", "h_ref")
     for h in hs:
         _exact_multiple(T, h, "T", "h")
-    threads = resolve_threads(threads)
     x0 = _start_state(problem, x0)
     tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
 
@@ -468,7 +470,6 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     n_steps = _exact_multiple(T, h, "T", "h")
     rec = _record_indices(n_steps, n_records)
     rec_set = set(rec)
-    threads = resolve_threads(threads)
     tracks = [(x0, 1, h) for x0 in starts]
 
     def worker(paths):
@@ -531,6 +532,19 @@ def contraction_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
 # one-step order probes
 # ---------------------------------------------------------------------------
 
+def _terminal_run(problem, scheme_cfg, master_seed, n_paths, threads, h_fine,
+                  n_fine, tracks, finish):
+    """`finish(*states)` of each chunk's track states after n_fine fine
+    steps (see `_coupled_steps`), concatenated in path order."""
+    def worker(paths):
+        for _, states in _coupled_steps(problem, scheme_cfg, master_seed,
+                                        paths, h_fine, n_fine, tracks):
+            pass
+        return finish(*states)
+
+    return np.concatenate(_map_chunks(worker, n_paths, master_seed, threads))
+
+
 def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
                               h_list: Sequence[float], x, n_paths: int,
                               master_seed: int = 0, substeps: int = 64,
@@ -546,20 +560,14 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     if substeps < 2:
         raise UsageError(f"substeps must be >= 2, got {substeps}")
     hs = _step_list(h_list)
-    threads = resolve_threads(threads)
     x = _start_state(problem, x, "x")
     results = []
     for h in hs:
         h_fine = h / substeps
-        tracks = [(x, 1, h_fine), (x, substeps, h)]
-
-        def worker(paths):
-            for _, (Zf, Zc) in _coupled_steps(problem, scheme_cfg, master_seed,
-                                              paths, h_fine, substeps, tracks):
-                pass
-            return Zf - Zc
-
-        diffs = np.concatenate(_map_chunks(worker, n_paths, master_seed, threads))
+        diffs = _terminal_run(problem, scheme_cfg, master_seed, n_paths,
+                              threads, h_fine, substeps,
+                              [(x, 1, h_fine), (x, substeps, h)],
+                              lambda Zf, Zc: Zf - Zc)
         strong = estimate_from_samples(_row_norms(diffs), p=1.0, n_paths=n_paths)
         mean_vec = np.asarray([math.fsum(diffs[:, j].tolist()) / n_paths
                                for j in range(problem.d)])
@@ -584,20 +592,14 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
         raise UsageError(f"substeps must be >= 1, got {substeps}")
     _check_p(p)
     hs = _step_list(h_list)
-    threads = resolve_threads(threads)
     x0, y0 = _start_state(problem, x0), _start_state(problem, y0, "y0")
     gap0 = x0 - y0
     results = []
     for h in hs:
         h_fine = h / substeps
-        tracks = [(x0, 1, h_fine), (y0, 1, h_fine)]
-
-        def worker(paths):
-            for _, (Zx, Zy) in _coupled_steps(problem, scheme_cfg, master_seed,
-                                              paths, h_fine, substeps, tracks):
-                pass
-            return _row_norms((Zx - Zy) - gap0)
-
-        samples = np.concatenate(_map_chunks(worker, n_paths, master_seed, threads))
+        samples = _terminal_run(problem, scheme_cfg, master_seed, n_paths,
+                                threads, h_fine, substeps,
+                                [(x0, 1, h_fine), (y0, 1, h_fine)],
+                                lambda Zx, Zy: _row_norms((Zx - Zy) - gap0))
         results.append((h, estimate_from_samples(samples, p, n_paths=n_paths)))
     return results

@@ -79,6 +79,38 @@ def test_flags_override_file_overrides_preset(tmp_path):
     assert cfg.n_paths == 77
 
 
+# one non-default value of every option, as the text of a file line and a flag
+_OPTION_TEXT = {
+    "preset": "gl-fig2", "model": "allen-cahn", "scheme": "pe", "T": "2",
+    "h_ref": "1/16", "h": "1/4", "h_list": "1/8,1/4", "paths": "7",
+    "p": "1.5", "seed": "9", "threads": "3", "output": "out.csv",
+    "enforce_step_ceiling": "true", "x0": "0.5,2", "y0": "-1", "eta": "-2",
+    "sigma": "0.5", "theta": "2", "K": "5", "band": "0.3", "r2_min": "0.9",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_each_option_reads_the_same_from_file_and_flag(key, tmp_path):
+    f = tmp_path / "run.cfg"
+    f.write_text(f"{key} = {_OPTION_TEXT[key]}\n")
+    flag = ["--" + key.replace("_", "-")]
+    if key != "enforce_step_ceiling":       # the one flag without a value
+        flag.append(_OPTION_TEXT[key])
+    from_file = parse_config(["check-assumptions", "--config", str(f)])
+    from_flag = parse_config(["check-assumptions"] + flag)
+    assert from_file == from_flag != parse_config(["check-assumptions"])
+
+
+def test_a_malformed_value_exits_2_from_file_and_flag(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text("paths = x\n")
+    rest = ["--T", "1", "--h", "1/4", "--output", str(tmp_path / "m.csv")]
+    assert main(["moments", "--config", str(f)] + rest) == 2
+    assert main(["moments", "--paths", "x"] + rest) == 2
+    assert capsys.readouterr().err.count("error: invalid paths: 'x'") == 2
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("pathz = 3\n")
@@ -118,6 +150,11 @@ def test_scheme_and_model_validation(tmp_path):
     ["moments", "--model", "gl", "--T", "1", "--h", "1/4", "--p", "0"],
     ["contractivity", "--model", "gl", "--T", "1", "--h", "1/4",
      "--x0", "1", "--y0", "1"],                        # coincident starts
+    ["moments", "--model", "gl", "--T", "2", "--h", "1/4", "--paths", "16",
+     "--p", "nan"],
+    ["moments", "--model", "gl", "--T", "2", "--h", "1/4", "--paths", "16",
+     "--p", "inf"],
+    ["moments", "--model", "gl", "--T", "1e400", "--h", "1"],  # no float
 ])
 def test_invalid_configurations_exit_2(args, tmp_path):
     assert main(args + ["--output", str(tmp_path / "out.csv")]) == 2

@@ -1,5 +1,7 @@
 """Built-in problems and the sampled certification of structural conditions."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -315,8 +317,10 @@ def test_problem_rejects_wrong_output_shapes(field):
 
 def test_eval_flags_non_finite_output():
     gl = build_ginzburg_landau()
-    with pytest.raises(DomainError):
-        drift_eval(gl, np.array([1e200]))  # cube overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"\|x\|=1\.000e\+200"):
+            drift_eval(gl, np.array([1e200]))  # cube overflows
 
 
 def test_constants_validation():

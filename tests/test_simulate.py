@@ -450,7 +450,7 @@ _WITH_P = {
 }
 
 
-@pytest.mark.parametrize("p", [0.0, -1.0])
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("name", list(_WITH_P))
 def test_a_bad_p_is_refused_before_any_chunk(gl, name, p, monkeypatch):
     monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
