@@ -247,6 +247,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise UsageError(f"paths must be >= 1, got {cfg.n_paths}")
     if not 0.0 < cfg.p < math.inf:
         raise UsageError(f"p must be positive, got {cfg.p}")
+    if not 0.0 < cfg.band < math.inf:
+        raise UsageError(f"band must be positive and finite, got {cfg.band}")
+    if not 0.0 <= cfg.r2_min <= 1.0:
+        raise UsageError(f"r2_min must be in [0, 1], got {cfg.r2_min}")
     if cfg.scheme not in VARIANTS:
         raise UsageError(f"unknown scheme {cfg.scheme!r}")
     if not (cfg.model in ("gl", "allen-cahn") or cfg.model.startswith("custom:")):
@@ -472,7 +476,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        where = ("" if exc.path_index is None else
+                 f" (path {exc.path_index}, step {exc.step_index})")
+        print(f"solver failure: {exc}{where}", file=sys.stderr)
         return 3
 
 

@@ -16,11 +16,16 @@ class DomainError(ValueError):
 class SolverFailure(RuntimeError):
     """The implicit-step nonlinear solver did not reach the residual tolerance.
 
-    Carries the last iterate and residual so callers can diagnose the step.
+    Carries the last iterate and residual so callers can diagnose the step,
+    and the step and path indices so they can replay it: `path_index` is the
+    failing row of the solved batch, which the simulation engine turns into
+    the global path index.
     """
 
-    def __init__(self, message, last_iterate=None, residual=None, step_index=None):
+    def __init__(self, message, last_iterate=None, residual=None, step_index=None,
+                 path_index=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
         self.step_index = step_index
+        self.path_index = path_index

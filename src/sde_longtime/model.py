@@ -118,6 +118,11 @@ class SdeProblem:
     through `SdeProblem.from_pointwise`. Construction probes each callable
     once at the origin on d + 1 rows and raises UsageError on a wrong output
     shape.
+
+    The batch callables must be row-independent: each output row depends
+    only on the same row of the inputs, never on the other rows or on the
+    batch size. Results then do not depend on how paths are chunked, and
+    the implicit solve may evaluate only the rows it still iterates on.
     """
 
     name: str
@@ -362,12 +367,12 @@ def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
     def diffusion_apply(X, dW):
         return np.asarray(g_scalar(X), dtype=float) * dW
 
-    eye = np.eye(d)
+    A_plus_I = A + np.eye(d)
 
     def drift_jacobian_batch(X):
-        J = np.broadcast_to(A + eye, (X.shape[0], d, d)).copy()
-        idx = np.arange(d)
-        J[:, idx, idx] -= 3.0 * X ** 2
+        B = X.shape[0]
+        J = np.repeat(A_plus_I[None], B, axis=0)
+        J.reshape(B, d * d)[:, ::d + 1] -= 3.0 * X ** 2    # the diagonals
         return J
 
     kappa = 3.0

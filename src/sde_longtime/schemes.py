@@ -203,55 +203,72 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     A row's step is halved while it would raise that row's residual, which
     keeps the iteration robust at extreme states. A row still above
     cfg.residual_tol after cfg.max_iter iterations raises SolverFailure,
-    naming the first such row. Non-finite rows stay NaN.
+    naming the first such row (its `path_index`). Non-finite rows stay NaN.
+
+    Each iteration works only on the active rows, those still above the
+    tolerance, and each halving only on the rows it halves. Because the
+    problem's callables are row-independent (see `SdeProblem`), every row
+    goes through the same floating-point operations as if solved alone, so
+    a row's root does not depend on which other rows share the batch.
     """
-    B, d = b.shape
+    d = b.shape[1]
     finite = np.isfinite(b).all(axis=1)
     if not bool(finite.all()):
         # rows already tagged divergent stay divergent; solve the rest
         z = np.full_like(b, np.nan)
-        if bool(finite.any()):
-            z[finite] = solve_implicit_batch(problem, b[finite], h, cfg,
-                                             step_index)
+        rows = np.flatnonzero(finite)
+        if rows.size:
+            try:
+                z[rows] = solve_implicit_batch(problem, b[rows], h, cfg,
+                                               step_index)
+            except SolverFailure as exc:
+                if exc.path_index is not None:
+                    exc.path_index = int(rows[exc.path_index])
+                raise
         return z
     tol = cfg.residual_tol
     z = b.copy()
     F = z - h * drift_rows(problem, z) - b
     rn = _row_norms(F)
     eye = np.eye(d)
+    # the active rows, still above tol, and their iterates, residuals, norms
+    # and right-hand sides
+    act = np.flatnonzero(~(rn <= tol))
+    za, Fa, rna, ba = z[act], F[act], rn[act], b[act]
     for _ in range(cfg.max_iter):
-        conv = rn <= tol
-        if bool(np.all(conv)):
+        if not act.size:
             return z
-        J = eye - h * _jacobian_rows(problem, z)
+        J = eye - h * _jacobian_rows(problem, za)
         if d == 1:
-            dz = F / J[:, :, 0]
+            dz = Fa / J[:, :, 0]
         else:
-            dz = np.linalg.solve(J, F[..., None])[..., 0]
-        alpha = np.ones(B)
-        while True:
-            z_new = z - alpha[:, None] * dz
-            F_new = z_new - h * drift_rows(problem, z_new) - b
-            rn_new = _row_norms(F_new)
-            worse = ~conv & ~(rn_new <= rn) & (alpha > 1e-8)
-            if not bool(np.any(worse)):
-                break
-            alpha[worse] *= 0.5
-        upd = ~conv
-        z[upd] = z_new[upd]
-        F[upd] = F_new[upd]
-        rn[upd] = rn_new[upd]
+            dz = np.linalg.solve(J, Fa[..., None])[..., 0]
+        z_new = za - dz
+        F_new = z_new - h * drift_rows(problem, z_new) - ba
+        rn_new = _row_norms(F_new)
+        # halve the step of the rows it would make worse, recomputing only them
+        worse = np.flatnonzero(~(rn_new <= rna))
+        alpha = np.ones(worse.size)
+        while worse.size:
+            alpha *= 0.5
+            zw = za[worse] - alpha[:, None] * dz[worse]
+            Fw = zw - h * drift_rows(problem, zw) - ba[worse]
+            z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _row_norms(Fw)
+            more = ~(rn_new[worse] <= rna[worse]) & (alpha > 1e-8)
+            worse, alpha = worse[more], alpha[more]
+        z[act] = z_new
+        keep = np.flatnonzero(~(rn_new <= tol))
+        act, za, Fa, rna, ba = (act[keep], z_new[keep], F_new[keep],
+                                rn_new[keep], ba[keep])
 
-    bad = ~(rn <= tol)
-    if bool(np.any(bad)):
+    if act.size:
         # the first failing row, not the worst: which row is worst depends
         # on which other paths share the batch
-        first = int(np.flatnonzero(bad)[0])
         raise SolverFailure(
             f"implicit solve did not converge within {cfg.max_iter} iterations "
-            f"(residual {rn[first]:.3e} in the first failing row)",
-            last_iterate=z[first].copy(), residual=float(rn[first]),
-            step_index=step_index)
+            f"(residual {rna[0]:.3e} in the first failing row)",
+            last_iterate=za[0].copy(), residual=float(rna[0]),
+            step_index=step_index, path_index=int(act[0]))
     return z
 
 

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import SolverFailure, UsageError
 from .model import SdeProblem
 from .noise import (NoiseGrid, check_master_seed, pairwise_block_sum,
                     path_generator, path_keys)
@@ -324,25 +324,35 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
     the pairwise sums of `factor` fine increments of size h_fine. Yields
     (k, states) for the fine indices k = 0..n_fine; at each k > 0 every track
     whose factor divides k has just been stepped, in track order, and
-    `states` lists the current state batch of every track.
+    `states` lists the current state batch of every track. A SolverFailure
+    leaves with its `path_index` turned from a row of the chunk into the
+    global path index.
     """
     Zs = [np.tile(x0, (len(paths), 1)) for x0, _, _ in tracks]
     yield 0, Zs
     factors = {f for _, f, _ in tracks}
     sqrt_h = math.sqrt(h_fine)
     gen, states = _path_states(master_seed, paths)
-    for t0, t1 in _time_blocks(n_fine, math.lcm(*factors)):
-        W, states = _noise_block(gen, states, (len(paths), t1 - t0, problem.m),
-                                 sqrt_h, carry=t1 < n_fine)
-        Wf = {f: W if f == 1 else pairwise_block_sum(W, f, axis=1)
-              for f in factors}
-        for k in range(t0 + 1, t1 + 1):
-            for i, (_, f, h) in enumerate(tracks):
-                if k % f == 0:
-                    n = k // f - 1
-                    Zs[i] = step_batch(problem, scheme_cfg, Zs[i],
-                                       Wf[f][:, n - t0 // f], h, step_index=n)
-            yield k, Zs
+    try:
+        for t0, t1 in _time_blocks(n_fine, math.lcm(*factors)):
+            W, states = _noise_block(gen, states,
+                                     (len(paths), t1 - t0, problem.m),
+                                     sqrt_h, carry=t1 < n_fine)
+            Wf = {f: W if f == 1 else pairwise_block_sum(W, f, axis=1)
+                  for f in factors}
+            for k in range(t0 + 1, t1 + 1):
+                for i, (_, f, h) in enumerate(tracks):
+                    if k % f == 0:
+                        n = k // f - 1
+                        Zs[i] = step_batch(problem, scheme_cfg, Zs[i],
+                                           Wf[f][:, n - t0 // f], h,
+                                           step_index=n)
+                yield k, Zs
+    except SolverFailure as exc:
+        # the solve names a row of this chunk; the caller needs the path
+        if exc.path_index is not None:
+            exc.path_index += paths.start
+        raise
 
 
 def _merge_estimates(partials, p: float, n_paths: int):

@@ -136,6 +136,10 @@ def test_scheme_and_model_validation(tmp_path):
 # grid validation
 # ---------------------------------------------------------------------------
 
+_BAND_RUN = ["convergence", "--model", "gl", "--T", "1", "--h-list",
+             "2^-4,2^-5", "--h-ref", "2^-7", "--paths", "64"]
+
+
 @pytest.mark.parametrize("args", [
     ["convergence", "--model", "gl", "--T", "1", "--h-ref", "2^-8"],
     ["convergence", "--model", "gl", "--T", "1", "--h-list", "2^-5",
@@ -155,6 +159,10 @@ def test_scheme_and_model_validation(tmp_path):
     ["moments", "--model", "gl", "--T", "2", "--h", "1/4", "--paths", "16",
      "--p", "inf"],
     ["moments", "--model", "gl", "--T", "1e400", "--h", "1"],  # no float
+    _BAND_RUN + ["--band", "nan"],
+    _BAND_RUN + ["--band", "-1"],
+    _BAND_RUN + ["--r2-min", "nan"],
+    _BAND_RUN + ["--r2-min", "1.5"],
 ])
 def test_invalid_configurations_exit_2(args, tmp_path):
     assert main(args + ["--output", str(tmp_path / "out.csv")]) == 2
@@ -416,14 +424,16 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_solver_failure_exits_three(tmp_path, monkeypatch):
+def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise SolverFailure("implicit solve diverged", last_iterate=None,
-                            residual=1.0, step_index=4)
+                            residual=1.0, step_index=4, path_index=12)
     monkeypatch.setattr(cli, "moment_trace", boom)
     rc = main(["moments", "--model", "gl", "--T", "1", "--h", "1/4",
                "--paths", "2", "--output", str(tmp_path / "m.csv")])
     assert rc == 3
+    assert capsys.readouterr().err == (
+        "solver failure: implicit solve diverged (path 12, step 4)\n")
 
 
 def test_version_flag():

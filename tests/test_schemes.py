@@ -228,6 +228,97 @@ def test_divergent_rows_pass_through_solver(gl):
 
 
 # ---------------------------------------------------------------------------
+# the implicit solve iterates only the unconverged rows, which is exact
+# because every row sees the same floating-point operations as alone
+# ---------------------------------------------------------------------------
+
+def _arctan_problem(jacobian=True, counter=None):
+    """dx = -100 arctan(x) dt: at h = 1 and |b| in the tens, a full Newton
+    step overshoots, so the solve halves steps (16 drift calls at b = 50).
+    `counter` ([calls, rows]) counts the drift's calls and the rows it sees."""
+    def drift_batch(X):
+        if counter is not None:
+            counter[0] += 1
+            counter[1] += X.shape[0]
+        return -100.0 * np.arctan(X)
+
+    return SdeProblem(
+        name="arctan", d=1, m=1, drift_batch=drift_batch,
+        diffusion_apply=lambda X, dW: 0.0 * dW,
+        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1e4),
+        drift_jacobian_batch=((lambda X: (-100.0 / (1.0 + X * X))[..., None])
+                              if jacobian else None))
+
+
+def _row_batches():
+    rng = np.random.default_rng(41)
+    b = rng.uniform(-300.0, 300.0, size=(120, 1))
+    mixed = b[:40].copy()
+    mixed[[2, 9, 23, 31]] = [[np.nan], [np.inf], [-np.inf], [np.nan]]
+    ac = rng.normal(scale=3.0, size=(120, 3))
+    return {"arctan": (_arctan_problem(), b, 1.0),
+            "arctan-fd": (_arctan_problem(jacobian=False), b, 1.0),
+            "non-finite": (_arctan_problem(), mixed, 1.0),
+            "allen-cahn": (build_allen_cahn(K=4), ac, 15.0 / 2.0 ** 6)}
+
+
+@pytest.mark.parametrize("name", ["arctan", "arctan-fd", "non-finite",
+                                  "allen-cahn"])
+def test_implicit_rows_equal_their_solve_alone_and_in_any_subset(name):
+    problem, b, h = _row_batches()[name]
+    z = solve_implicit_batch(problem, b, h)
+    for i in range(len(b)):
+        alone = solve_implicit_batch(problem, b[i:i + 1], h)
+        assert alone.tobytes() == z[i:i + 1].tobytes(), i
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        rows = np.sort(rng.choice(len(b), size=rng.integers(1, len(b)),
+                                  replace=False))
+        assert (solve_implicit_batch(problem, b[rows], h).tobytes()
+                == z[rows].tobytes())
+
+
+def _counted_solve(b, h=1.0):
+    """The arctan solve of b, and its drift's [calls, rows] (the probe at
+    construction not counted)."""
+    counter = [0, 0]
+    problem = _arctan_problem(counter=counter)
+    counter[:] = [0, 0]
+    return solve_implicit_batch(problem, b, h), counter
+
+
+def test_damping_reaches_the_root():
+    z, (calls, _) = _counted_solve(np.array([[50.0]]))
+    assert calls == 16          # more calls than Newton iterations
+    assert abs(z[0, 0] + 100.0 * np.arctan(z[0, 0]) - 50.0) <= 1e-12
+
+
+def test_converged_rows_are_not_evaluated_again():
+    """One hard row among 511 that start at their root (b = 0): after the
+    first residual over all 512 rows, the drift sees only the hard row."""
+    _, (alone_calls, _) = _counted_solve(np.array([[50.0]]))
+    b = np.zeros((512, 1))
+    b[300] = 50.0
+    z, counter = _counted_solve(b)
+    assert counter[0] == alone_calls
+    assert counter[1] == 512 + (alone_calls - 1)
+    assert np.all(z[np.arange(512) != 300] == 0.0)
+
+
+def test_solver_failure_names_the_row_through_non_finite_rows(gl):
+    b = np.array([[np.nan], [0.0], [np.inf], [0.0], [30.0], [40.0]])
+    with pytest.raises(SolverFailure) as exc:
+        solve_implicit_batch(gl, b, 0.5, NewtonConfig(max_iter=2))
+    assert exc.value.path_index == 4
+    with pytest.raises(SolverFailure) as alone:
+        solve_implicit_batch(gl, b[4:5], 0.5, NewtonConfig(max_iter=2))
+    assert alone.value.path_index == 0
+    assert str(alone.value) == str(exc.value)
+    assert alone.value.residual == exc.value.residual
+    npt.assert_array_equal(alone.value.last_iterate, exc.value.last_iterate)
+
+
+# ---------------------------------------------------------------------------
 # explicit scheme overflow semantics
 # ---------------------------------------------------------------------------
 
@@ -292,6 +383,22 @@ def test_drift_jacobian_at_origin(gl):
                          [16.0, -31.0, 16.0],
                          [0.0, 16.0, -31.0]])
     npt.assert_array_equal(drift_jacobian(ac, np.zeros(3)), A_plus_I)
+
+
+def test_allen_cahn_jacobian_is_the_dense_formula_bitwise():
+    """The Jacobian fills the diagonals of A + I in place; it must equal
+    A + I - 3 diag(x^2) formed the plain way, in every bit."""
+    ac = build_allen_cahn(K=6)
+    d = ac.d
+    A = 36.0 * (np.diag(np.full(d, -2.0)) + np.diag(np.ones(d - 1), 1)
+                + np.diag(np.ones(d - 1), -1))
+    X = np.random.default_rng(8).normal(scale=4.0, size=(300, d))
+    expect = np.broadcast_to(A + np.eye(d), (300, d, d)).copy()
+    idx = np.arange(d)
+    expect[:, idx, idx] -= 3.0 * X ** 2
+    got = ac.drift_jacobian_batch(X)
+    assert got.shape == (300, d, d)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_drift_jacobian_finite_difference_fallback():

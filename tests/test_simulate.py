@@ -267,6 +267,38 @@ def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl):
     assert multiprocessing.active_children() == []
 
 
+def test_solver_failure_names_a_replayable_global_path():
+    """dx = -100 arctan(x) dt + 100 dW at h = 1 with ten Newton iterations
+    fails on path 1037 alone, at step 4: beyond chunk 0 at one worker
+    (chunks of 1024 and 476 paths) and at two (750 and 750). Both must name
+    that path, and replaying its noise grid alone must fail at the same
+    step with the same residual and iterate."""
+    problem = SdeProblem(
+        name="arctan", d=1, m=1,
+        drift_batch=lambda X: -100.0 * np.arctan(X),
+        diffusion_apply=lambda X, dW: 100.0 * dW,
+        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1e4),
+        drift_jacobian_batch=lambda X: (-100.0 / (1.0 + X * X))[..., None])
+    cfg = SchemeConfig(variant="be", newton=NewtonConfig(max_iter=10))
+    seen = []
+    for threads in (1, 2):
+        with pytest.raises(SolverFailure) as info:
+            moment_trace(problem, cfg, T=8.0, h=1.0, n_paths=1500,
+                         master_seed=1, x0=0.0, n_records=2, threads=threads)
+        err = info.value
+        seen.append((err.path_index, err.step_index, err.residual,
+                     err.last_iterate.tolist()))
+    assert seen[0] == seen[1]
+    path, step, residual, last = seen[0]
+    assert path == 1037 and step == 4
+    with pytest.raises(SolverFailure) as replay:
+        evolve_terminal(problem, cfg, 1.0, 8,
+                        make_noise_grid(1, path, 1, 1.0, 8), 0.0)
+    assert replay.value.step_index == step
+    assert replay.value.residual == residual
+    assert replay.value.last_iterate.tolist() == last
+
+
 def _acting_off_the_caller(act):
     """dx = -x dt + dW, except that the drift calls act() in any process
     other than the one that built the problem, i.e. in a forked worker."""
