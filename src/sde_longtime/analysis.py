@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,19 +94,8 @@ class ConvergenceReport:
     notes: tuple = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model, "scheme": self.scheme, "p": self.p,
-            "T": self.T, "h_ref": self.h_ref,
-            "hs": list(self.hs), "errors": list(self.errors),
-            "std_errors": list(self.std_errors),
-            "excluded_hs": list(self.excluded_hs),
-            "predicted_order": self.predicted_order, "slope": self.slope,
-            "intercept": self.intercept, "r_squared": self.r_squared,
-            "band": self.band, "r2_min": self.r2_min, "passed": self.passed,
-            "p_max_theorem": self.p_max_theorem,
-            "p_within_theorem": self.p_within_theorem,
-            "notes": list(self.notes),
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
 
 def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,

@@ -36,7 +36,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -456,11 +456,7 @@ def run(cfg: ExperimentConfig) -> int:
                                  "passed": poly.passed, "n_pairs": poly.n_pairs,
                                  "c2": poly.c2, "c3": poly.c3},
         "max_feasible_pstar": pmax,
-        "claimed": {"alpha1": problem.constants.alpha1,
-                    "p_star": problem.constants.p_star,
-                    "kappa": problem.constants.kappa,
-                    "c1": problem.constants.c1,
-                    "beta1": problem.constants.beta1},
+        "claimed": asdict(problem.constants),
         "p_max_theorem": theorem_admissible_p_max(problem.constants),
         "passed": passed,
     })

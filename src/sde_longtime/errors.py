@@ -19,7 +19,8 @@ class SolverFailure(RuntimeError):
     Carries the last iterate and residual so callers can diagnose the step,
     and the step and path indices so they can replay it: `path_index` is the
     failing row of the solved batch, which the simulation engine turns into
-    the global path index.
+    the global path index. The engine also sets `rank`, (fine index, track,
+    path), by which it reports the earliest of several chunks' failures.
     """
 
     def __init__(self, message, last_iterate=None, residual=None, step_index=None,

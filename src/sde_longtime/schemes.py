@@ -203,7 +203,8 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     A row's step is halved while it would raise that row's residual, which
     keeps the iteration robust at extreme states. A row still above
     cfg.residual_tol after cfg.max_iter iterations raises SolverFailure,
-    naming the first such row (its `path_index`). Non-finite rows stay NaN.
+    naming the first such row of b (its `path_index`). A non-finite row of b
+    gives a NaN row and never reaches the problem's callables.
 
     Each iteration works only on the active rows, those still above the
     tolerance, and each halving only on the rows it halves. Because the
@@ -212,29 +213,20 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     a row's root does not depend on which other rows share the batch.
     """
     d = b.shape[1]
-    finite = np.isfinite(b).all(axis=1)
-    if not bool(finite.all()):
-        # rows already tagged divergent stay divergent; solve the rest
-        z = np.full_like(b, np.nan)
-        rows = np.flatnonzero(finite)
-        if rows.size:
-            try:
-                z[rows] = solve_implicit_batch(problem, b[rows], h, cfg,
-                                               step_index)
-            except SolverFailure as exc:
-                if exc.path_index is not None:
-                    exc.path_index = int(rows[exc.path_index])
-                raise
-        return z
     tol = cfg.residual_tol
-    z = b.copy()
-    F = z - h * drift_rows(problem, z) - b
-    rn = _row_norms(F)
-    eye = np.eye(d)
+    z = np.full_like(b, np.nan)
+    act = np.flatnonzero(np.isfinite(b).all(axis=1))
+    if not act.size:
+        return z
     # the active rows, still above tol, and their iterates, residuals, norms
-    # and right-hand sides
-    act = np.flatnonzero(~(rn <= tol))
-    za, Fa, rna, ba = z[act], F[act], rn[act], b[act]
+    # and right-hand sides, gathered once from the finite rows
+    ba = b[act]
+    z[act] = ba
+    Fa = ba - h * drift_rows(problem, ba) - ba
+    rna = _row_norms(Fa)
+    keep = np.flatnonzero(~(rna <= tol))
+    act, za, Fa, rna, ba = act[keep], ba[keep], Fa[keep], rna[keep], ba[keep]
+    eye = np.eye(d)
     for _ in range(cfg.max_iter):
         if not act.size:
             return z

@@ -23,7 +23,8 @@ changes any result, because every row is its own path's stream, so results
 are bit-identical whether a run uses one worker or many; partial results are
 merged in path order. Several workers are the calling process plus forked
 processes, each running whole chunks; where the platform cannot fork, the
-chunks run serially in the calling process.
+chunks run serially in the calling process. A solver failure is likewise the
+same at any worker count: the earliest by (step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent: they are excluded from moment estimates from the
@@ -185,8 +186,13 @@ def _install_chunk_runner(run) -> None:
     _chunk_runner = run
 
 
-def _run_chunk(paths):
-    return _chunk_runner(paths)
+def _run_chunk(paths, worker=None):
+    """`worker(paths)`, by default this worker's chunk runner; a
+    SolverFailure is returned rather than raised (see `_map_chunks`)."""
+    try:
+        return (worker or _chunk_runner)(paths)
+    except SolverFailure as exc:
+        return exc
 
 
 def _chunk_spans(n_paths: int, threads: int):
@@ -210,11 +216,15 @@ def _map_chunks(worker, n_paths: int, master_seed: int,
     2P, ... itself rather than wait idle, and P - 1 forked workers that take
     the others. Workers inherit `worker`, a closure over a problem whose
     callables need not pickle, through the fork, so only the path ranges
-    are sent and the per-chunk results pickled back. Results are gathered in path order,
-    so an exception comes from the first failing chunk in path order, as in
-    the serial loop; a worker that dies (killed for memory, say) raises
-    BrokenProcessPool rather than leaving the run waiting. Without the fork
-    start method the chunks run serially here."""
+    are sent and the per-chunk results pickled back. Without the fork start
+    method the chunks run serially here.
+
+    A chunk returns its SolverFailure, and once every chunk has run the
+    least by `rank` (see `_coupled_steps`) is raised: the earliest failure
+    of the run at any worker count. Any other exception leaves from the
+    first failing chunk in path order; a worker that dies (killed for
+    memory, say) raises BrokenProcessPool rather than leaving the run
+    waiting."""
     check_master_seed(master_seed)
     if n_paths < 1:
         raise UsageError(f"n_paths must be >= 1, got {n_paths}")
@@ -223,19 +233,26 @@ def _map_chunks(worker, n_paths: int, master_seed: int,
     processes = min(threads, len(spans))
     if processes > 1:
         import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(processes - 1,
-                                       multiprocessing.get_context("fork"),
-                                       _install_chunk_runner, (worker,))
-            try:
-                forked = pool.map(_run_chunk, [s for i, s in enumerate(spans)
-                                               if i % processes])
-                return [next(forked) if i % processes else worker(s)
-                        for i, s in enumerate(spans)]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [worker(s) for s in spans]
+        if "fork" not in multiprocessing.get_all_start_methods():
+            processes = 1
+    if processes == 1:
+        results = [_run_chunk(s, worker) for s in spans]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(processes - 1,
+                                   multiprocessing.get_context("fork"),
+                                   _install_chunk_runner, (worker,))
+        try:
+            forked = pool.map(_run_chunk, [s for i, s in enumerate(spans)
+                                           if i % processes])
+            results = [next(forked) if i % processes else _run_chunk(s, worker)
+                       for i, s in enumerate(spans)]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    failures = [r for r in results if isinstance(r, SolverFailure)]
+    if failures:
+        raise min(failures, key=lambda exc: exc.rank)
+    return results
 
 
 def _time_blocks(n_steps: int, unit: int):
@@ -326,7 +343,14 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
     whose factor divides k has just been stepped, in track order, and
     `states` lists the current state batch of every track. A SolverFailure
     leaves with its `path_index` turned from a row of the chunk into the
-    global path index.
+    global path index, and with `rank` = (k, track, path) to order it among
+    the failures of other chunks.
+
+    A non-finite row stays non-finite under every scheme: a step is
+    x~ + h f(x~) + g(x~) dW with x~ the state (em), its projection, NaN for
+    an infinite row (pe), or the implicit root, NaN for a non-finite
+    right-hand side (be). So a path has diverged by step k exactly when its
+    state at k is not finite.
     """
     Zs = [np.tile(x0, (len(paths), 1)) for x0, _, _ in tracks]
     yield 0, Zs
@@ -352,7 +376,15 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
         # the solve names a row of this chunk; the caller needs the path
         if exc.path_index is not None:
             exc.path_index += paths.start
+        exc.rank = (k, i, exc.path_index or paths.start)
         raise
+
+
+def _survivors(samples, *Zs):
+    """(samples of the paths whose states in every batch of Zs are finite,
+    the number of the other paths): one chunk's partial for a slot."""
+    alive = np.logical_and.reduce([np.isfinite(Z).all(axis=1) for Z in Zs])
+    return samples[alive], int(alive.size - alive.sum())
 
 
 def _merge_estimates(partials, p: float, n_paths: int):
@@ -432,23 +464,16 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
 
     def worker(paths):
-        B = len(paths)
-        alive = [np.ones(B, dtype=bool) for _ in factors]
-        run_sup = [np.zeros(B) for _ in factors]
+        # a diverged path's sup turns NaN or inf, and it is not finite at T
+        sups = [np.zeros(len(paths)) for _ in factors]
         steps = _coupled_steps(problem, scheme_cfg, master_seed, paths, h_ref,
                                n_fine, tracks)
         for k, (Zr, *Zc) in steps:
-            for idx, f in enumerate(factors):
-                if k % f:
-                    continue
-                with np.errstate(invalid="ignore"):
-                    ok = (np.isfinite(Zr).all(axis=1)
-                          & np.isfinite(Zc[idx]).all(axis=1))
-                    alive[idx] &= ok
-                    diff = np.where(alive[idx][:, None], Zr - Zc[idx], 0.0)
-                np.maximum(run_sup[idx], _row_norms(diff), out=run_sup[idx])
-        return [(run_sup[idx][alive[idx]], int(B - alive[idx].sum()))
-                for idx in range(len(factors))]
+            for sup, f, Z in zip(sups, factors, Zc):
+                if k % f == 0:
+                    with np.errstate(invalid="ignore"):
+                        np.maximum(sup, _row_norms(Zr - Z), out=sup)
+        return [_survivors(sup, Zr, Z) for sup, Z in zip(sups, Zc)]
 
     estimates = _merge_estimates(_map_chunks(worker, n_paths, master_seed,
                                              threads), p, n_paths)
@@ -483,18 +508,13 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     tracks = [(x0, 1, h) for x0 in starts]
 
     def worker(paths):
-        B = len(paths)
-        alive = np.ones(B, dtype=bool)
         records = []
         for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths, h,
                                     n_steps, tracks):
-            if k not in rec_set:
-                continue
-            for Z in Zs:
-                alive &= np.all(np.isfinite(Z), axis=1)
-            with np.errstate(invalid="ignore"):
-                s = statistic(Zs)
-            records.append((s[alive], int(B - alive.sum())))
+            if k in rec_set:
+                with np.errstate(invalid="ignore"):
+                    s = statistic(Zs)
+                records.append(_survivors(s, *Zs))
         return records
 
     times = np.asarray([k * h for k in rec])

@@ -1,5 +1,7 @@
 """One-step integrators: frozen-value oracles, algebraic invariants, failure paths."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -316,6 +318,71 @@ def test_solver_failure_names_the_row_through_non_finite_rows(gl):
     assert str(alone.value) == str(exc.value)
     assert alone.value.residual == exc.value.residual
     npt.assert_array_equal(alone.value.last_iterate, exc.value.last_iterate)
+
+
+def test_a_batch_without_finite_rows_never_calls_the_drift():
+    """Nothing to solve: a pointwise problem, whose batch callables cannot
+    stack zero rows, must not be called on an empty batch of rows."""
+    calls = []
+
+    def drift(x):
+        calls.append(x)
+        return -x
+
+    problem = SdeProblem.from_pointwise(
+        name="pointwise", d=2, m=1, drift=drift,
+        diffusion=lambda x: np.ones((2, 1)),
+        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.0))
+    calls.clear()
+    for b in (np.array([[np.nan, 1.0], [np.inf, -np.inf], [0.0, -np.inf]]),
+              np.empty((0, 2))):
+        z = solve_implicit_batch(problem, b, 0.5)
+        assert z.shape == b.shape and np.isnan(z).all()
+    assert calls == []
+
+
+def test_the_drift_never_sees_a_non_finite_row():
+    seen = []
+    arctan = _arctan_problem()
+
+    def drift_batch(X):
+        seen.append(X.copy())
+        return arctan.drift_batch(X)
+
+    problem = dataclasses.replace(arctan, drift_batch=drift_batch)
+    seen.clear()
+    b = _row_batches()["non-finite"][1]
+    z = solve_implicit_batch(problem, b, 1.0)
+    assert seen and all(np.isfinite(X).all() for X in seen)
+    bad = ~np.isfinite(b).all(axis=1)
+    assert np.isnan(z[bad]).all() and np.isfinite(z[~bad]).all()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_rows_stay_non_finite_under_every_scheme(variant):
+    """The invariant the ensemble reducers rely on, even for callables that
+    map NaN and inf to finite values: a step keeps a non-finite row
+    non-finite, because the stepped state itself, its projection or the
+    right-hand side of the solve carries the non-finite entry through."""
+    def tame(X):
+        return np.nan_to_num(X)
+
+    problem = SdeProblem(
+        name="tame", d=2, m=1,
+        drift_batch=lambda X: -np.tanh(tame(X)),
+        diffusion_apply=lambda X, dW: np.cos(tame(X)) * dW,
+        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.0),
+        drift_jacobian_batch=lambda X: np.einsum(
+            "bi,ij->bij", np.tanh(tame(X)) ** 2 - 1.0, np.eye(2)))
+    inf, nan = np.inf, np.nan
+    Z = np.array([[nan, 1.0], [inf, 0.0], [-inf, inf], [1.0, -inf],
+                  [nan, nan], [0.5, -0.3], [-2.0, 3.0]])
+    dW = np.random.default_rng(3).normal(scale=0.5, size=(len(Z), 1))
+    bad = ~np.isfinite(Z).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        out = step_batch(problem, SchemeConfig(variant=variant), Z, dW, 0.25)
+    assert (~np.isfinite(out[bad]).all(axis=1)).all()
+    assert np.isfinite(out[~bad]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sde_longtime import (MomentEstimate, MonotoneConstants, NewtonConfig,
                           SchemeConfig, SdeProblem, SolverFailure, UsageError,
                           backward_euler_step, check_contractive_monotone,
-                          build_allen_cahn, build_ginzburg_landau,
+                          build_allen_cahn, build_ginzburg_landau, coarsen,
                           contraction_experiment, em_step,
                           estimate_from_samples, evolve_terminal, fit_order,
                           make_noise_grid, moment_trace,
@@ -26,6 +26,7 @@ from sde_longtime import (MomentEstimate, MonotoneConstants, NewtonConfig,
                           pairwise_block_sum, projected_euler_step,
                           remainder_scaling_experiment, resolve_threads,
                           simulate, strong_error_experiment)
+from sde_longtime.schemes import _row_norms
 
 BE = SchemeConfig(variant="be")
 EM = SchemeConfig(variant="em")
@@ -267,19 +268,24 @@ def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl):
     assert multiprocessing.active_children() == []
 
 
+# dx = -100 arctan(x) dt + 100 dW: at h = 1 the implicit solve needs many
+# damped Newton iterations on some paths, so ten are not always enough
+_ARCTAN = SdeProblem(
+    name="arctan", d=1, m=1,
+    drift_batch=lambda X: -100.0 * np.arctan(X),
+    diffusion_apply=lambda X, dW: 100.0 * dW,
+    constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1e4),
+    drift_jacobian_batch=lambda X: (-100.0 / (1.0 + X * X))[..., None])
+_ARCTAN_CFG = SchemeConfig(variant="be", newton=NewtonConfig(max_iter=10))
+
+
 def test_solver_failure_names_a_replayable_global_path():
     """dx = -100 arctan(x) dt + 100 dW at h = 1 with ten Newton iterations
     fails on path 1037 alone, at step 4: beyond chunk 0 at one worker
     (chunks of 1024 and 476 paths) and at two (750 and 750). Both must name
     that path, and replaying its noise grid alone must fail at the same
     step with the same residual and iterate."""
-    problem = SdeProblem(
-        name="arctan", d=1, m=1,
-        drift_batch=lambda X: -100.0 * np.arctan(X),
-        diffusion_apply=lambda X, dW: 100.0 * dW,
-        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1e4),
-        drift_jacobian_batch=lambda X: (-100.0 / (1.0 + X * X))[..., None])
-    cfg = SchemeConfig(variant="be", newton=NewtonConfig(max_iter=10))
+    problem, cfg = _ARCTAN, _ARCTAN_CFG
     seen = []
     for threads in (1, 2):
         with pytest.raises(SolverFailure) as info:
@@ -297,6 +303,35 @@ def test_solver_failure_names_a_replayable_global_path():
     assert replay.value.step_index == step
     assert replay.value.residual == residual
     assert replay.value.last_iterate.tolist() == last
+
+
+def test_solver_failure_is_the_earliest_at_any_worker_count(monkeypatch):
+    """On seed 9, path 836 fails at step 2 and path 350 at step 3. One
+    worker runs both in chunk 0 (1024 paths); two run them in different
+    chunks (750 + 750), and three too (512 + 512 + 476), where the chunk
+    first in path order fails later. Every worker count, and three workers
+    without the fork start method (run serially), must report the earliest
+    failure, which replays alone."""
+    def failure(threads):
+        with pytest.raises(SolverFailure) as info:
+            moment_trace(_ARCTAN, _ARCTAN_CFG, T=8.0, h=1.0, n_paths=1500,
+                         master_seed=9, x0=0.0, n_records=2, threads=threads)
+        err = info.value
+        return (err.path_index, err.step_index, err.residual,
+                err.last_iterate.tolist())
+
+    seen = [failure(threads) for threads in (1, 2, 3)]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    seen.append(failure(3))
+    assert all(s == seen[0] for s in seen), seen
+    path, step, residual, _ = seen[0]
+    assert (path, step) == (836, 2)
+    with pytest.raises(SolverFailure) as replay:
+        evolve_terminal(_ARCTAN, _ARCTAN_CFG, 1.0, 8,
+                        make_noise_grid(9, path, 1, 1.0, 8), 0.0)
+    assert (replay.value.step_index, replay.value.residual) == (step, residual)
 
 
 def _acting_off_the_caller(act):
@@ -647,6 +682,145 @@ def test_results_independent_of_chunk_and_block_size(chunk, block, monkeypatch,
         assert curve == ref_curve, key
         npt.assert_array_equal(times, ref_times)
         assert ests == ref_ests, key
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the engine's reducers against a path-by-path loop
+# ---------------------------------------------------------------------------
+
+_ORACLE_PROBLEMS = {"gl": build_ginzburg_landau(), "ac": build_allen_cahn(K=3)}
+
+
+def _oracle_track(problem, cfg, h, increments, x0):
+    """The states of one path after 0, 1, ... steps, each step one
+    `evolve_terminal` call; the first non-finite state is kept from there
+    on, since `evolve_terminal` starts only from finite states."""
+    states = [x0]
+    for dW in increments:
+        x = states[-1]
+        states.append(evolve_terminal(problem, cfg, h, 1, dW[None], x)
+                      if np.isfinite(x).all() else x)
+    return states
+
+
+def _norm(x):
+    return _row_norms(x[None])[0]
+
+
+def _oracle_estimates(samples, n_div, n_paths):
+    return [estimate_from_samples(s, p=1.0, n_paths=n_paths, n_divergent=n)
+            for s, n in zip(samples, n_div)]
+
+
+def _oracle_strong(problem, cfg, T, hs, h_ref, n_paths, seed, x0):
+    """Each level's estimate from its paths that are finite at every grid
+    point of that level, their sup of |Z_ref - Z_h| over those points."""
+    n_fine = round(T / h_ref)
+    samples, n_div = [[] for _ in hs], [0 for _ in hs]
+    for path in range(n_paths):
+        grid = make_noise_grid(seed, path, problem.m, h_ref, n_fine)
+        ref = _oracle_track(problem, cfg, h_ref, grid.increments, x0)
+        for level, h in enumerate(hs):
+            f = round(h / h_ref)
+            coarse = _oracle_track(problem, cfg, h, coarsen(grid, f), x0)
+            if all(np.isfinite(ref[n * f]).all() and np.isfinite(z).all()
+                   for n, z in enumerate(coarse)):
+                samples[level].append(max(_norm(ref[n * f] - z)
+                                          for n, z in enumerate(coarse)))
+            else:
+                n_div[level] += 1
+    return _oracle_estimates(samples, n_div, n_paths)
+
+
+def _oracle_trace(problem, cfg, h, n_steps, records, n_paths, seed, starts,
+                  statistic):
+    """Each record's estimate from the paths whose every track is finite at
+    that record and at every record before it."""
+    samples, n_div = [[] for _ in records], [0 for _ in records]
+    for path in range(n_paths):
+        increments = make_noise_grid(seed, path, problem.m, h,
+                                     n_steps).increments
+        tracks = [_oracle_track(problem, cfg, h, increments, x)
+                  for x in starts]
+        alive = True
+        for j, k in enumerate(records):
+            Zs = [t[k] for t in tracks]
+            alive = alive and all(np.isfinite(z).all() for z in Zs)
+            if alive:
+                samples[j].append(statistic(*Zs))
+            else:
+                n_div[j] += 1
+    return _oracle_estimates(samples, n_div, n_paths)
+
+
+_DIVERGENT_CASE = dict(model="gl", variant="em", x0=3.0, h_exp=1, levels=3,
+                       n_coarse=8, n_trace=10, n_records=4, n_paths=12,
+                       threads=2, chunk=3, block=5, seed=7)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.fixed_dictionaries(dict(
+    model=st.sampled_from(sorted(_ORACLE_PROBLEMS)),
+    variant=st.sampled_from(["em", "be", "pe"]),
+    x0=st.sampled_from([0.5, 1.5, 3.0]),
+    h_exp=st.integers(1, 3), levels=st.integers(1, 3),
+    n_coarse=st.integers(1, 8), n_trace=st.integers(1, 12),
+    n_records=st.integers(1, 4), n_paths=st.integers(1, 40),
+    threads=st.integers(1, 3), chunk=st.integers(1, 16),
+    block=st.integers(1, 9), seed=st.integers(0, 2 ** 20))))
+@example(_DIVERGENT_CASE)
+def test_reducers_equal_a_path_by_path_oracle(case):
+    """Strong error, moment trace and contraction trace, at any worker
+    count, chunk size and block size (blocks need not be multiples of the
+    ladder's factors), equal in every bit the estimates built path by path
+    from `make_noise_grid`, `coarsen` and single `evolve_terminal` steps,
+    where a path counts only while it is finite at every grid point or
+    record so far. The explicit example diverges on some paths and levels."""
+    problem = _ORACLE_PROBLEMS[case["model"]]
+    cfg = SchemeConfig(variant=case["variant"])
+    x0 = np.full(problem.d, case["x0"])
+    h = 2.0 ** -case["h_exp"]
+    hs = [h / 2 ** j for j in range(case["levels"])]
+    h_ref = h / 2 ** case["levels"]
+    T, T_trace = case["n_coarse"] * h, case["n_trace"] * h
+    n_paths, seed, threads = case["n_paths"], case["seed"], case["threads"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "CHUNK_PATHS", case["chunk"])
+        mp.setattr(simulate, "BLOCK_STEPS", case["block"])
+        curve = strong_error_experiment(problem, cfg, T=T, h_list=hs,
+                                        h_ref=h_ref, n_paths=n_paths,
+                                        master_seed=seed, x0=x0,
+                                        threads=threads)
+        times, moments = moment_trace(problem, cfg, T=T_trace, h=h,
+                                      n_paths=n_paths, master_seed=seed,
+                                      x0=x0, n_records=case["n_records"],
+                                      threads=threads)
+        _, gaps = contraction_experiment(problem, cfg, T=T_trace, h=h,
+                                         n_paths=n_paths, master_seed=seed,
+                                         x0=x0, y0=-x0 / 2,
+                                         n_records=case["n_records"],
+                                         threads=threads)
+    records = [round(t / h) for t in times]
+    assert list(curve.estimates) == _oracle_strong(problem, cfg, T, hs, h_ref,
+                                                   n_paths, seed, x0)
+    assert moments == _oracle_trace(problem, cfg, h, case["n_trace"], records,
+                                    n_paths, seed, [x0], _norm)
+    assert gaps == _oracle_trace(problem, cfg, h, case["n_trace"], records,
+                                 n_paths, seed, [x0, -x0 / 2],
+                                 lambda x, y: _norm(x - y))
+
+
+def test_the_oracle_example_diverges():
+    """The explicit example of the oracle test keeps its point: some paths
+    of some levels and records diverge, and not all of them."""
+    case = _DIVERGENT_CASE
+    problem = _ORACLE_PROBLEMS[case["model"]]
+    h = 2.0 ** -case["h_exp"]
+    n_div = [e.n_divergent for e in _oracle_strong(
+        problem, SchemeConfig(variant="em"), case["n_coarse"] * h,
+        [h / 2 ** j for j in range(case["levels"])], h / 2 ** case["levels"],
+        case["n_paths"], case["seed"], np.full(problem.d, case["x0"]))]
+    assert 0 < max(n_div) and min(n_div) < case["n_paths"], n_div
 
 
 # ---------------------------------------------------------------------------
