@@ -7,17 +7,14 @@ Carlo experiments over arbitrarily long horizons, and samplers that
 certify the structural assumptions the error bounds rest on.
 """
 
-from .errors import DomainError, SolverFailure, UsageError
+from .errors import SolverFailure, UsageError
 from .model import (AssumptionReport, MonotoneConstants, SampleSpec,
                     SdeProblem, build_allen_cahn, build_ginzburg_landau,
                     check_contractive_monotone, check_poly_lipschitz,
-                    drift_eval, diffusion_eval, max_feasible_pstar,
-                    theorem_admissible_p_max)
+                    max_feasible_pstar, theorem_admissible_p_max)
 from .noise import (NoiseGrid, coarsen, make_noise_grid, pairwise_block_sum,
                     path_generator, path_seed_sequence)
-from .schemes import (NewtonConfig, SchemeConfig, SchemeOrders,
-                      backward_euler_step, drift_jacobian, em_step, project,
-                      projected_euler_step, scheme_orders, solve_implicit,
+from .schemes import (NewtonConfig, SchemeConfig, SchemeOrders, scheme_orders,
                       step_ceiling)
 from .simulate import (ErrorCurve, MomentEstimate, contraction_experiment,
                        estimate_from_samples, evolve_terminal, moment_trace,
@@ -31,19 +28,17 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "DomainError", "SolverFailure", "UsageError",
+    "SolverFailure", "UsageError",
     # model
     "AssumptionReport", "MonotoneConstants", "SampleSpec", "SdeProblem",
     "build_allen_cahn", "build_ginzburg_landau", "check_contractive_monotone",
-    "check_poly_lipschitz", "drift_eval", "diffusion_eval",
-    "max_feasible_pstar", "theorem_admissible_p_max",
+    "check_poly_lipschitz", "max_feasible_pstar", "theorem_admissible_p_max",
     # noise
     "NoiseGrid", "coarsen", "make_noise_grid", "pairwise_block_sum",
     "path_generator", "path_seed_sequence",
     # schemes
-    "NewtonConfig", "SchemeConfig", "SchemeOrders", "backward_euler_step",
-    "drift_jacobian", "em_step", "project", "projected_euler_step",
-    "scheme_orders", "solve_implicit", "step_ceiling",
+    "NewtonConfig", "SchemeConfig", "SchemeOrders", "scheme_orders",
+    "step_ceiling",
     # simulate
     "ErrorCurve", "MomentEstimate", "contraction_experiment",
     "estimate_from_samples", "evolve_terminal", "moment_trace",

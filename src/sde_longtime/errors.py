@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""The two exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: usage errors exit with 2,
 solver failures with 3, quantitative check failures with 1.
@@ -7,10 +7,6 @@ solver failures with 3, quantitative check failures with 1.
 
 class UsageError(ValueError):
     """Invalid arguments, configuration, or preconditions supplied by the caller."""
-
-
-class DomainError(ValueError):
-    """Numerically invalid state handed to an evaluator (e.g. non-finite input)."""
 
 
 class SolverFailure(RuntimeError):

@@ -24,20 +24,18 @@ is tightest -- is always probed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "MonotoneConstants",
     "SdeProblem",
     "SampleSpec",
     "AssumptionReport",
-    "drift_eval",
-    "diffusion_eval",
     "drift_rows",
     "build_ginzburg_landau",
     "build_allen_cahn",
@@ -131,7 +129,6 @@ class SdeProblem:
     drift_batch: Callable[[np.ndarray], np.ndarray]
     diffusion_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constants: MonotoneConstants
-    params: dict = field(default_factory=dict)
     drift_jacobian_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -145,7 +142,6 @@ class SdeProblem:
     @classmethod
     def from_pointwise(cls, name: str, d: int, m: int, drift, diffusion,
                        constants: MonotoneConstants,
-                       params: Optional[dict] = None,
                        drift_jacobian=None) -> "SdeProblem":
         """A problem from callables on one state: drift (d,) -> (d,),
         diffusion (d,) -> the (d, m) matrix, and the optional drift_jacobian
@@ -167,7 +163,7 @@ class SdeProblem:
                     else lambda X: rows(drift_jacobian, X))
         return cls(name=name, d=d, m=m, drift_batch=lambda X: rows(drift, X),
                    diffusion_apply=diffusion_apply, constants=constants,
-                   params=dict(params or {}), drift_jacobian_batch=jacobian)
+                   drift_jacobian_batch=jacobian)
 
     @property
     def f0_norm_sq(self) -> float:
@@ -213,44 +209,8 @@ class AssumptionReport:
     n_pairs: int
     worst_margin: float
     passed: bool
-    max_feasible: Optional[float] = None
     c2: Optional[float] = None
     c3: Optional[float] = None
-
-
-def _validate_state(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.d,):
-        raise UsageError(
-            f"state shape {x.shape} does not match problem dimension ({problem.d},)")
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"non-finite state passed to {problem.name}: {x}")
-    return x
-
-
-def _evaluate(problem: SdeProblem, x: np.ndarray, what: str, evaluate):
-    """evaluate(X) on the validated single state x as a one-row batch X;
-    DomainError naming |x| when the result is not finite. math.hypot scales
-    its sum, so |x| stays finite for every finite state."""
-    x = _validate_state(problem, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = evaluate(x[None, :])
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{what} of {problem.name} overflowed at "
-                          f"|x|={math.hypot(*x):.3e}")
-    return out
-
-
-def drift_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
-    """Evaluate the drift at a single validated state."""
-    return _evaluate(problem, x, "drift",
-                     lambda X: drift_rows(problem, X)[0])
-
-
-def diffusion_eval(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
-    """Evaluate the (d, m) diffusion matrix at a single validated state."""
-    return _evaluate(problem, x, "diffusion",
-                     lambda X: _diffusion_columns(problem, X)[0].T)
 
 
 def drift_rows(problem: SdeProblem, X: np.ndarray) -> np.ndarray:
@@ -321,11 +281,10 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     return SdeProblem(
         name="gl", d=1, m=1, drift_batch=drift_batch,
         diffusion_apply=diffusion_apply, constants=constants,
-        params={"eta": eta, "sigma": sigma, "theta": theta},
         drift_jacobian_batch=drift_jacobian_batch)
 
 
-def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
+def build_allen_cahn(K: int = 4) -> SdeProblem:
     """Finite-difference semidiscretization of a stochastic Allen-Cahn equation.
 
     The interval (0, 1) with homogeneous Dirichlet boundaries is discretized
@@ -334,8 +293,7 @@ def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
         dX = (A X + X - X^3) dt + G(X) dW,   A = K^2 tridiag(1, -2, 1),
 
     driven by a single Brownian motion through the column G(X)_i = g(X_i)
-    with g(u) = sin(u) + 1 by default (pass a vectorized callable for a custom
-    scalar g; then beta1 is not certified). X^3 acts componentwise.
+    with g(u) = sin(u) + 1. X^3 acts componentwise.
 
     The smallest eigenvalue of -A is 4 K^2 sin^2(pi / (2K)) >= 8 for K >= 2,
     which certifies (alpha1, p*) = (1, 3.5) for every K with the sine
@@ -349,23 +307,11 @@ def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
                  + np.diag(np.ones(d - 1), 1)
                  + np.diag(np.ones(d - 1), -1))
 
-    if g_kind == "sine_plus_one":
-        def g_scalar(u):
-            return np.sin(u) + 1.0
-        beta1 = 1.0
-        g_name = "sine_plus_one"
-    elif callable(g_kind):
-        g_scalar = g_kind
-        beta1 = None
-        g_name = getattr(g_kind, "__name__", "custom")
-    else:
-        raise UsageError(f"g_kind must be 'sine_plus_one' or a callable, got {g_kind!r}")
-
     def drift_batch(X):
         return X @ A + X - X ** 3          # A is symmetric
 
     def diffusion_apply(X, dW):
-        return np.asarray(g_scalar(X), dtype=float) * dW
+        return (np.sin(X) + 1.0) * dW
 
     A_plus_I = A + np.eye(d)
 
@@ -378,11 +324,10 @@ def build_allen_cahn(K: int = 4, g_kind="sine_plus_one") -> SdeProblem:
     kappa = 3.0
     c1 = _certify_c1(drift_batch, kappa, d=d)
     constants = MonotoneConstants(alpha1=1.0, p_star=3.5, kappa=kappa,
-                                  c1=c1, beta1=beta1)
+                                  c1=c1, beta1=1.0)
     return SdeProblem(
         name="allen-cahn", d=d, m=1, drift_batch=drift_batch,
         diffusion_apply=diffusion_apply, constants=constants,
-        params={"K": K, "g": g_name},
         drift_jacobian_batch=drift_jacobian_batch)
 
 

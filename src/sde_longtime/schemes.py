@@ -9,10 +9,9 @@ Euler-Maruyama is provided as the baseline that visibly fails there, so its
 step never raises on overflow -- it returns the non-finite state and callers
 tag the path divergent.
 
-`step_batch` advances an ensemble with a leading batch axis. The public
-single-state functions check the shapes of one state and run `step_batch`
-(or `solve_implicit_batch`) on a batch of one, so they reproduce a batch row
-bit for bit.
+`step_batch` advances an ensemble with a leading batch axis, and it is the
+only step map: a single path is a batch of one, stepped and checked by
+`simulate.evolve_terminal`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverFailure, UsageError
-from .model import SdeProblem, _validate_state, drift_rows
+from .model import SdeProblem, drift_rows
 
 __all__ = [
     "NewtonConfig",
@@ -32,12 +31,6 @@ __all__ = [
     "VARIANTS",
     "scheme_orders",
     "step_ceiling",
-    "em_step",
-    "solve_implicit",
-    "backward_euler_step",
-    "drift_jacobian",
-    "project",
-    "projected_euler_step",
     "step_batch",
     "project_batch",
     "solve_implicit_batch",
@@ -131,7 +124,9 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
-    """Drift Jacobians over a batch, (B, d) -> (B, d, d)."""
+    """Drift Jacobians over a batch, (B, d) -> (B, d, d): analytic when the
+    problem provides them, else central differences with step
+    1e-6 (1 + |x|_inf)."""
     if problem.drift_jacobian_batch is not None:
         return np.asarray(problem.drift_jacobian_batch(Z), dtype=float)
     # central finite differences, one column at a time
@@ -146,50 +141,8 @@ def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
-def _row(v, width: int, what: str = "state", dim: str = "problem") -> np.ndarray:
-    """v as a batch of one row; UsageError unless its shape is (width,)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (width,):
-        raise UsageError(
-            f"{what} shape {v.shape} does not match {dim} dimension ({width},)")
-    return v[None, :]
-
-
-def _single_step(problem: SdeProblem, cfg: SchemeConfig, x, h: float,
-                 dW) -> np.ndarray:
-    """`step_batch` on a batch of one, after the single-state checks: h > 0
-    (the projection checks its own range of h), the shapes of x and dW, and
-    for backward Euler a finite x (DomainError otherwise)."""
-    if cfg.variant != "pe" and h <= 0.0:
-        raise UsageError(f"h must be positive, got {h}")
-    dW = _row(dW, problem.m, "increment", "noise")
-    if cfg.variant == "be":
-        _validate_state(problem, x)
-    return step_batch(problem, cfg, _row(x, problem.d), dW, h)[0]
-
-
-def drift_jacobian(problem: SdeProblem, x: np.ndarray) -> np.ndarray:
-    """(d, d) Jacobian of the drift: analytic when the problem provides one,
-    otherwise central finite differences with step 1e-6 * (1 + |x|_inf)."""
-    return _jacobian_rows(problem, _row(x, problem.d))[0]
-
-
 # ---------------------------------------------------------------------------
-# Euler-Maruyama
-# ---------------------------------------------------------------------------
-
-def em_step(problem: SdeProblem, x: np.ndarray, h: float, dW: np.ndarray) -> np.ndarray:
-    """One explicit Euler step x + h f(x) + g(x) dW.
-
-    Overflow is deliberately not an error: with superlinear drift the explicit
-    scheme can and does blow up, and the non-finite result is the divergence
-    tag the ensemble layer counts.
-    """
-    return _single_step(problem, SchemeConfig(variant="em"), x, h, dW)
-
-
-# ---------------------------------------------------------------------------
-# implicit solve and backward Euler
+# implicit solve
 # ---------------------------------------------------------------------------
 
 def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
@@ -264,23 +217,8 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     return z
 
 
-def solve_implicit(problem: SdeProblem, b: np.ndarray, h: float,
-                   cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
-    """Solve z - h f(z) = b for a single right-hand side (d,)."""
-    if h <= 0.0:
-        raise UsageError(f"h must be positive, got {h}")
-    return solve_implicit_batch(problem, _row(b, problem.d, "rhs"), h, cfg)[0]
-
-
-def backward_euler_step(problem: SdeProblem, x: np.ndarray, h: float,
-                        dW: np.ndarray,
-                        cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
-    """One drift-implicit Euler step: solve z = x + g(x) dW + h f(z)."""
-    return _single_step(problem, SchemeConfig(variant="be", newton=cfg), x, h, dW)
-
-
 # ---------------------------------------------------------------------------
-# projection and projected Euler
+# projection
 # ---------------------------------------------------------------------------
 
 def _projection_radius(h: float, kappa: float) -> float:
@@ -289,43 +227,25 @@ def _projection_radius(h: float, kappa: float) -> float:
     return h ** (-1.0 / (2.0 * (kappa + 1.0)))
 
 
-def project(x: np.ndarray, h: float, kappa: float) -> np.ndarray:
-    """Radial projection onto the ball of radius R = h^(-1/(2(kappa+1))).
-
-    Identity inside the ball, x * R/|x| outside; 1-Lipschitz and fixes the
-    origin, which is exactly what the projected scheme's stability argument
-    needs. This is `project_batch` on one row.
-    """
-    R = _projection_radius(h, kappa)
-    return project_batch(np.asarray(x, dtype=float)[None, :], R)[0]
-
-
 def project_batch(Z: np.ndarray, R: float) -> np.ndarray:
-    """Rowwise radial projection of a batch (B, d) onto the ball of radius R."""
+    """Rowwise radial projection of a batch (B, d) onto the ball of radius R:
+    the identity inside, x R/|x| outside; 1-Lipschitz, and it fixes the
+    origin, as the projected scheme's stability argument needs."""
     nrm = _row_norms(Z)
     scale = np.where(nrm > R, R / np.where(nrm > 0.0, nrm, 1.0), 1.0)
     return Z * scale[:, None]
 
 
-def projected_euler_step(problem: SdeProblem, x: np.ndarray, h: float,
-                         dW: np.ndarray) -> np.ndarray:
-    """One projected Euler step: explicit Euler from the projected state.
-
-    The returned state is the raw Euler output; the next step projects it
-    again, so iterating this map reproduces the projected scheme exactly.
-    """
-    return _single_step(problem, SchemeConfig(variant="pe"), x, h, dW)
-
-
 # ---------------------------------------------------------------------------
-# dispatcher used by the simulation engine
+# the one-step map
 # ---------------------------------------------------------------------------
 
 def step_batch(problem: SdeProblem, cfg: SchemeConfig, Z: np.ndarray,
                dW: np.ndarray, h: float, step_index: Optional[int] = None) -> np.ndarray:
     """Advance a batch of states one step under the configured scheme:
     backward Euler solves z - h f(z) = Z + g(Z) dW; projected Euler is the
-    explicit step from the projected states."""
+    explicit step from the projected states, returning the raw Euler output
+    that the next step projects again."""
     if cfg.variant == "be":
         return solve_implicit_batch(problem, Z + problem.diffusion_apply(Z, dW),
                                     h, cfg.newton, step_index=step_index)

@@ -407,13 +407,16 @@ def evolve_terminal(problem: SdeProblem, scheme_cfg: SchemeConfig, h: float,
                     n_steps: int, noise, x0) -> np.ndarray:
     """Terminal state of one path after n_steps of the configured scheme.
 
-    `noise` is either a NoiseGrid matching (h, n_steps) or a plain (n_steps, m)
-    increment array. A non-finite return value is the divergence tag of the
-    explicit scheme; the implicit solver raises SolverFailure instead of
-    returning garbage.
+    The single-path entry point: it checks h (positive and finite), n_steps,
+    the start state x0 (see `_start_state`) and the noise, then runs
+    `step_batch` on a batch of one, so it reproduces a row of any batch run
+    bit for bit. `noise` is either a NoiseGrid matching (h, n_steps) or a
+    plain (n_steps, m) increment array. A non-finite return value is the
+    divergence tag of the explicit scheme; the implicit solver raises
+    SolverFailure instead of returning garbage.
     """
-    if h <= 0.0:
-        raise UsageError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise UsageError(f"h must be positive and finite, got {h}")
     if n_steps < 0:
         raise UsageError(f"n_steps must be >= 0, got {n_steps}")
     if isinstance(noise, NoiseGrid):
@@ -486,8 +489,7 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
 # ---------------------------------------------------------------------------
 
 def _record_indices(n_steps: int, n_records: int):
-    idx = sorted({round(j * n_steps / n_records) for j in range(n_records + 1)})
-    return [i for i in idx if 0 <= i <= n_steps]
+    return sorted({round(j * n_steps / n_records) for j in range(n_records + 1)})
 
 
 def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,

@@ -31,9 +31,10 @@ from sde_longtime import (SchemeConfig, build_allen_cahn,
                           make_convergence_report, make_noise_grid,
                           max_feasible_pstar, moment_trace,
                           one_step_order_experiment, pairwise_block_sum,
-                          coarsen, drift_eval, project, scheme_orders,
-                          stationarity_gap, strong_error_experiment)
-from sde_longtime.schemes import solve_implicit_batch
+                          coarsen, scheme_orders, stationarity_gap,
+                          strong_error_experiment)
+from sde_longtime.model import drift_rows
+from sde_longtime.schemes import project_batch, solve_implicit_batch
 
 GL = build_ginzburg_landau(eta=-1.5, sigma=1.0, theta=1.0)
 AC = build_allen_cahn(K=4)
@@ -166,7 +167,7 @@ def test_criterion_8_implicit_solver_certification(criterion):
     for problem, h in ((GL, 4.0), (AC, 1.0)):   # h = 1/alpha1 for each
         b = rng.uniform(-10.0, 10.0, size=(1000, problem.d))
         z = solve_implicit_batch(problem, b, h)  # raises on any failure
-        f = np.stack([drift_eval(problem, r) for r in z])
+        f = np.stack([drift_rows(problem, r[None])[0] for r in z])
         resid = np.linalg.norm(z - h * f - b, axis=1)
         worst = max(worst, float(resid.max()))
     criterion(8, "implicit solves certified to tolerance", worst <= 1e-12,
@@ -187,13 +188,14 @@ def test_criterion_9_invariant_suite(criterion, tmp_path, monkeypatch):
     for x, y, k in zip(X, Y, ks):
         h = 2.0 ** -int(k)
         R = h ** (-1.0 / 8.0)
-        px, py = project(x, h, 3.0), project(y, h, 3.0)
+        px, py = project_batch(x[None], R)[0], project_batch(y[None], R)[0]
         worst_radius = max(worst_radius, float(np.linalg.norm(px)) / R)
         gap = float(np.linalg.norm(x - y))
         if gap > 0.0:
             worst_lip = max(worst_lip,
                             float(np.linalg.norm(px - py)) / gap)
-    zero_fixed = all(np.all(project(np.zeros(3), 2.0 ** -k, 3.0) == 0.0)
+    zero_fixed = all(np.all(project_batch(np.zeros((1, 3)),
+                                          (2.0 ** -k) ** (-1.0 / 8.0))[0] == 0.0)
                      for k in range(13))
     if not (worst_radius <= 1.0 + 1e-12 and worst_lip <= 1.0 + 1e-12
             and zero_fixed):

@@ -1,19 +1,16 @@
 """Built-in problems and the sampled certification of structural conditions."""
 
-import warnings
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_longtime import (DomainError, MonotoneConstants, SampleSpec,
-                          SdeProblem, UsageError, build_allen_cahn,
-                          build_ginzburg_landau, check_contractive_monotone,
-                          check_poly_lipschitz, diffusion_eval, drift_eval,
+from sde_longtime import (MonotoneConstants, SampleSpec, SdeProblem,
+                          UsageError, build_allen_cahn, build_ginzburg_landau,
+                          check_contractive_monotone, check_poly_lipschitz,
                           max_feasible_pstar, theorem_admissible_p_max)
-from sde_longtime.model import _pair_differences
+from sde_longtime.model import _diffusion_columns, _pair_differences, drift_rows
 
 
 def _linear_problem(rate=1.0, noise=0.1):
@@ -34,9 +31,10 @@ def _linear_problem(rate=1.0, noise=0.1):
 def test_gl_drift_and_diffusion_values():
     gl = build_ginzburg_landau(eta=-1.5, sigma=1.0, theta=1.0)
     # drift x -> (eta + sigma^2/2) x - theta x^3 = -x - x^3
-    npt.assert_allclose(drift_eval(gl, np.array([2.0])), [-10.0])
-    npt.assert_allclose(drift_eval(gl, np.array([1.0])), [-2.0])
-    npt.assert_allclose(diffusion_eval(gl, np.array([2.0])), [[2.0]])
+    npt.assert_allclose(drift_rows(gl, np.array([[2.0]]))[0], [-10.0])
+    npt.assert_allclose(drift_rows(gl, np.array([[1.0]]))[0], [-2.0])
+    npt.assert_allclose(_diffusion_columns(gl, np.array([[2.0]]))[0].T,
+                        [[2.0]])
     assert (gl.d, gl.m) == (1, 1)
 
 
@@ -69,13 +67,14 @@ def test_gl_zero_noise_constants():
 def test_allen_cahn_dimensions_and_drift():
     ac = build_allen_cahn(K=4)
     assert (ac.d, ac.m) == (3, 1)
-    npt.assert_allclose(drift_eval(ac, np.ones(3)), [-16.0, 0.0, -16.0])
+    npt.assert_allclose(drift_rows(ac, np.ones((1, 3)))[0],
+                        [-16.0, 0.0, -16.0])
 
 
 def test_allen_cahn_discrete_laplacian():
     """The linear part is K^2 tridiag(1, -2, 1): read it off the drift."""
     ac = build_allen_cahn(K=4)
-    zero_cubic = lambda v: drift_eval(ac, v)
+    zero_cubic = lambda v: drift_rows(ac, v[None])[0]
     e = np.eye(3) * 1e-8
     # drift(x) = A x + x - x^3; at small x the cubic term is negligible
     J = np.stack([(zero_cubic(e[i]) - zero_cubic(-e[i])) / 2e-8
@@ -89,18 +88,19 @@ def test_allen_cahn_discrete_laplacian():
 def test_allen_cahn_diffusion_column():
     ac = build_allen_cahn(K=4)
     x = np.array([0.0, np.pi / 2.0, -np.pi / 2.0])
-    npt.assert_allclose(diffusion_eval(ac, x), [[1.0], [2.0], [0.0]],
-                        atol=1e-15)
+    npt.assert_allclose(_diffusion_columns(ac, x[None])[0].T,
+                        [[1.0], [2.0], [0.0]], atol=1e-15)
 
 
 def test_zero_state_values_of_built_in_fields():
     gl = build_ginzburg_landau(eta=-1.5, sigma=1.0, theta=1.0)
-    assert drift_eval(gl, np.array([0.0]))[0] == 0.0
-    assert diffusion_eval(gl, np.array([0.0]))[0, 0] == 0.0
+    assert drift_rows(gl, np.array([[0.0]]))[0, 0] == 0.0
+    assert _diffusion_columns(gl, np.array([[0.0]]))[0].T[0, 0] == 0.0
     ac = build_allen_cahn(K=4)
-    npt.assert_array_equal(drift_eval(ac, np.zeros(3)), np.zeros(3))
+    npt.assert_array_equal(drift_rows(ac, np.zeros((1, 3)))[0], np.zeros(3))
     # g(u) = sin u + 1 entrywise: the origin column is all ones
-    npt.assert_array_equal(diffusion_eval(ac, np.zeros(3)), np.ones((3, 1)))
+    npt.assert_array_equal(_diffusion_columns(ac, np.zeros((1, 3)))[0].T,
+                           np.ones((3, 1)))
 
 
 def test_allen_cahn_smallest_lattice():
@@ -109,7 +109,7 @@ def test_allen_cahn_smallest_lattice():
     # exposing that single entry exactly.
     ac = build_allen_cahn(K=2)
     assert (ac.d, ac.m) == (1, 1)
-    npt.assert_array_equal(drift_eval(ac, np.array([1.0])), [-8.0])
+    npt.assert_array_equal(drift_rows(ac, np.array([[1.0]]))[0], [-8.0])
 
 
 def test_allen_cahn_claimed_constants():
@@ -210,8 +210,9 @@ def test_monotone_margin_with_two_noise_columns(pointwise):
                      + 0.75 * np.einsum("ijk,ijk->i", dG, dG)) / nsq + 0.25)
     report = check_contractive_monotone(problem, spec=spec)
     assert report.worst_margin == pytest.approx(direct, rel=1e-12, abs=1e-12)
-    npt.assert_array_equal(diffusion_eval(problem, np.array([2.0, -4.0])),
-                           [[2.0, 0.0], [0.0, -2.0]])
+    npt.assert_array_equal(
+        _diffusion_columns(problem, np.array([[2.0, -4.0]]))[0].T,
+        [[2.0, 0.0], [0.0, -2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_growth_bound_holds_on_samples():
     xs = rng.uniform(-10, 10, size=(2000, 1))
     c2, c3 = gl.c2, gl.c3
     for x in xs:
-        fx = drift_eval(gl, x)
+        fx = drift_rows(gl, x[None])[0]
         nx = float(np.dot(x, x))
         assert float(np.dot(fx, fx)) <= c2 * nx ** 3.0 + c3 + 1e-9
 
@@ -271,14 +272,6 @@ def test_theorem_admissible_p_max():
 # ---------------------------------------------------------------------------
 # evaluation plumbing
 # ---------------------------------------------------------------------------
-
-def test_eval_shape_validation():
-    gl = build_ginzburg_landau()
-    with pytest.raises(UsageError):
-        drift_eval(gl, np.ones(2))
-    with pytest.raises(UsageError):
-        diffusion_eval(gl, np.ones(3))
-
 
 _MISSHAPEN = {
     "drift": lambda x: -x[:1],
@@ -313,14 +306,6 @@ def test_problem_rejects_wrong_output_shapes(field):
         else:
             SdeProblem.from_pointwise(
                 **_PAIR, **dict(pointwise, **{field: _MISSHAPEN[field]}))
-
-
-def test_eval_flags_non_finite_output():
-    gl = build_ginzburg_landau()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=r"\|x\|=1\.000e\+200"):
-            drift_eval(gl, np.array([1e200]))  # cube overflows
 
 
 def test_constants_validation():

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from sde_longtime import (MonotoneConstants, NewtonConfig, SchemeConfig,
                           SdeProblem, SolverFailure, UsageError,
-                          backward_euler_step, build_allen_cahn,
-                          build_ginzburg_landau, drift_eval, drift_jacobian,
-                          em_step, project, projected_euler_step,
-                          scheme_orders, solve_implicit, step_ceiling)
-from sde_longtime.schemes import (VARIANTS, project_batch,
+                          build_allen_cahn, build_ginzburg_landau,
+                          evolve_terminal, scheme_orders, step_ceiling)
+from sde_longtime.model import drift_rows
+from sde_longtime.schemes import (VARIANTS, _jacobian_rows, project_batch,
                                   solve_implicit_batch, step_batch)
+
+EM = SchemeConfig(variant="em")
+BE = SchemeConfig(variant="be")
+PE = SchemeConfig(variant="pe")
 
 
 @pytest.fixture(scope="module")
@@ -40,32 +43,32 @@ def _still_problem(d=2):
 def test_implicit_solve_cubic_oracle(gl):
     # z - 0.5(-z - z^3) = 1  <=>  z^3 + 3z - 2 = 0; unique real root via
     # np.roots([1, 0, 3, -2]) = 0.5960716379833214
-    z = solve_implicit(gl, np.array([1.0]), 0.5)
+    z = solve_implicit_batch(gl, np.array([[1.0]]), 0.5)[0]
     assert z.shape == (1,)
     assert z[0] == pytest.approx(0.5960716379833214, abs=1e-13)
     # z^3 + 3z - 2.4 = 0; root 0.6903366450712343
-    z = solve_implicit(gl, np.array([1.2]), 0.5)
+    z = solve_implicit_batch(gl, np.array([[1.2]]), 0.5)[0]
     assert z[0] == pytest.approx(0.6903366450712343, abs=1e-13)
 
 
 def test_backward_euler_two_steps_zero_noise_oracle(gl):
     # with dW = 0 the step is the pure implicit map; composing the two cubic
     # roots gives 0.379204985417161 (recomputed independently via np.roots)
-    z1 = backward_euler_step(gl, np.array([1.0]), 0.5, np.array([0.0]))
-    z2 = backward_euler_step(gl, z1, 0.5, np.array([0.0]))
+    z1 = evolve_terminal(gl, BE, 0.5, 1, np.array([[0.0]]), np.array([1.0]))
+    z2 = evolve_terminal(gl, BE, 0.5, 1, np.array([[0.0]]), z1)
     assert z2[0] == pytest.approx(0.379204985417161, abs=1e-13)
 
 
 def test_em_step_exact_arithmetic(gl):
     # 10 + 0.5 * (-10 - 1000) + 0 = -495, exact in floating point
-    z = em_step(gl, np.array([10.0]), 0.5, np.array([0.0]))
+    z = evolve_terminal(gl, EM, 0.5, 1, np.array([[0.0]]), np.array([10.0]))
     assert z[0] == -495.0
 
 
 def test_projection_outside_ball_oracle():
     # kappa = 2, h = 2^-4: R = h^(-1/6) = 2^(2/3) = 1.5874010519682
     # |x| = 5 > R, so the image is x * R/5
-    y = project(np.array([3.0, 4.0]), 2.0 ** -4, 2.0)
+    y = project_batch(np.array([[3.0, 4.0]]), (2.0 ** -4) ** (-1.0 / 6.0))[0]
     R = 2.0 ** (2.0 / 3.0)
     npt.assert_allclose(y, np.array([3.0, 4.0]) * (R / 5.0), rtol=1e-15)
     assert float(np.hypot(*y)) == pytest.approx(R, rel=1e-15)
@@ -74,7 +77,8 @@ def test_projection_outside_ball_oracle():
 def test_projected_euler_step_oracle(gl):
     # kappa = 3, h = 2^-4: R = 2^(1/2); from the projected state
     # sqrt(2) + (1/16)(-sqrt(2) - 2 sqrt(2)) = 13 sqrt(2)/16
-    z = projected_euler_step(gl, np.array([10.0]), 2.0 ** -4, np.array([0.0]))
+    z = evolve_terminal(gl, PE, 2.0 ** -4, 1, np.array([[0.0]]),
+                        np.array([10.0]))
     assert z[0] == pytest.approx(13.0 * np.sqrt(2.0) / 16.0, rel=1e-15)
     assert z[0] == pytest.approx(1.1490485194281397, abs=1e-15)
 
@@ -83,21 +87,22 @@ def test_explicit_step_substitution_and_inactive_projection(gl):
     # 1 + 0.25 * (-1 - 1) + 1 * 0.1 = 0.6, exact in floating point; the
     # radius at h = 1/4 exceeds |x| = 1, so projecting first changes nothing
     # and the projected step reproduces the plain step bit for bit.
-    e = em_step(gl, np.array([1.0]), 0.25, np.array([0.1]))
+    e = evolve_terminal(gl, EM, 0.25, 1, np.array([[0.1]]), np.array([1.0]))
     assert e[0] == 0.6
-    z = projected_euler_step(gl, np.array([1.0]), 0.25, np.array([0.1]))
+    z = evolve_terminal(gl, PE, 0.25, 1, np.array([[0.1]]), np.array([1.0]))
     npt.assert_array_equal(z, e)
 
 
 def test_origin_is_absorbing_for_every_scheme(gl):
     # f(0) = 0 and g(0) = 0: the implicit right-hand side is b = 0 and
     # z = h f(z) is solved exactly by 0; the explicit maps add nothing.
-    assert solve_implicit(gl, np.array([0.0]), 0.5)[0] == 0.0
-    assert backward_euler_step(gl, np.array([0.0]), 0.5,
-                               np.array([0.7]))[0] == 0.0
-    assert projected_euler_step(gl, np.array([0.0]), 2.0 ** -4,
-                                np.array([0.3]))[0] == 0.0
-    assert em_step(gl, np.array([0.0]), 0.5, np.array([-1.3]))[0] == 0.0
+    assert solve_implicit_batch(gl, np.array([[0.0]]), 0.5)[0, 0] == 0.0
+    assert evolve_terminal(gl, BE, 0.5, 1, np.array([[0.7]]),
+                           np.array([0.0]))[0] == 0.0
+    assert evolve_terminal(gl, PE, 2.0 ** -4, 1, np.array([[0.3]]),
+                           np.array([0.0]))[0] == 0.0
+    assert evolve_terminal(gl, EM, 0.5, 1, np.array([[-1.3]]),
+                           np.array([0.0]))[0] == 0.0
 
 
 def test_implicit_solve_linear_resolvent_value():
@@ -108,7 +113,7 @@ def test_implicit_solve_linear_resolvent_value():
     lin = SdeProblem.from_pointwise(name="lin", d=1, m=1, drift=lambda x: -x,
                                     diffusion=lambda x: np.zeros((1, 1)),
                                     constants=c)
-    z = solve_implicit(lin, np.array([1.0]), 0.25)
+    z = solve_implicit_batch(lin, np.array([[1.0]]), 0.25)[0]
     assert z[0] == pytest.approx(0.8, abs=1e-11)
 
 
@@ -118,7 +123,7 @@ def test_implicit_solve_linear_resolvent_value():
 
 def test_projection_is_identity_inside_ball():
     x = np.array([0.3, -0.4])
-    y = project(x, 0.25, 3.0)  # R = 4^(1/8) > 1 > |x| = 0.5
+    y = project_batch(x[None], 0.25 ** (-1.0 / 8.0))[0]  # R = 4^(1/8) > 1 > |x| = 0.5
     npt.assert_array_equal(y, x)
     assert y is not x  # caller's state must never alias the scheme's output
 
@@ -133,8 +138,8 @@ def test_projection_trio(x, y, k, kappa):
     h = 2.0 ** -k
     R = h ** (-1.0 / (2.0 * (kappa + 1.0)))
     x, y = np.asarray(x), np.asarray(y)
-    px, py = project(x, h, kappa), project(y, h, kappa)
-    assert np.all(project(np.zeros(3), h, kappa) == 0.0)
+    px, py = project_batch(x[None], R)[0], project_batch(y[None], R)[0]
+    assert np.all(project_batch(np.zeros((1, 3)), R)[0] == 0.0)
     assert float(np.linalg.norm(px)) <= R * (1.0 + 1e-12)
     gap, pgap = float(np.linalg.norm(x - y)), float(np.linalg.norm(px - py))
     assert pgap <= gap * (1.0 + 1e-12) + 1e-15
@@ -151,7 +156,7 @@ def test_projection_displacement_bound(x, k, q):
     h = 2.0 ** -k
     x = np.asarray(x)
     nrm = float(np.linalg.norm(x))
-    disp = float(np.linalg.norm(x - project(x, h, 3.0)))
+    disp = float(np.linalg.norm(x - project_batch(x[None], h ** (-1.0 / 8.0))[0]))
     assert disp <= 2.0 * (1.0 + nrm ** (q + 1)) * h ** (q / 8.0) * (1.0 + 1e-12)
 
 
@@ -168,16 +173,6 @@ def test_project_batch_matches_single():
         npt.assert_allclose(out[i], expect, rtol=5e-16, atol=0.0)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_project_is_project_batch_on_one_row(d):
-    rng = np.random.default_rng(31)
-    Z = rng.normal(scale=2.0, size=(200, d))
-    h, kappa = 2.0 ** -4, 3.0
-    out = project_batch(Z, h ** (-1.0 / (2.0 * (kappa + 1.0))))
-    for i in range(200):
-        npt.assert_array_equal(project(Z[i], h, kappa), out[i])
-
-
 # ---------------------------------------------------------------------------
 # implicit solve: residuals, nonexpansiveness, failure reporting
 # ---------------------------------------------------------------------------
@@ -186,7 +181,7 @@ def test_implicit_residuals_recomputed(gl):
     rng = np.random.default_rng(11)
     b = rng.uniform(-5.0, 5.0, size=(64, 1))
     z = solve_implicit_batch(gl, b, 0.25)
-    resid = z - 0.25 * np.stack([drift_eval(gl, r) for r in z]) - b
+    resid = z - 0.25 * np.stack([drift_rows(gl, r[None])[0] for r in z]) - b
     assert float(np.max(np.abs(resid))) <= 1e-12
 
 
@@ -195,7 +190,7 @@ def test_implicit_residuals_multidimensional():
     rng = np.random.default_rng(12)
     b = rng.uniform(-2.0, 2.0, size=(32, 3))
     z = solve_implicit_batch(ac, b, 15.0 / 2.0 ** 10)
-    f = np.stack([drift_eval(ac, r) for r in z])
+    f = np.stack([drift_rows(ac, r[None])[0] for r in z])
     resid = np.linalg.norm(z - (15.0 / 2.0 ** 10) * f - b, axis=1)
     assert float(np.max(resid)) <= 1e-12
 
@@ -206,8 +201,8 @@ def test_implicit_residuals_multidimensional():
 def test_resolvent_is_nonexpansive(gl, b1, b2, h):
     """For dissipative drift the map b -> z(b) shrinks distances: this is the
     mechanism behind the implicit scheme's unconditional long-time stability."""
-    z1 = solve_implicit(gl, np.array([b1]), h)
-    z2 = solve_implicit(gl, np.array([b2]), h)
+    z1 = solve_implicit_batch(gl, np.array([[b1]]), h)[0]
+    z2 = solve_implicit_batch(gl, np.array([[b2]]), h)[0]
     assert abs(z1[0] - z2[0]) <= abs(b1 - b2) * (1.0 + 1e-10) + 1e-13
 
 
@@ -226,7 +221,7 @@ def test_divergent_rows_pass_through_solver(gl):
     b = np.array([[np.nan], [1.0]])
     z = solve_implicit_batch(gl, b, 0.5)
     assert np.isnan(z[0, 0])
-    assert z[1, 0] == solve_implicit(gl, np.array([1.0]), 0.5)[0]
+    assert z[1, 0] == solve_implicit_batch(gl, np.array([[1.0]]), 0.5)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +385,7 @@ def test_non_finite_rows_stay_non_finite_under_every_scheme(variant):
 # ---------------------------------------------------------------------------
 
 def test_em_iteration_diverges_without_raising(gl):
-    x = np.array([10.0])
-    for _ in range(10):
-        x = em_step(gl, x, 0.5, np.array([0.0]))
+    x = evolve_terminal(gl, EM, 0.5, 10, np.zeros((10, 1)), np.array([10.0]))
     assert not np.all(np.isfinite(x))
 
 
@@ -404,13 +397,13 @@ def test_zero_dynamics_fix_state_under_all_schemes():
     problem = _still_problem()
     x = np.array([0.5, -0.25])  # inside the projection ball at h = 1/4
     dW = np.array([0.7])
-    npt.assert_array_equal(em_step(problem, x, 0.25, dW), x)
-    npt.assert_array_equal(backward_euler_step(problem, x, 0.25, dW), x)
-    npt.assert_array_equal(projected_euler_step(problem, x, 0.25, dW), x)
+    npt.assert_array_equal(evolve_terminal(problem, EM, 0.25, 1, dW[None], x), x)
+    npt.assert_array_equal(evolve_terminal(problem, BE, 0.25, 1, dW[None], x), x)
+    npt.assert_array_equal(evolve_terminal(problem, PE, 0.25, 1, dW[None], x), x)
 
 
 # ---------------------------------------------------------------------------
-# batch dispatcher reproduces the public single-state steps bit for bit
+# a batch row is stepped as if alone, bit for bit
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -423,12 +416,7 @@ def test_step_batch_matches_single_steps(variant, gl):
         cfg = SchemeConfig(variant=variant)
         out = step_batch(problem, cfg, Z, dW, h)
         for i in range(6):
-            if variant == "em":
-                one = em_step(problem, Z[i], h, dW[i])
-            elif variant == "be":
-                one = backward_euler_step(problem, Z[i], h, dW[i])
-            else:
-                one = projected_euler_step(problem, Z[i], h, dW[i])
+            one = step_batch(problem, cfg, Z[i:i + 1], dW[i:i + 1], h)[0]
             npt.assert_array_equal(out[i], one)
 
 
@@ -438,18 +426,18 @@ def test_step_batch_matches_single_steps(variant, gl):
 
 def test_drift_jacobian_analytic(gl):
     # d/dx (-x - x^3) = -1 - 3 x^2 = -13 at x = 2
-    npt.assert_allclose(drift_jacobian(gl, np.array([2.0])), [[-13.0]])
+    npt.assert_allclose(_jacobian_rows(gl, np.array([[2.0]]))[0], [[-13.0]])
 
 
 def test_drift_jacobian_at_origin(gl):
-    npt.assert_array_equal(drift_jacobian(gl, np.array([0.0])), [[-1.0]])
+    npt.assert_array_equal(_jacobian_rows(gl, np.array([[0.0]]))[0], [[-1.0]])
     # lattice problem: the cubic's Jacobian at 0 is the identity, leaving
     # the tridiagonal matrix plus I, all entries exact dyadics
     ac = build_allen_cahn(K=4)
     A_plus_I = np.array([[-31.0, 16.0, 0.0],
                          [16.0, -31.0, 16.0],
                          [0.0, 16.0, -31.0]])
-    npt.assert_array_equal(drift_jacobian(ac, np.zeros(3)), A_plus_I)
+    npt.assert_array_equal(_jacobian_rows(ac, np.zeros((1, 3)))[0], A_plus_I)
 
 
 def test_allen_cahn_jacobian_is_the_dense_formula_bitwise():
@@ -474,13 +462,8 @@ def test_drift_jacobian_finite_difference_fallback():
                                       drift=lambda x: -x ** 3,
                                       diffusion=lambda x: np.zeros((1, 1)),
                                       constants=c)
-    J = drift_jacobian(cubic, np.array([1.5]))
+    J = _jacobian_rows(cubic, np.array([[1.5]]))[0]
     assert J[0, 0] == pytest.approx(-6.75, rel=1e-5)
-
-
-def test_drift_jacobian_rejects_bad_shape(gl):
-    with pytest.raises(UsageError):
-        drift_jacobian(gl, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +507,9 @@ def test_projected_drift_obeys_step_budget(gl, x, k):
     stays O(h^(1/2)), which is why the explicit step cannot jump outside the
     stable regime in one move."""
     h = 2.0 ** -k
-    y = project(np.array([x]), h, gl.constants.kappa)
-    fy = float(drift_eval(gl, y)[0])
+    y = project_batch(np.array([[x]]),
+                      h ** (-1.0 / (2.0 * (gl.constants.kappa + 1.0))))[0]
+    fy = float(drift_rows(gl, y[None])[0, 0])
     assert fy * fy <= gl.c2 / h + gl.c3
 
 
@@ -547,16 +531,23 @@ def test_scheme_config_validation():
 
 def test_step_size_and_shape_validation(gl):
     with pytest.raises(UsageError):
-        em_step(gl, np.array([1.0]), 0.0, np.array([0.0]))
+        evolve_terminal(gl, EM, 0.0, 1, np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(UsageError):
-        backward_euler_step(gl, np.array([1.0]), -0.5, np.array([0.0]))
+        evolve_terminal(gl, BE, -0.5, 1, np.array([[0.0]]), np.array([1.0]))
+    with pytest.raises(UsageError):  # wrong dimension
+        evolve_terminal(gl, BE, 0.5, 1, np.array([[0.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(UsageError):  # wrong noise width
+        evolve_terminal(gl, EM, 0.5, 1, np.zeros((1, 2)), np.array([1.0]))
     with pytest.raises(UsageError):
-        solve_implicit(gl, np.array([1.0, 2.0]), 0.5)  # wrong dimension
+        evolve_terminal(gl, PE, 0.0, 1, np.array([[0.0]]), np.array([1.0]))
+    with pytest.raises(UsageError):  # projection needs h <= 1
+        evolve_terminal(gl, PE, 1.5, 1, np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(UsageError):
-        em_step(gl, np.array([1.0]), 0.5, np.zeros(2))  # wrong noise width
-    with pytest.raises(UsageError):
-        project(np.array([1.0]), 0.0, 3.0)
-    with pytest.raises(UsageError):
-        project(np.array([1.0]), 1.5, 3.0)  # projection needs h <= 1
-    with pytest.raises(UsageError):
-        projected_euler_step(gl, np.array([1.0]), 2.0, np.array([0.0]))
+        evolve_terminal(gl, PE, 2.0, 1, np.array([[0.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+@pytest.mark.parametrize("cfg", [EM, BE, PE], ids=VARIANTS)
+def test_evolve_terminal_refuses_a_non_finite_step(gl, cfg, h):
+    with pytest.raises(UsageError, match="h must be positive and finite"):
+        evolve_terminal(gl, cfg, h, 2, np.zeros((2, 1)), 1.0)

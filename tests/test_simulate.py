@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 
 from sde_longtime import (MomentEstimate, MonotoneConstants, NewtonConfig,
                           SchemeConfig, SdeProblem, SolverFailure, UsageError,
-                          backward_euler_step, check_contractive_monotone,
-                          build_allen_cahn, build_ginzburg_landau, coarsen,
-                          contraction_experiment, em_step,
-                          estimate_from_samples, evolve_terminal, fit_order,
-                          make_noise_grid, moment_trace,
-                          one_step_order_experiment, path_generator,
-                          pairwise_block_sum, projected_euler_step,
+                          check_contractive_monotone, build_allen_cahn,
+                          build_ginzburg_landau, coarsen,
+                          contraction_experiment, estimate_from_samples,
+                          evolve_terminal, fit_order, make_noise_grid,
+                          moment_trace, one_step_order_experiment,
+                          path_generator, pairwise_block_sum,
                           remainder_scaling_experiment, resolve_threads,
                           simulate, strong_error_experiment)
 from sde_longtime.schemes import _row_norms
@@ -562,8 +561,8 @@ def test_pointwise_adapter_matches_the_batch_callables():
 
 def test_strong_error_engine_matches_stepwise_replication(gl):
     """The whole pipeline (substreams, pairwise coarsening, stepping, the
-    running supremum, the moment estimate) rebuilt path by path from the
-    public single-step API must agree exactly."""
+    running supremum, the moment estimate) rebuilt path by path from
+    one-step `evolve_terminal` calls must agree exactly."""
     T, h, h_ref, seed, n_paths = 0.5, 2.0 ** -3, 2.0 ** -5, 11, 3
     curve = strong_error_experiment(gl, BE, T=T, h_list=[h], h_ref=h_ref,
                                     n_paths=n_paths, p=1.0, master_seed=seed,
@@ -575,9 +574,10 @@ def test_strong_error_engine_matches_stepwise_replication(gl):
         Wc = pairwise_block_sum(W, factor, axis=0)
         xr, xc, sup = np.array([1.0]), np.array([1.0]), 0.0
         for k in range(n_fine):
-            xr = backward_euler_step(gl, xr, h_ref, W[k])
+            xr = evolve_terminal(gl, BE, h_ref, 1, W[k][None], xr)
             if (k + 1) % factor == 0:
-                xc = backward_euler_step(gl, xc, h, Wc[(k + 1) // factor - 1])
+                xc = evolve_terminal(gl, BE, h, 1,
+                                     Wc[(k + 1) // factor - 1][None], xc)
                 d = xr - xc
                 sup = max(sup, float(np.sqrt(np.dot(d, d))))
         sups.append(sup)
@@ -823,6 +823,82 @@ def test_the_oracle_example_diverges():
     assert 0 < max(n_div) and min(n_div) < case["n_paths"], n_div
 
 
+def _oracle_terminals(problem, cfg, h, substeps, n_paths, seed, starts):
+    """Per path, each start's state after `substeps` steps of h / substeps
+    (one `evolve_terminal` run on `make_noise_grid` increments), then the
+    state after one step of h on their pairwise sum from the first start."""
+    h_fine = h / substeps
+    for path in range(n_paths):
+        grid = make_noise_grid(seed, path, problem.m, h_fine, substeps)
+        coarse = pairwise_block_sum(grid.increments, substeps)
+        yield ([evolve_terminal(problem, cfg, h_fine, substeps, grid, x)
+                for x in starts]
+               + [evolve_terminal(problem, cfg, h, 1, coarse, starts[0])])
+
+
+def _oracle_one_step(problem, cfg, hs, x, n_paths, seed, substeps):
+    """Per h: the RMS estimate of |fine - coarse| and the norm of the mean
+    difference, the mean a compensated sum per component."""
+    results = []
+    for h in hs:
+        diffs = np.asarray([fine - coarse for fine, coarse in _oracle_terminals(
+            problem, cfg, h, substeps, n_paths, seed, [x])])
+        mean = np.asarray([math.fsum(diffs[:, j].tolist()) / n_paths
+                           for j in range(problem.d)])
+        results.append((h, estimate_from_samples([_norm(d) for d in diffs],
+                                                 p=1.0, n_paths=n_paths),
+                        float(np.sqrt(np.dot(mean, mean)))))
+    return results
+
+
+def _oracle_remainder(problem, cfg, hs, x0, y0, n_paths, seed, substeps):
+    """Per h: the estimate of |(X_h - Y_h) - (x0 - y0)| over the paths."""
+    return [(h, estimate_from_samples(
+                [_norm((x - y) - (x0 - y0)) for x, y, _ in _oracle_terminals(
+                    problem, cfg, h, substeps, n_paths, seed, [x0, y0])],
+                p=1.0, n_paths=n_paths))
+            for h in hs]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.fixed_dictionaries(dict(
+    model=st.sampled_from(sorted(_ORACLE_PROBLEMS)),
+    variant=st.sampled_from(["em", "be", "pe"]),
+    x0=st.sampled_from([0.5, 1.5, 3.0]),
+    h_exp=st.integers(1, 3), levels=st.integers(1, 3),
+    substeps=st.integers(2, 8), n_paths=st.integers(1, 40),
+    threads=st.integers(1, 3), chunk=st.integers(1, 16),
+    block=st.integers(1, 9), seed=st.integers(0, 2 ** 20))))
+def test_terminal_protocols_equal_a_path_by_path_oracle(case):
+    """The one-step and remainder probes, at any worker count, chunk size
+    and block size (blocks need not be multiples of `substeps`), equal in
+    every bit the results built path by path from `make_noise_grid`,
+    `pairwise_block_sum` and `evolve_terminal` runs. These protocols keep
+    every path, so a diverged explicit path would make the weak error NaN
+    in both; that comparison treats two NaNs as equal."""
+    problem = _ORACLE_PROBLEMS[case["model"]]
+    cfg = SchemeConfig(variant=case["variant"])
+    x0 = np.full(problem.d, case["x0"])
+    h = 2.0 ** -case["h_exp"]
+    hs = [h / 2 ** j for j in range(case["levels"])]
+    n_paths, seed, substeps = case["n_paths"], case["seed"], case["substeps"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "CHUNK_PATHS", case["chunk"])
+        mp.setattr(simulate, "BLOCK_STEPS", case["block"])
+        one_step = one_step_order_experiment(
+            problem, cfg, h_list=hs, x=x0, n_paths=n_paths, master_seed=seed,
+            substeps=substeps, threads=case["threads"])
+        remainder = remainder_scaling_experiment(
+            problem, cfg, x0=x0, y0=-x0 / 2, h_list=hs, n_paths=n_paths,
+            master_seed=seed, substeps=substeps, threads=case["threads"])
+    oracle = _oracle_one_step(problem, cfg, hs, x0, n_paths, seed, substeps)
+    assert [r[:2] for r in one_step] == [r[:2] for r in oracle]
+    for (_, _, weak), (_, _, expected) in zip(one_step, oracle):
+        assert weak == expected or (math.isnan(weak) and math.isnan(expected))
+    assert remainder == _oracle_remainder(problem, cfg, hs, x0, -x0 / 2,
+                                          n_paths, seed, substeps)
+
+
 # ---------------------------------------------------------------------------
 # moment traces: recording, divergence tagging, step ceiling, stationarity
 # ---------------------------------------------------------------------------
@@ -961,12 +1037,21 @@ def test_one_step_probe_weak_below_strong(gl):
                                   substeps=1)
 
 
+def _one_step(variant):
+    """One step of the scheme from x on the increment dW, through
+    `evolve_terminal`."""
+    cfg = SchemeConfig(variant=variant)
+    return lambda problem, x, h, dW: evolve_terminal(problem, cfg, h, 1,
+                                                     dW[None], x)
+
+
+# explicit ids, so that each case keeps its name across versions
 @pytest.mark.parametrize("variant, step", [
-    ("em", em_step), ("be", backward_euler_step),
-    ("pe", lambda problem, x, h, dW: projected_euler_step(problem, x, h, dW))])
+    ("em", _one_step("em")), ("be", _one_step("be")), ("pe", _one_step("pe"))],
+    ids=["em-em_step", "be-backward_euler_step", "pe-<lambda>"])
 def test_one_step_engine_matches_stepwise_replication(gl, variant, step):
     """One coarse step against `substeps` fine steps on the same noise,
-    rebuilt path by path from the public single-step API, must agree
+    rebuilt path by path from one-step `evolve_terminal` calls, must agree
     exactly with the engine, strong and weak errors alike."""
     hs, x, seed, n_paths, substeps = [2.0 ** -3, 2.0 ** -5], 1.0, 8, 5, 4
     results = one_step_order_experiment(gl, SchemeConfig(variant=variant),
