@@ -4,6 +4,8 @@ The CLI maps these onto its exit-code contract: usage errors exit with 2,
 solver failures with 3, quantitative check failures with 1.
 """
 
+__all__ = ["UsageError", "SolverFailure"]
+
 
 class UsageError(ValueError):
     """Invalid arguments, configuration, or preconditions supplied by the caller."""

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["NoiseGrid", "make_noise_grid", "coarsen", "pairwise_block_sum"]
+__all__ = ["NoiseGrid", "make_noise_grid", "coarsen", "pairwise_block_sum",
+           "path_generator", "path_seed_sequence"]
 
 # SeedSequence's hash constants (numpy.random.bit_generator, after O'Neill's
 # seed_seq design); `path_keys` replays its mixing on arrays of paths.

@@ -8,10 +8,11 @@ reference bit for bit (zero error), and every level of a dyadic ladder sees
 the identical total noise.
 
 One kernel, `_coupled_steps`, implements that coupling for every protocol,
-and each protocol is a small reducer over the states it yields: the running
-supremum of the reference-to-coarse gap (strong error), a statistic at the
-record steps (moment and contraction traces), or the terminal states
-(one-step and remainder probes).
+and one reducer, `_reduce`, turns the states it yields into samples. Each
+protocol is a list of slots, a statistic of some tracks kept as its maximum
+over some fine indices: the reference-to-coarse gap over a level's grid
+(strong error), a statistic at one record (moment and contraction traces),
+or a function of the terminal states (one-step and remainder probes).
 
 Ensembles are processed in path chunks, each path drawing from its own
 (master_seed, path_index) substream, with noise generated in bounded time
@@ -27,8 +28,9 @@ chunks run serially in the calling process. A solver failure is likewise the
 same at any worker count: the earliest by (step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
-drift) are tagged divergent: they are excluded from moment estimates from the
-first non-finite record onward and counted in ``n_divergent``.
+drift) are tagged divergent by one rule in all five protocols, down to
+`remainder_scaling_experiment`: each slot drops the paths whose states it
+reads are not finite at its last index, and counts them in ``n_divergent``.
 """
 
 from __future__ import annotations
@@ -48,14 +50,9 @@ from .noise import (NoiseGrid, check_master_seed, pairwise_block_sum,
 from .schemes import SchemeConfig, _row_norms, step_batch
 
 __all__ = [
-    "MomentEstimate",
-    "ErrorCurve",
-    "evolve_terminal",
-    "strong_error_experiment",
-    "moment_trace",
-    "contraction_experiment",
-    "one_step_order_experiment",
-    "remainder_scaling_experiment",
+    "MomentEstimate", "ErrorCurve", "estimate_from_samples", "evolve_terminal",
+    "strong_error_experiment", "moment_trace", "contraction_experiment",
+    "one_step_order_experiment", "remainder_scaling_experiment",
     "resolve_threads",
 ]
 
@@ -380,23 +377,52 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
         raise
 
 
-def _survivors(samples, *Zs):
-    """(samples of the paths whose states in every batch of Zs are finite,
-    the number of the other paths): one chunk's partial for a slot."""
-    alive = np.logical_and.reduce([np.isfinite(Z).all(axis=1) for Z in Zs])
-    return samples[alive], int(alive.size - alive.sum())
+def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
+            n_paths: int, threads: Optional[int], h_fine: float, n_fine: int,
+            tracks, slots):
+    """Per slot, (samples, n_divergent) over all paths, merged in path order
+    one slot at a time as the returned iterator is read (the chunks all run
+    before it is returned).
+
+    `tracks` are as in `_coupled_steps`. A slot is (ks, reads, statistic):
+    at each fine index k of the ascending `ks`, `statistic(*states)` of the
+    tracks numbered in `reads` gives a new array of one sample row per path,
+    and the slot keeps their elementwise maximum over `ks` (with one index,
+    the statistic itself). At the slot's last index the paths whose read states are not
+    finite are dropped and counted; since a non-finite state stays so, these
+    are the paths that diverged on a read track, and every kept sample was
+    read from finite states only.
+    """
+    due = {}
+    for j, (ks, _, _) in enumerate(slots):
+        for k in ks:
+            due.setdefault(k, []).append(j)
+
+    def worker(paths):
+        kept = [None] * len(slots)
+        for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths,
+                                    h_fine, n_fine, tracks):
+            for j in due.get(k, ()):
+                ks, reads, statistic = slots[j]
+                states = [Zs[i] for i in reads]
+                with np.errstate(invalid="ignore"):
+                    s = statistic(*states)
+                    if k != ks[0]:
+                        np.maximum(kept[j], s, out=s)
+                kept[j] = s
+                if k == ks[-1]:
+                    alive = np.logical_and.reduce(
+                        [np.isfinite(Z).all(axis=1) for Z in states])
+                    kept[j] = s[alive], int(alive.size - alive.sum())
+        return kept
+
+    return ((np.concatenate([s for s, _ in slot]), sum(n for _, n in slot))
+            for slot in zip(*_map_chunks(worker, n_paths, master_seed,
+                                         threads)))
 
 
-def _merge_estimates(partials, p: float, n_paths: int):
-    """One MomentEstimate per slot from per-chunk lists of
-    (samples, n_divergent), merged in path order."""
-    estimates = []
-    for slot in zip(*partials):
-        samples = np.concatenate([s for s, _ in slot])
-        n_div = sum(n for _, n in slot)
-        estimates.append(estimate_from_samples(samples, p, n_paths=n_paths,
-                                               n_divergent=n_div))
-    return estimates
+def _gap(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return _row_norms(X - Y)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +449,7 @@ def evolve_terminal(problem: SdeProblem, scheme_cfg: SchemeConfig, h: float,
         if noise.n_fine != n_steps:
             raise UsageError(
                 f"noise grid has {noise.n_fine} steps, expected {n_steps}")
-        if not math.isclose(noise.h_fine, h, rel_tol=1e-12):
+        if noise.h_fine != h:
             raise UsageError(
                 f"noise grid step {noise.h_fine} does not match h={h}")
         incs = noise.increments
@@ -465,21 +491,11 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
         _exact_multiple(T, h, "T", "h")
     x0 = _start_state(problem, x0)
     tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
-
-    def worker(paths):
-        # a diverged path's sup turns NaN or inf, and it is not finite at T
-        sups = [np.zeros(len(paths)) for _ in factors]
-        steps = _coupled_steps(problem, scheme_cfg, master_seed, paths, h_ref,
-                               n_fine, tracks)
-        for k, (Zr, *Zc) in steps:
-            for sup, f, Z in zip(sups, factors, Zc):
-                if k % f == 0:
-                    with np.errstate(invalid="ignore"):
-                        np.maximum(sup, _row_norms(Zr - Z), out=sup)
-        return [_survivors(sup, Zr, Z) for sup, Z in zip(sups, Zc)]
-
-    estimates = _merge_estimates(_map_chunks(worker, n_paths, master_seed,
-                                             threads), p, n_paths)
+    slots = [(range(0, n_fine + 1, f), (0, i), _gap)
+             for i, f in enumerate(factors, 1)]
+    estimates = [estimate_from_samples(s, p, n_paths=n_paths, n_divergent=n)
+                 for s, n in _reduce(problem, scheme_cfg, master_seed, n_paths,
+                                     threads, h_ref, n_fine, tracks, slots)]
     return ErrorCurve(model=problem.name, scheme=scheme_cfg.variant, p=p, T=T,
                       h_ref=h_ref, hs=tuple(hs), estimates=tuple(estimates))
 
@@ -488,40 +504,27 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
 # moment traces and contractivity
 # ---------------------------------------------------------------------------
 
-def _record_indices(n_steps: int, n_records: int):
-    return sorted({round(j * n_steps / n_records) for j in range(n_records + 1)})
-
-
 def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
                       starts, statistic, threads, n_records):
     """Shared machinery for moment traces (one trajectory per path) and
-    contraction traces (two coupled trajectories per path).
+    contraction traces (two coupled trajectories per path): one slot per
+    record reading every track.
 
     `starts` is a list of start states from `_start_state` (one trajectory
-    per entry); `statistic(Zs)` maps the list of state batches to per-path
+    per entry); `statistic(*Zs)` maps their state batches to per-path
     magnitudes.
     """
     if n_records < 1:
         raise UsageError(f"n_records must be >= 1, got {n_records}")
     _check_p(p)
     n_steps = _exact_multiple(T, h, "T", "h")
-    rec = _record_indices(n_steps, n_records)
-    rec_set = set(rec)
-    tracks = [(x0, 1, h) for x0 in starts]
-
-    def worker(paths):
-        records = []
-        for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths, h,
-                                    n_steps, tracks):
-            if k in rec_set:
-                with np.errstate(invalid="ignore"):
-                    s = statistic(Zs)
-                records.append(_survivors(s, *Zs))
-        return records
-
+    rec = sorted({round(j * n_steps / n_records) for j in range(n_records + 1)})
+    slots = [((k,), range(len(starts)), statistic) for k in rec]
     times = np.asarray([k * h for k in rec])
-    return times, _merge_estimates(_map_chunks(worker, n_paths, master_seed,
-                                               threads), p, n_paths)
+    return times, [estimate_from_samples(s, p, n_paths=n_paths, n_divergent=n)
+                   for s, n in _reduce(problem, scheme_cfg, master_seed,
+                                       n_paths, threads, h, n_steps,
+                                       [(x0, 1, h) for x0 in starts], slots)]
 
 
 def moment_trace(problem: SdeProblem, scheme_cfg: SchemeConfig, T: float,
@@ -535,8 +538,7 @@ def moment_trace(problem: SdeProblem, scheme_cfg: SchemeConfig, T: float,
     rather than hidden.
     """
     return _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
-                             [_start_state(problem, x0)],
-                             lambda Zs: _row_norms(Zs[0]),
+                             [_start_state(problem, x0)], _row_norms,
                              threads, n_records)
 
 
@@ -556,26 +558,12 @@ def contraction_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     if np.array_equal(x0, y0):
         raise UsageError("x0 and y0 must differ for a contraction experiment")
     return _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
-                             [x0, y0], lambda Zs: _row_norms(Zs[0] - Zs[1]),
-                             threads, n_records)
+                             [x0, y0], _gap, threads, n_records)
 
 
 # ---------------------------------------------------------------------------
 # one-step order probes
 # ---------------------------------------------------------------------------
-
-def _terminal_run(problem, scheme_cfg, master_seed, n_paths, threads, h_fine,
-                  n_fine, tracks, finish):
-    """`finish(*states)` of each chunk's track states after n_fine fine
-    steps (see `_coupled_steps`), concatenated in path order."""
-    def worker(paths):
-        for _, states in _coupled_steps(problem, scheme_cfg, master_seed,
-                                        paths, h_fine, n_fine, tracks):
-            pass
-        return finish(*states)
-
-    return np.concatenate(_map_chunks(worker, n_paths, master_seed, threads))
-
 
 def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
                               h_list: Sequence[float], x, n_paths: int,
@@ -587,7 +575,10 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     size h/substeps driven by the same noise (the coarse increment is the
     pairwise sum of the fine ones). Returns a list of
     (h, strong_estimate, weak_error) with the strong error in RMS
-    ((E |diff|^2)^(1/2)) and the weak error the norm of the mean difference.
+    ((E |diff|^2)^(1/2)) and the weak error the norm of the mean difference,
+    both over the paths whose fine and coarse states are finite (the others
+    are counted in the estimate's n_divergent; with none left the weak error
+    is 0, like the estimate). A mean beyond float range is inf.
     """
     if substeps < 2:
         raise UsageError(f"substeps must be >= 2, got {substeps}")
@@ -596,15 +587,18 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     results = []
     for h in hs:
         h_fine = h / substeps
-        diffs = _terminal_run(problem, scheme_cfg, master_seed, n_paths,
-                              threads, h_fine, substeps,
-                              [(x, 1, h_fine), (x, substeps, h)],
-                              lambda Zf, Zc: Zf - Zc)
-        strong = estimate_from_samples(_row_norms(diffs), p=1.0, n_paths=n_paths)
-        mean_vec = np.asarray([math.fsum(diffs[:, j].tolist()) / n_paths
-                               for j in range(problem.d)])
-        weak = float(np.sqrt(np.dot(mean_vec, mean_vec)))
-        results.append((h, strong, weak))
+        [(diffs, n_div)] = _reduce(
+            problem, scheme_cfg, master_seed, n_paths, threads, h_fine,
+            substeps, [(x, 1, h_fine), (x, substeps, h)],
+            [((substeps,), (0, 1), np.subtract)])
+        strong = estimate_from_samples(_row_norms(diffs), p=1.0,
+                                       n_paths=n_paths, n_divergent=n_div)
+        n = max(len(diffs), 1)  # with no survivor, a zero mean
+        try:  # a compensated mean per component over the survivors
+            mean = [math.fsum(c) / n for c in diffs.T.tolist()]
+        except OverflowError:  # their sum leaves float range
+            mean = [math.inf]
+        results.append((h, strong, math.hypot(*mean)))
     return results
 
 
@@ -618,7 +612,8 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     The flows are approximated by `substeps` fine steps of the configured
     scheme on shared noise. The 2p-th moment of the remainder scales like h^p
     for small h; only that fitted slope is meaningful, not the constant.
-    Returns a list of (h, MomentEstimate).
+    Returns a list of (h, MomentEstimate); a path whose X or Y is not finite
+    after the substeps is dropped and counted in n_divergent.
     """
     if substeps < 1:
         raise UsageError(f"substeps must be >= 1, got {substeps}")
@@ -629,9 +624,10 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     results = []
     for h in hs:
         h_fine = h / substeps
-        samples = _terminal_run(problem, scheme_cfg, master_seed, n_paths,
-                                threads, h_fine, substeps,
-                                [(x0, 1, h_fine), (y0, 1, h_fine)],
-                                lambda Zx, Zy: _row_norms((Zx - Zy) - gap0))
-        results.append((h, estimate_from_samples(samples, p, n_paths=n_paths)))
+        [(samples, n_div)] = _reduce(
+            problem, scheme_cfg, master_seed, n_paths, threads, h_fine,
+            substeps, [(x0, 1, h_fine), (y0, 1, h_fine)],
+            [((substeps,), (0, 1), lambda X, Y: _row_norms((X - Y) - gap0))])
+        results.append((h, estimate_from_samples(samples, p, n_paths=n_paths,
+                                                 n_divergent=n_div)))
     return results

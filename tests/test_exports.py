@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves, and none is listed twice."""
+"""The public surface: every exported name resolves, none is listed twice,
+and the package exports only what its modules export."""
 
 import importlib
 import pkgutil
@@ -23,3 +24,14 @@ def test_every_export_resolves_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
     exec(f"from {name} import *", {})
 
+
+def test_package_exports_are_exported_where_defined():
+    """A name of the package `__all__` is also in the `__all__` of the
+    module that defines it, so each module states its own public surface."""
+    missing = []
+    for name in sde_longtime.__all__:
+        home = getattr(getattr(sde_longtime, name), "__module__", None)
+        if home is not None and name not in getattr(
+                importlib.import_module(home), "__all__", ()):
+            missing.append(f"{home}.{name}")
+    assert missing == []

@@ -81,6 +81,8 @@ def test_evolve_terminal_validation(gl):
                            h_fine=2.0 ** -4, n_fine=8)
     with pytest.raises(UsageError):
         evolve_terminal(gl, BE, 2.0 ** -3, 8, grid, 1.0)  # grid step mismatch
+    with pytest.raises(UsageError):  # steps are compared exactly
+        evolve_terminal(gl, BE, np.nextafter(2.0 ** -4, 1), 8, grid, 1.0)
     with pytest.raises(UsageError):
         evolve_terminal(gl, BE, 2.0 ** -4, 4, grid, 1.0)  # grid length mismatch
     with pytest.raises(UsageError):
@@ -836,28 +838,50 @@ def _oracle_terminals(problem, cfg, h, substeps, n_paths, seed, starts):
                + [evolve_terminal(problem, cfg, h, 1, coarse, starts[0])])
 
 
+def _finite(*states):
+    return all(np.isfinite(z).all() for z in states)
+
+
 def _oracle_one_step(problem, cfg, hs, x, n_paths, seed, substeps):
-    """Per h: the RMS estimate of |fine - coarse| and the norm of the mean
-    difference, the mean a compensated sum per component."""
+    """Per h, over the paths whose fine and coarse states are both finite
+    (the others counted divergent): the RMS estimate of |fine - coarse| and
+    the norm of the mean difference, the mean a compensated sum per
+    component, 0 with no survivor and inf where the sum leaves float range."""
     results = []
     for h in hs:
-        diffs = np.asarray([fine - coarse for fine, coarse in _oracle_terminals(
-            problem, cfg, h, substeps, n_paths, seed, [x])])
-        mean = np.asarray([math.fsum(diffs[:, j].tolist()) / n_paths
-                           for j in range(problem.d)])
-        results.append((h, estimate_from_samples([_norm(d) for d in diffs],
-                                                 p=1.0, n_paths=n_paths),
-                        float(np.sqrt(np.dot(mean, mean)))))
+        diffs = [fine - coarse for fine, coarse in _oracle_terminals(
+            problem, cfg, h, substeps, n_paths, seed, [x])
+            if _finite(fine, coarse)]
+        try:
+            mean = [math.fsum(d[j] for d in diffs) / max(len(diffs), 1)
+                    for j in range(problem.d)]
+        except OverflowError:
+            mean = [math.inf]
+        results.append((h, estimate_from_samples(
+            [_norm(d) for d in diffs], p=1.0, n_paths=n_paths,
+            n_divergent=n_paths - len(diffs)), math.hypot(*mean)))
     return results
 
 
 def _oracle_remainder(problem, cfg, hs, x0, y0, n_paths, seed, substeps):
-    """Per h: the estimate of |(X_h - Y_h) - (x0 - y0)| over the paths."""
-    return [(h, estimate_from_samples(
-                [_norm((x - y) - (x0 - y0)) for x, y, _ in _oracle_terminals(
-                    problem, cfg, h, substeps, n_paths, seed, [x0, y0])],
-                p=1.0, n_paths=n_paths))
-            for h in hs]
+    """Per h: the estimate of |(X_h - Y_h) - (x0 - y0)| over the paths whose
+    X_h and Y_h are both finite, the others counted divergent."""
+    results = []
+    for h in hs:
+        samples = [_norm((x - y) - (x0 - y0)) for x, y, _ in _oracle_terminals(
+            problem, cfg, h, substeps, n_paths, seed, [x0, y0])
+            if _finite(x, y)]
+        results.append((h, estimate_from_samples(
+            samples, p=1.0, n_paths=n_paths,
+            n_divergent=n_paths - len(samples))))
+    return results
+
+
+# explicit Euler from 5 on the oracle's GL blows up within 8 substeps of
+# h = 1/2 on 2 of these 200 paths, on the fine track of both probes
+_TERMINAL_DIVERGENT_CASE = dict(model="gl", variant="em", x0=5.0, h_exp=1,
+                                levels=2, substeps=8, n_paths=200, threads=2,
+                                chunk=7, block=3, seed=1)
 
 
 @settings(max_examples=12, deadline=None)
@@ -869,13 +893,14 @@ def _oracle_remainder(problem, cfg, hs, x0, y0, n_paths, seed, substeps):
     substeps=st.integers(2, 8), n_paths=st.integers(1, 40),
     threads=st.integers(1, 3), chunk=st.integers(1, 16),
     block=st.integers(1, 9), seed=st.integers(0, 2 ** 20))))
+@example(_TERMINAL_DIVERGENT_CASE)
 def test_terminal_protocols_equal_a_path_by_path_oracle(case):
     """The one-step and remainder probes, at any worker count, chunk size
     and block size (blocks need not be multiples of `substeps`), equal in
     every bit the results built path by path from `make_noise_grid`,
-    `pairwise_block_sum` and `evolve_terminal` runs. These protocols keep
-    every path, so a diverged explicit path would make the weak error NaN
-    in both; that comparison treats two NaNs as equal."""
+    `pairwise_block_sum` and `evolve_terminal` runs, where a path counts
+    only if every state the probe reads is finite at its end. The explicit
+    example diverges on some paths, not all."""
     problem = _ORACLE_PROBLEMS[case["model"]]
     cfg = SchemeConfig(variant=case["variant"])
     x0 = np.full(problem.d, case["x0"])
@@ -891,12 +916,48 @@ def test_terminal_protocols_equal_a_path_by_path_oracle(case):
         remainder = remainder_scaling_experiment(
             problem, cfg, x0=x0, y0=-x0 / 2, h_list=hs, n_paths=n_paths,
             master_seed=seed, substeps=substeps, threads=case["threads"])
-    oracle = _oracle_one_step(problem, cfg, hs, x0, n_paths, seed, substeps)
-    assert [r[:2] for r in one_step] == [r[:2] for r in oracle]
-    for (_, _, weak), (_, _, expected) in zip(one_step, oracle):
-        assert weak == expected or (math.isnan(weak) and math.isnan(expected))
+    assert one_step == _oracle_one_step(problem, cfg, hs, x0, n_paths, seed,
+                                        substeps)
     assert remainder == _oracle_remainder(problem, cfg, hs, x0, -x0 / 2,
                                           n_paths, seed, substeps)
+
+
+def test_the_terminal_oracle_example_diverges():
+    """The explicit example of the terminal oracle test keeps its point:
+    both probes drop some of its paths at the coarsest h, and not all."""
+    case = _TERMINAL_DIVERGENT_CASE
+    problem = _ORACLE_PROBLEMS[case["model"]]
+    x0, h = np.full(problem.d, case["x0"]), 2.0 ** -case["h_exp"]
+    args = (problem, SchemeConfig(variant=case["variant"]), [h])
+    rest = (case["n_paths"], case["seed"], case["substeps"])
+    [(_, strong, _)] = _oracle_one_step(*args, x0, *rest)
+    [(_, remainder)] = _oracle_remainder(*args, x0, -x0 / 2, *rest)
+    for est in (strong, remainder):
+        assert 0 < est.n_divergent < case["n_paths"], est
+
+
+def test_terminal_protocols_count_diverged_paths():
+    """Explicit Euler from x = 5 at h = 1/2 turns 2 of 200 paths non-finite
+    within 8 substeps. Both terminal probes drop and count exactly the paths
+    whose fine or coarse track (X or Y for the remainder) ends non-finite,
+    at one worker and at two, instead of keeping them as inf samples."""
+    problem = _ORACLE_PROBLEMS["gl"]
+    x, y = np.array([5.0]), np.array([4.0])
+    run = (0.5, 8, 200, 1)
+    blown_one_step = sum(not _finite(*z) for z in _oracle_terminals(
+        problem, EM, *run, [x]))
+    blown_remainder = sum(not _finite(*z[:2]) for z in _oracle_terminals(
+        problem, EM, *run, [x, y]))
+    assert blown_one_step == blown_remainder == 2
+    for threads in (1, 2):
+        [(_, strong, _)] = one_step_order_experiment(
+            problem, EM, [0.5], x, n_paths=200, master_seed=1, substeps=8,
+            threads=threads)
+        [(_, remainder)] = remainder_scaling_experiment(
+            problem, EM, x, y, [0.5], n_paths=200, master_seed=1, substeps=8,
+            threads=threads)
+        assert strong.n_divergent == blown_one_step
+        assert remainder.n_divergent == blown_remainder
 
 
 # ---------------------------------------------------------------------------
@@ -1035,6 +1096,21 @@ def test_one_step_probe_weak_below_strong(gl):
     with pytest.raises(UsageError):
         one_step_order_experiment(gl, BE, h_list=[0.25], x=1.0, n_paths=4,
                                   substeps=1)
+
+
+def test_one_step_weak_error_at_the_edges_of_float_range():
+    """Without noise every path is the same. Explicit Euler from 17380 ends
+    its 4 substeps near 2.1e307, finite, so the sum of 10 paths leaves
+    float range and the weak error is inf rather than an OverflowError;
+    from 20000 every path diverges, and the weak error is 0 like the
+    estimate."""
+    still = build_ginzburg_landau(sigma=0.0)
+    [(_, strong, weak)] = one_step_order_experiment(
+        still, EM, [0.5], 17380.0, n_paths=10, substeps=4, threads=1)
+    assert (strong.n_divergent, weak) == (0, math.inf)
+    [(_, strong, weak)] = one_step_order_experiment(
+        still, EM, [0.5], 20000.0, n_paths=10, substeps=4, threads=1)
+    assert (strong.n_divergent, strong.value, weak) == (10, 0.0, 0.0)
 
 
 def _one_step(variant):
