@@ -103,26 +103,22 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as an exact rational") from exc
 
 
-def _require_dyadic(fr: Fraction, what: str) -> float:
-    """Binary representability: denominator must be a power of two."""
-    den = fr.denominator
-    if den & (den - 1) != 0:
-        raise UsageError(
-            f"{what}={fr} is not binary-representable (denominator {den} is "
-            f"not a power of two); exact step arithmetic is impossible")
+def _step(text: str) -> Fraction:
+    """A step or horizon: a positive rational that a float holds exactly."""
+    fr = parse_rational(text)
     try:
-        value = float(fr)
-        exact = Fraction(value) == fr
+        exact = Fraction(float(fr)) == fr
     except OverflowError:
         exact = False
-    if not exact:
-        raise UsageError(f"{what}={fr} cannot be realized exactly as a float")
-    return value
+    if not (fr > 0 and exact):
+        raise UsageError("not a positive binary-representable step (a "
+                         "power-of-two denominator) within float range")
+    return fr
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated description of one CLI run."""
+    """One CLI run's options, converted and checked by parse_config."""
 
     command: str
     model: str = "gl"
@@ -151,17 +147,22 @@ def _states(text: str) -> tuple:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
+# The built-in models: name -> (builder, the parameters it takes). The
+# builders hold the parameters' defaults.
+_MODELS = {"gl": (build_ginzburg_landau, ("eta", "sigma", "theta")),
+           "allen-cahn": (build_allen_cahn, ("K",))}
+
 # Every option: its key -> the conversion of its text value. Each key is a
 # config-file key and, with dashes for underscores, a flag of every
-# subcommand. A preset converts to its entries; eta, sigma, theta and K are
-# model parameters; the other keys are ExperimentConfig fields, which hold
-# the defaults (renamed by _FIELDS).
+# subcommand. A preset converts to its entries; the parameters of _MODELS
+# go to model_params; the other keys are ExperimentConfig fields, which
+# hold the defaults (renamed by _FIELDS).
 _OPTIONS = {
     "preset": lambda name: PRESETS[name],
     "model": str, "scheme": str,
-    "T": parse_rational, "h_ref": parse_rational, "h": parse_rational,
+    "T": _step, "h_ref": _step, "h": _step,
     "h_list": lambda text: tuple(sorted(
-        {parse_rational(s) for s in text.split(",")}, reverse=True)),
+        {_step(s) for s in text.split(",")}, reverse=True)),
     "paths": int, "p": float, "seed": int, "threads": int, "output": str,
     "enforce_step_ceiling": lambda text: _BOOLEANS[text.lower()],
     "x0": _states, "y0": _states,
@@ -180,11 +181,17 @@ _FLAG_ARGUMENTS = {
 }
 _FIELDS = {"paths": "n_paths", "seed": "master_seed"}
 
+# The options each command cannot run without.
+_REQUIRED = {"convergence": ("T", "h_list", "h_ref"), "moments": ("T", "h"),
+             "contractivity": ("T", "h"), "check-assumptions": ()}
+
 
 def _convert(key: str, text: str):
     """The value of option `key` from its text; UsageError if malformed."""
     try:
         return _OPTIONS[key](text)
+    except UsageError as exc:
+        raise UsageError(f"invalid {key}: {text!r}: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise UsageError(f"invalid {key}: {text!r}") from exc
 
@@ -233,8 +240,8 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     if preset is not None:
         merged = {**_convert("preset", preset), **merged}
     values = {key: _convert(key, text) for key, text in merged.items()}
-    model_params = {key: values.pop(key) for key in ("eta", "sigma", "theta", "K")
-                    if key in values}
+    model_params = {key: values.pop(key) for _, takes in _MODELS.values()
+                    for key in takes if key in values}
     cfg = ExperimentConfig(command=command, model_params=model_params,
                            **{_FIELDS.get(key, key): value
                               for key, value in values.items()})
@@ -243,6 +250,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    """The rules that neither build_problem nor the experiments check."""
     if cfg.n_paths < 1:
         raise UsageError(f"paths must be >= 1, got {cfg.n_paths}")
     if not 0.0 < cfg.p < math.inf:
@@ -251,50 +259,23 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise UsageError(f"band must be positive and finite, got {cfg.band}")
     if not 0.0 <= cfg.r2_min <= 1.0:
         raise UsageError(f"r2_min must be in [0, 1], got {cfg.r2_min}")
-    if cfg.scheme not in VARIANTS:
-        raise UsageError(f"unknown scheme {cfg.scheme!r}")
-    if not (cfg.model in ("gl", "allen-cahn") or cfg.model.startswith("custom:")):
-        raise UsageError(f"unknown model {cfg.model!r}")
-    if cfg.command == "check-assumptions":
-        return
-    if cfg.T is None or cfg.T <= 0:
-        raise UsageError("T must be given and positive")
-    _require_dyadic(cfg.T, "T")
-    if cfg.command == "convergence":
-        if not cfg.h_list or cfg.h_ref is None:
-            raise UsageError("convergence needs --h-list and --h-ref")
-        hr = cfg.h_ref
-        if hr <= 0:
-            raise UsageError(f"h_ref must be positive, got {hr}")
-        _require_dyadic(hr, "h_ref")
-        for hv in cfg.h_list:
-            if hv <= 0:
-                raise UsageError(f"h must be positive, got {hv}")
-            _require_dyadic(hv, "h")
-            ratio = hv / hr
-            if cfg.enforce_step_ceiling and (ratio.numerator &
-                                             (ratio.numerator - 1)) != 0:
-                raise UsageError(
-                    f"--enforce-step-ceiling requires a dyadic ladder; "
-                    f"h={hv} is {ratio} x h_ref")
-    else:
-        if cfg.h is None:
-            raise UsageError(f"{cfg.command} needs --h")
-        if cfg.h <= 0:
-            raise UsageError(f"h must be positive, got {cfg.h}")
-        _require_dyadic(cfg.h, "h")
-    if cfg.command == "contractivity" and tuple(cfg.x0) == tuple(cfg.y0):
-        raise UsageError("contractivity needs distinct --x0 and --y0")
+    missing = [key for key in _REQUIRED[cfg.command] if not getattr(cfg, key)]
+    if missing:
+        raise UsageError(f"{cfg.command} needs " + " and ".join(
+            "--" + key.replace("_", "-") for key in missing))
 
 
 def build_problem(cfg: ExperimentConfig) -> SdeProblem:
-    params = cfg.model_params
-    if cfg.model == "gl":
-        return build_ginzburg_landau(eta=params.get("eta", -1.5),
-                                     sigma=params.get("sigma", 1.0),
-                                     theta=params.get("theta", 1.0))
-    if cfg.model == "allen-cahn":
-        return build_allen_cahn(K=params.get("K", 4))
+    """The configured model; UsageError for an unknown model or a parameter
+    the model does not take (a custom model takes none)."""
+    builder, takes = _MODELS.get(cfg.model, (None, ()))
+    if builder is None and not cfg.model.startswith("custom:"):
+        raise UsageError(f"unknown model {cfg.model!r}")
+    extra = sorted(set(cfg.model_params) - set(takes))
+    if extra:
+        raise UsageError(f"model {cfg.model} takes no {', '.join(extra)}")
+    if builder is not None:
+        return builder(**cfg.model_params)
     path = cfg.model.split(":", 1)[1]
     spec = importlib.util.spec_from_file_location("sde_longtime_custom", path)
     if spec is None or spec.loader is None:
@@ -308,12 +289,6 @@ def build_problem(cfg: ExperimentConfig) -> SdeProblem:
     if not isinstance(problem, SdeProblem):
         raise UsageError(f"{path} must define PROBLEM as an SdeProblem")
     return problem
-
-
-def _state_for(values: tuple):
-    """One value fills every component of the state; the experiments check
-    the shape of several."""
-    return values[0] if len(values) == 1 else values
 
 
 def _config_echo(cfg: ExperimentConfig) -> str:
@@ -364,11 +339,19 @@ def _write_outputs(cfg: ExperimentConfig, rows, sidecar: dict) -> Path:
     return path
 
 
-def _enforce_ceiling(cfg: ExperimentConfig, problem: SdeProblem, hs) -> None:
+def _enforce_ceiling(cfg: ExperimentConfig, problem: SdeProblem, hs,
+                     h_ref: Optional[Fraction] = None) -> None:
+    """With --enforce-step-ceiling, refuse a step above the scheme's theorem
+    ceiling and, against h_ref, a ladder that is not a power of two."""
     if not cfg.enforce_step_ceiling:
         return
     ceiling = step_ceiling(cfg.scheme, cfg.p, problem.constants.alpha1)
     for hv in hs:
+        ratio = hv / (h_ref or hv)
+        if ratio.numerator & (ratio.numerator - 1):
+            raise UsageError(
+                f"--enforce-step-ceiling requires a dyadic ladder; "
+                f"h={hv} is {ratio} x h_ref")
         if float(hv) > ceiling * (1.0 + 1e-12):
             raise UsageError(
                 f"h={hv} exceeds the {cfg.scheme} theorem ceiling {ceiling:g}")
@@ -376,18 +359,18 @@ def _enforce_ceiling(cfg: ExperimentConfig, problem: SdeProblem, hs) -> None:
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
-    problem = build_problem(cfg)
     scheme_cfg = SchemeConfig(variant=cfg.scheme)
+    problem = build_problem(cfg)
     base = {"model": problem.name, "scheme": cfg.scheme, "p": cfg.p}
     echo = {"config": _config_echo(cfg), "version": __version__}
 
     if cfg.command == "convergence":
-        _enforce_ceiling(cfg, problem, cfg.h_list)
+        _enforce_ceiling(cfg, problem, cfg.h_list, cfg.h_ref)
         curve = strong_error_experiment(
             problem, scheme_cfg, T=float(cfg.T),
             h_list=[float(h) for h in cfg.h_list], h_ref=float(cfg.h_ref),
             n_paths=cfg.n_paths, p=cfg.p, master_seed=cfg.master_seed,
-            x0=_state_for(cfg.x0), threads=cfg.threads)
+            x0=cfg.x0, threads=cfg.threads)
         report = make_convergence_report(
             curve, scheme_orders(cfg.scheme), band=cfg.band, r2_min=cfg.r2_min,
             residual_tol=scheme_cfg.newton.residual_tol,
@@ -404,13 +387,13 @@ def run(cfg: ExperimentConfig) -> int:
         _enforce_ceiling(cfg, problem, [cfg.h])
         kind = cfg.command
         trace = dict(T=float(cfg.T), h=h, n_paths=cfg.n_paths, p=cfg.p,
-                     master_seed=cfg.master_seed, x0=_state_for(cfg.x0),
+                     master_seed=cfg.master_seed, x0=cfg.x0,
                      threads=cfg.threads)
         if kind == "moments":
             times, ests = moment_trace(problem, scheme_cfg, **trace)
         else:
             times, ests = contraction_experiment(
-                problem, scheme_cfg, y0=_state_for(cfg.y0), **trace)
+                problem, scheme_cfg, y0=cfg.y0, **trace)
         rows = [dict(base, kind=kind, h=h, t=float(t), value=e.value,
                      std_error=e.std_error, n_paths=e.n_paths,
                      n_divergent=e.n_divergent)

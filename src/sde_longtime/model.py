@@ -51,8 +51,8 @@ __all__ = [
 # certification results are reproducible across machines and thread counts.
 DEFAULT_SAMPLE_SEED = 123456789
 
-# Upper cap for the feasible-p* search (e.g. zero-diffusion problems satisfy
-# the monotone condition for every p*).
+# Upper cap for the feasible p* (e.g. zero-diffusion problems satisfy the
+# monotone condition for every p*).
 PSTAR_CAP = 64.0
 
 
@@ -241,8 +241,8 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     The certified constants put a quarter of the dissipation |a| into alpha1
     and the rest against the diffusion term, giving
     p* = 1/2 + 3|a| / (4 sigma^2) for sigma != 0; for sigma = 0 the monotone
-    condition is p*-independent, so alpha1 = |a| and p* sits at the search
-    cap. kappa = 3 (the drift is cubic, so |f(x)|^2 grows like |x|^6) with c1
+    condition is p*-independent, so alpha1 = |a| and p* sits at PSTAR_CAP.
+    kappa = 3 (the drift is cubic, so |f(x)|^2 grows like |x|^6) with c1
     certified on the default sample.
     """
     if theta <= 0.0:
@@ -355,12 +355,12 @@ def _pair_differences(rows, d: int, spec: SampleSpec):
 
 def _monotone_margin(problem: SdeProblem, alpha1: Optional[float],
                      spec: SampleSpec):
-    """The sampled pair count and the worst monotone margin at alpha1 (the
-    problem's claimed constant by default) as a function of p*.
+    """The sampled per-pair slopes (a, b) of the monotone margin, and alpha1
+    (the problem's claimed constant by default).
 
     Per pair, a = <x-y, f(x)-f(y)> / |x-y|^2 and
-    b = ||g(x)-g(y)||_F^2 / |x-y|^2, so the margin at p* is
-    max over pairs of a + (2p*-1)/2 b + alpha1.
+    b = ||g(x)-g(y)||_F^2 / |x-y|^2 >= 0, so the margin at p* is
+    max over pairs of a + (2p*-1)/2 b + alpha1, affine in p* pair by pair.
     """
     alpha1 = problem.constants.alpha1 if alpha1 is None else float(alpha1)
     if alpha1 <= 0.0:
@@ -373,11 +373,7 @@ def _monotone_margin(problem: SdeProblem, alpha1: Optional[float],
     dG = (_diffusion_columns(problem, X)
           - _diffusion_columns(problem, Y)).reshape(X.shape[0], -1)
     b = np.einsum("ij,ij->i", dG, dG) / nsq
-
-    def margin(p_star):
-        return float(np.max(a + 0.5 * (2.0 * p_star - 1.0) * b + alpha1))
-
-    return len(a), margin
+    return a, b, alpha1
 
 
 def check_contractive_monotone(problem: SdeProblem,
@@ -396,36 +392,33 @@ def check_contractive_monotone(problem: SdeProblem,
     p_star = problem.constants.p_star if p_star is None else float(p_star)
     if p_star < 0.5:
         raise UsageError(f"p_star must be >= 1/2, got {p_star}")
-    n_pairs, margin = _monotone_margin(problem, alpha1, spec)
-    worst = margin(p_star)
-    return AssumptionReport(condition="contractive_monotone", n_pairs=n_pairs,
+    a, b, alpha1 = _monotone_margin(problem, alpha1, spec)
+    worst = float(np.max(a + 0.5 * (2.0 * p_star - 1.0) * b + alpha1))
+    return AssumptionReport(condition="contractive_monotone", n_pairs=len(a),
                             worst_margin=worst, passed=worst <= 0.0)
 
 
 def max_feasible_pstar(problem: SdeProblem,
                        alpha1: Optional[float] = None,
-                       spec: SampleSpec = SampleSpec(),
-                       cap: float = PSTAR_CAP,
-                       tol: float = 1e-3) -> float:
-    """Largest p* in [1, cap] passing the sampled monotone check at alpha1.
+                       spec: SampleSpec = SampleSpec()) -> float:
+    """Largest p* in [1, PSTAR_CAP] passing the sampled monotone check at alpha1.
 
-    Bisection to absolute tolerance `tol` on a fixed pair sample (the margin
-    is nondecreasing in p*, so bisection is exact up to tol). Returns 0.0 when
-    even p* = 1 fails and `cap` when the cap itself passes.
+    A pair's margin a + alpha1 + (p* - 1/2) b grows with p* at the slope
+    b >= 0, so a pair with b > 0 admits every p* up to
+    1/2 - (a + alpha1)/b and the sample admits the least of these. Returns
+    0.0 when a pair with b = 0 fails at every p*, or when that least bound is
+    below 1; PSTAR_CAP when it is above the cap or no pair has b > 0.
     """
-    _, margin = _monotone_margin(problem, alpha1, spec)
-    if margin(1.0) > 0.0:
+    a, b, alpha1 = _monotone_margin(problem, alpha1, spec)
+    flat = b == 0.0
+    if np.any(a[flat] + alpha1 > 0.0):
         return 0.0
-    if margin(cap) <= 0.0:
-        return cap
-    lo, hi = 1.0, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # each bound is lowered by 2^-48 (|a| + alpha1), over twice the rounding
+    # error of the check's margin sum, so that the check passes at the result
+    a, b = a[~flat], b[~flat]
+    p_star = float(np.min(0.5 - (a + alpha1 + 2.0 ** -48 * (np.abs(a) + alpha1))
+                          / b, initial=PSTAR_CAP))
+    return p_star if p_star >= 1.0 else 0.0
 
 
 def check_poly_lipschitz(problem: SdeProblem,

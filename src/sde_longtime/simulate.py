@@ -290,11 +290,12 @@ def _noise_block(gen, states, shape, sqrt_h: float, carry: bool):
 
 
 def _start_state(problem: SdeProblem, x0, name: str = "x0") -> np.ndarray:
-    """x0 as a finite state of shape (d,); a scalar fills every component.
-    Every protocol checks its start states before any chunk runs."""
+    """x0 as a finite state of shape (d,); a single value (a scalar or any
+    size-1 array) fills every component. Every protocol checks its start
+    states before any chunk runs."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 0:
-        x0 = np.full(problem.d, float(x0))
+    if x0.size == 1:
+        x0 = np.full(problem.d, x0.item())
     if x0.shape != (problem.d,):
         raise UsageError(f"{name} shape {x0.shape} does not match problem "
                          f"dimension ({problem.d},)")

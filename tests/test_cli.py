@@ -163,9 +163,37 @@ _BAND_RUN = ["convergence", "--model", "gl", "--T", "1", "--h-list",
     _BAND_RUN + ["--band", "-1"],
     _BAND_RUN + ["--r2-min", "nan"],
     _BAND_RUN + ["--r2-min", "1.5"],
+    ["check-assumptions", "--config", "heun.cfg"],     # scheme = heun
+    ["moments", "--model", "carousel", "--T", "1", "--h", "1/4"],
+    ["contractivity", "--model", "allen-cahn", "--T", "1", "--h", "1/4",
+     "--x0", "1", "--y0", "1,1,1"],                    # coincident starts
+    ["check-assumptions", "--h", "0.3"],               # not a step
 ])
-def test_invalid_configurations_exit_2(args, tmp_path):
-    assert main(args + ["--output", str(tmp_path / "out.csv")]) == 2
+def test_invalid_configurations_exit_2(args, tmp_path, monkeypatch):
+    """Exit 2 and no output, under the given name or the default one."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "heun.cfg").write_text("scheme = heun\n")
+    assert main(args + ["--output", "out.csv"]) == 2
+    assert main(args) == 2
+    assert os.listdir(tmp_path) == ["heun.cfg"]
+
+
+@pytest.mark.parametrize("model, param", [
+    ("allen-cahn", ["--sigma", "0.5"]), ("allen-cahn", ["--eta", "-2"]),
+    ("gl", ["--K", "4"]), ("custom", ["--theta", "1"]),
+])
+def test_a_parameter_the_model_does_not_take_exits_2(model, param, tmp_path,
+                                                     capsys):
+    """Refused before any path runs, instead of echoed into the outputs."""
+    if model == "custom":
+        (tmp_path / "ou_model.py").write_text(_CUSTOM)
+        model = f"custom:{tmp_path / 'ou_model.py'}"
+    out = tmp_path / "m.csv"
+    rc = main(["moments", "--model", model, "--T", "4", "--h", "1/4",
+               "--paths", "8", "--output", str(out)] + param)
+    assert rc == 2
+    assert f"takes no {param[0][2:]}" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 def test_step_ceiling_flag(tmp_path):

@@ -164,10 +164,33 @@ def test_monotone_margin_increases_with_pstar(bump):
 
 
 def test_max_feasible_pstar_on_gl():
+    # the sample's worst pair nears x = y = 0, where the bound is 1.25
     gl = build_ginzburg_landau()
-    assert max_feasible_pstar(gl, alpha1=0.25) == pytest.approx(1.25, abs=0.01)
+    assert max_feasible_pstar(gl, alpha1=0.25) == pytest.approx(1.25, abs=1e-5)
     # as alpha1 -> 0 the GL budget tends to 1/2 + |eta + sigma^2/2| / sigma^2
-    assert max_feasible_pstar(gl, alpha1=1e-12) == pytest.approx(1.5, abs=0.01)
+    assert max_feasible_pstar(gl, alpha1=1e-12) == pytest.approx(1.5, abs=1e-5)
+
+
+_BUILT_IN = {"gl": (build_ginzburg_landau(), 0.5),
+             "allen-cahn": (build_allen_cahn(K=4), 8.0)}
+
+
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(sorted(_BUILT_IN)),
+       share=st.floats(min_value=1e-6, max_value=1.0))
+def test_the_monotone_check_passes_at_the_max_feasible_pstar(name, share):
+    """The returned p* is the largest the check passes at: the check passes
+    there and fails just above it, or, at 0.0, already fails at p* = 1."""
+    problem, alpha1_max = _BUILT_IN[name]
+    alpha1 = share * alpha1_max
+    p_star = max_feasible_pstar(problem, alpha1=alpha1)
+    if p_star == 0.0:
+        assert not check_contractive_monotone(problem, 1.0, alpha1).passed
+        return
+    assert 1.0 <= p_star < 64.0
+    assert check_contractive_monotone(problem, p_star, alpha1).passed
+    assert not check_contractive_monotone(problem, p_star * (1 + 1e-9),
+                                          alpha1).passed
 
 
 def test_max_feasible_pstar_caps_without_noise_spread():

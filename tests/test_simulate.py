@@ -68,6 +68,11 @@ def test_evolve_terminal_accepts_noise_grid(gl):
 def test_evolve_terminal_zero_steps_returns_start(gl):
     z = evolve_terminal(gl, BE, 0.5, 0, np.zeros((0, 1)), 1.0)
     npt.assert_array_equal(z, [1.0])
+    # one value fills every component, as a scalar or as a size-1 sequence
+    ac = build_allen_cahn(K=4)
+    for x0 in (1.0, [1.0]):
+        z = evolve_terminal(ac, BE, 0.5, 0, np.zeros((0, 1)), x0)
+        npt.assert_array_equal(z, [1.0, 1.0, 1.0])
 
 
 def test_evolve_terminal_validation(gl):
