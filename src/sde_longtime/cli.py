@@ -250,7 +250,8 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    """The rules that neither build_problem nor the experiments check."""
+    """The rules that neither build_problem nor the experiments check
+    before they run."""
     if cfg.n_paths < 1:
         raise UsageError(f"paths must be >= 1, got {cfg.n_paths}")
     if not 0.0 < cfg.p < math.inf:
@@ -263,6 +264,17 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if missing:
         raise UsageError(f"{cfg.command} needs " + " and ".join(
             "--" + key.replace("_", "-") for key in missing))
+    # the outcome checks' own needs, refused before the run: the stationarity
+    # gap of `moments` reads at least 8 records, and a trace of n steps has
+    # min(n, 100) + 1; the order fit of `convergence` needs two errors, and
+    # a step equal to h_ref has error 0 by the coupling
+    if cfg.command == "moments" and cfg.T / cfg.h < 7:
+        raise UsageError(f"moments needs at least 7 steps (8 records), "
+                         f"got T/h = {cfg.T / cfg.h}")
+    if (cfg.command == "convergence"
+            and sum(h > cfg.h_ref for h in cfg.h_list) < 2):
+        raise UsageError("convergence needs at least two steps above "
+                         "h_ref to fit an order")
 
 
 def build_problem(cfg: ExperimentConfig) -> SdeProblem:
@@ -457,6 +469,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverFailure as exc:
         where = ("" if exc.path_index is None else
                  f" (path {exc.path_index}, step {exc.step_index})")
+        if exc.t is not None:
+            where += f" at t={exc.t} with h={exc.h}"
         print(f"solver failure: {exc}{where}", file=sys.stderr)
         return 3
 

@@ -18,7 +18,9 @@ class SolverFailure(RuntimeError):
     and the step and path indices so they can replay it: `path_index` is the
     failing row of the solved batch, which the simulation engine turns into
     the global path index. The engine also sets `rank`, (fine index, track,
-    path), by which it reports the earliest of several chunks' failures.
+    path), by which it reports the earliest of several chunks' failures,
+    and the failing step's start time `t`, its size `h` and the path's
+    state before it, `state`: with the path's noise, all a replay needs.
     """
 
     def __init__(self, message, last_iterate=None, residual=None, step_index=None,
@@ -28,3 +30,4 @@ class SolverFailure(RuntimeError):
         self.residual = residual
         self.step_index = step_index
         self.path_index = path_index
+        self.t = self.h = self.state = None

@@ -90,15 +90,16 @@ class MonotoneConstants:
 
 def _probe(problem_name: str, d: int, m: int, probes) -> None:
     """Check the dimensions, then call each supplied callable of `probes`, a
-    sequence of (name, callable or None, argument shapes, expected shape),
-    once on zero arguments; UsageError on a wrong output shape, which numpy
-    would otherwise broadcast silently."""
+    sequence of (name, callable or None, arguments, expected shape), once,
+    each argument given as a shape being zeros of that shape; UsageError on
+    a wrong output shape, which numpy would otherwise broadcast silently."""
     if d < 1 or m < 1:
         raise UsageError(f"dimensions must be >= 1, got d={d}, m={m}")
-    for name, fn, arg_shapes, expected in probes:
+    for name, fn, args, expected in probes:
         if fn is None:
             continue
-        shape = np.shape(fn(*(np.zeros(s) for s in arg_shapes)))
+        shape = np.shape(fn(*(np.zeros(a) if isinstance(a, tuple) else a
+                              for a in args)))
         if shape != expected:
             raise UsageError(f"{name} of {problem_name} returned shape {shape} "
                              f"on a probe, expected {expected}")
@@ -113,9 +114,21 @@ class SdeProblem:
     rows g(x) dw, shape (B, d); the optional drift_jacobian_batch maps X to
     the Jacobians (B, d, d), and without it the implicit solve uses central
     finite differences of drift_batch. Pointwise callables on one state go
-    through `SdeProblem.from_pointwise`. Construction probes each callable
-    once at the origin on d + 1 rows and raises UsageError on a wrong output
-    shape.
+    through `SdeProblem.from_pointwise`.
+
+    Two optional hooks let a problem lend the implicit solve of
+    z - h f(z) = b its structure; the solve checks every row's residual
+    whatever they return, so they speed it up but never weaken it:
+
+    * resolvent_batch(b, h) proposes the roots (B, d), from which the solve
+      starts instead of from b (a row with a non-finite proposal starts
+      from b);
+    * jacobian_solve_batch(Z, h, F) returns the Newton steps dz (B, d)
+      solving (I - h Df(z)) dz = F row by row, in place of a dense solve
+      with the Jacobians.
+
+    Construction probes each callable once at the origin on d + 1 rows, the
+    hooks at h = 1, and raises UsageError on a wrong output shape.
 
     The batch callables must be row-independent: each output row depends
     only on the same row of the inputs, never on the other rows or on the
@@ -130,6 +143,9 @@ class SdeProblem:
     diffusion_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constants: MonotoneConstants
     drift_jacobian_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    resolvent_batch: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    jacobian_solve_batch: Optional[
+        Callable[[np.ndarray, float, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         d, m, n = self.d, self.m, self.d + 1
@@ -137,7 +153,10 @@ class SdeProblem:
             ("drift_batch", self.drift_batch, ((n, d),), (n, d)),
             ("diffusion_apply", self.diffusion_apply, ((n, d), (n, m)), (n, d)),
             ("drift_jacobian_batch", self.drift_jacobian_batch, ((n, d),),
-             (n, d, d))))
+             (n, d, d)),
+            ("resolvent_batch", self.resolvent_batch, ((n, d), 1.0), (n, d)),
+            ("jacobian_solve_batch", self.jacobian_solve_batch,
+             ((n, d), 1.0, (n, d)), (n, d))))
 
     @classmethod
     def from_pointwise(cls, name: str, d: int, m: int, drift, diffusion,
@@ -243,7 +262,9 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     p* = 1/2 + 3|a| / (4 sigma^2) for sigma != 0; for sigma = 0 the monotone
     condition is p*-independent, so alpha1 = |a| and p* sits at PSTAR_CAP.
     kappa = 3 (the drift is cubic, so |f(x)|^2 grows like |x|^6) with c1
-    certified on the default sample.
+    certified on the default sample. The implicit step's cubic has a
+    closed-form root (Nickalls, Math. Gazette 77, 1993), the problem's
+    resolvent_batch.
     """
     if theta <= 0.0:
         raise UsageError(f"theta must be positive, got {theta}")
@@ -253,13 +274,20 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
             f"eta + sigma^2/2 = {a} must be negative for a dissipative problem")
 
     def drift_batch(X):
-        return a * X - theta * X ** 3
+        return a * X - theta * (X * X * X)
 
     def diffusion_apply(X, dW):
         return sigma * X * dW
 
     def drift_jacobian_batch(X):
         return (a - 3.0 * theta * X ** 2)[..., None]
+
+    def resolvent_batch(B, h):
+        # z - h f(z) = b is the monotone cubic theta h z^3 + (1 - h a) z = b,
+        # whose one real root is 2 r sinh(asinh(b / (2 theta h r^3)) / 3)
+        # (the hyperbolic form of Cardano's formula)
+        r = math.sqrt((1.0 - h * a) / (3.0 * theta * h))
+        return 2.0 * r * np.sinh(np.arcsinh(B / (2.0 * theta * h * r ** 3)) / 3.0)
 
     if sigma != 0.0:
         alpha1 = 0.25 * (-a)
@@ -281,7 +309,8 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     return SdeProblem(
         name="gl", d=1, m=1, drift_batch=drift_batch,
         diffusion_apply=diffusion_apply, constants=constants,
-        drift_jacobian_batch=drift_jacobian_batch)
+        drift_jacobian_batch=drift_jacobian_batch,
+        resolvent_batch=resolvent_batch)
 
 
 def build_allen_cahn(K: int = 4) -> SdeProblem:
@@ -297,7 +326,9 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
 
     The smallest eigenvalue of -A is 4 K^2 sin^2(pi / (2K)) >= 8 for K >= 2,
     which certifies (alpha1, p*) = (1, 3.5) for every K with the sine
-    diffusion. kappa = 3 with c1 certified on the default sample.
+    diffusion. kappa = 3 with c1 certified on the default sample. The
+    implicit solve's Newton steps are a Thomas solve on the three diagonals
+    of the Jacobian (jacobian_solve_batch); no dense Jacobian is formed.
     """
     if int(K) != K or K < 2:
         raise UsageError(f"K must be an integer >= 2, got {K}")
@@ -308,7 +339,7 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
                  + np.diag(np.ones(d - 1), -1))
 
     def drift_batch(X):
-        return X @ A + X - X ** 3          # A is symmetric
+        return X @ A + X - X * X * X          # A is symmetric
 
     def diffusion_apply(X, dW):
         return (np.sin(X) + 1.0) * dW
@@ -321,6 +352,22 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
         J.reshape(B, d * d)[:, ::d + 1] -= 3.0 * X ** 2    # the diagonals
         return J
 
+    def jacobian_solve_batch(Z, h, F):
+        # I - h (A + I - 3 diag(z^2)) is tridiagonal, and symmetric positive
+        # definite for every h > 0 because -A >= 8 I, so the Thomas
+        # algorithm needs no pivoting; it runs down the columns of all rows
+        off = -h * K * K
+        D = ((1.0 - h * (1.0 - 2.0 * K * K)) + 3.0 * h * (Z * Z)).T
+        F = F.T
+        c, x = np.empty(D.shape), np.empty(D.shape)
+        c[0], x[0] = off / D[0], F[0] / D[0]
+        for i in range(1, d):
+            pivot = D[i] - off * c[i - 1]
+            c[i], x[i] = off / pivot, (F[i] - off * x[i - 1]) / pivot
+        for i in range(d - 2, -1, -1):
+            x[i] -= c[i] * x[i + 1]
+        return x.T
+
     kappa = 3.0
     c1 = _certify_c1(drift_batch, kappa, d=d)
     constants = MonotoneConstants(alpha1=1.0, p_star=3.5, kappa=kappa,
@@ -328,7 +375,8 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
     return SdeProblem(
         name="allen-cahn", d=d, m=1, drift_batch=drift_batch,
         diffusion_apply=diffusion_apply, constants=constants,
-        drift_jacobian_batch=drift_jacobian_batch)
+        drift_jacobian_batch=drift_jacobian_batch,
+        jacobian_solve_batch=jacobian_solve_batch)
 
 
 # ---------------------------------------------------------------------------

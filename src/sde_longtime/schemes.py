@@ -11,7 +11,10 @@ tag the path divergent.
 
 `step_batch` advances an ensemble with a leading batch axis, and it is the
 only step map: a single path is a batch of one, stepped and checked by
-`simulate.evolve_terminal`.
+`simulate.evolve_terminal`. The implicit solve is one damped Newton for
+every problem; a problem's optional hooks (see `SdeProblem`) may propose
+its roots or solve its Newton systems, and the solve still checks the
+residual of every row it returns.
 """
 
 from __future__ import annotations
@@ -141,6 +144,26 @@ def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
+def _proposal(problem: SdeProblem, b: np.ndarray, h: float) -> np.ndarray:
+    """The problem's proposed roots of z - h f(z) = b, with b itself in
+    each row whose proposal is not finite."""
+    z = np.asarray(problem.resolvent_batch(b, h), dtype=float)
+    return np.where(np.isfinite(z).all(axis=1)[:, None], z, b)
+
+
+def _newton_steps(problem: SdeProblem, Z: np.ndarray, h: float,
+                  F: np.ndarray) -> np.ndarray:
+    """The Newton steps dz solving (I - h Df(z)) dz = F for each row z of Z:
+    the problem's jacobian_solve_batch, else a division (d = 1) or a dense
+    solve with the Jacobians of `_jacobian_rows`."""
+    if problem.jacobian_solve_batch is not None:
+        return np.asarray(problem.jacobian_solve_batch(Z, h, F), dtype=float)
+    J = np.eye(problem.d) - h * _jacobian_rows(problem, Z)
+    if problem.d == 1:
+        return F / J[:, :, 0]
+    return np.linalg.solve(J, F[..., None])[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # implicit solve
 # ---------------------------------------------------------------------------
@@ -150,14 +173,18 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
                          step_index: Optional[int] = None) -> np.ndarray:
     """Solve z - h f(z) = b rowwise for a batch b of shape (B, d).
 
-    Newton iteration from z = b with analytic (or finite-difference) Jacobians;
-    the strong monotonicity of z - h f(z) for dissipative drift makes the root
-    unique, and Newton almost always converges in a handful of iterations.
-    A row's step is halved while it would raise that row's residual, which
-    keeps the iteration robust at extreme states. A row still above
-    cfg.residual_tol after cfg.max_iter iterations raises SolverFailure,
-    naming the first such row of b (its `path_index`). A non-finite row of b
-    gives a NaN row and never reaches the problem's callables.
+    Newton iteration from z = b, or from the problem's resolvent_batch
+    proposal where it is finite, with the problem's jacobian_solve_batch or
+    analytic (or finite-difference) Jacobians; the strong monotonicity of
+    z - h f(z) for dissipative drift makes the root unique, and Newton almost
+    always converges in a handful of iterations. A row whose start is
+    already within cfg.residual_tol is returned as it is, so an accurate
+    proposal costs one residual check. A row's step is halved while it would
+    raise that row's residual, which keeps the iteration robust at extreme
+    states. A row still above cfg.residual_tol after cfg.max_iter iterations
+    raises SolverFailure, naming the first such row of b (its `path_index`).
+    A non-finite row of b gives a NaN row and never reaches the problem's
+    callables.
 
     Each iteration works only on the active rows, those still above the
     tolerance, and each halving only on the rows it halves. Because the
@@ -165,7 +192,6 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     goes through the same floating-point operations as if solved alone, so
     a row's root does not depend on which other rows share the batch.
     """
-    d = b.shape[1]
     tol = cfg.residual_tol
     z = np.full_like(b, np.nan)
     act = np.flatnonzero(np.isfinite(b).all(axis=1))
@@ -174,20 +200,16 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     # the active rows, still above tol, and their iterates, residuals, norms
     # and right-hand sides, gathered once from the finite rows
     ba = b[act]
-    z[act] = ba
-    Fa = ba - h * drift_rows(problem, ba) - ba
+    za = ba if problem.resolvent_batch is None else _proposal(problem, ba, h)
+    z[act] = za
+    Fa = za - h * drift_rows(problem, za) - ba
     rna = _row_norms(Fa)
     keep = np.flatnonzero(~(rna <= tol))
-    act, za, Fa, rna, ba = act[keep], ba[keep], Fa[keep], rna[keep], ba[keep]
-    eye = np.eye(d)
+    act, za, Fa, rna, ba = act[keep], za[keep], Fa[keep], rna[keep], ba[keep]
     for _ in range(cfg.max_iter):
         if not act.size:
             return z
-        J = eye - h * _jacobian_rows(problem, za)
-        if d == 1:
-            dz = Fa / J[:, :, 0]
-        else:
-            dz = np.linalg.solve(J, Fa[..., None])[..., 0]
+        dz = _newton_steps(problem, za, h, Fa)
         z_new = za - dz
         F_new = z_new - h * drift_rows(problem, z_new) - ba
         rn_new = _row_norms(F_new)

@@ -341,8 +341,10 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
     whose factor divides k has just been stepped, in track order, and
     `states` lists the current state batch of every track. A SolverFailure
     leaves with its `path_index` turned from a row of the chunk into the
-    global path index, and with `rank` = (k, track, path) to order it among
-    the failures of other chunks.
+    global path index, with `rank` = (k, track, path) to order it among
+    the failures of other chunks, and with the step's start time `t`, its
+    size `h` and the path's pre-step `state` (for a failure that names its
+    row).
 
     A non-finite row stays non-finite under every scheme: a step is
     x~ + h f(x~) + g(x~) dW with x~ the state (em), its projection, NaN for
@@ -372,7 +374,9 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
                 yield k, Zs
     except SolverFailure as exc:
         # the solve names a row of this chunk; the caller needs the path
+        exc.t, exc.h = n * h, h
         if exc.path_index is not None:
+            exc.state = Zs[i][exc.path_index].copy()
             exc.path_index += paths.start
         exc.rank = (k, i, exc.path_index or paths.start)
         raise

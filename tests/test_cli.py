@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sde_longtime.cli as cli
+from sde_longtime import simulate
 from sde_longtime import SolverFailure, UsageError, __version__
 from sde_longtime.cli import (COLUMNS, PRESETS, main, parse_config,
                               parse_rational)
@@ -124,8 +125,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 def test_scheme_and_model_validation(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("scheme = heun\n")
-    assert main(["moments", "--config", str(f), "--T", "1", "--h", "1/4"]) == 2
-    rc = main(["moments", "--model", "carousel", "--T", "1", "--h", "1/4"])
+    assert main(["moments", "--config", str(f), "--T", "2", "--h", "1/4"]) == 2
+    rc = main(["moments", "--model", "carousel", "--T", "2", "--h", "1/4"])
     assert rc == 2
     with pytest.raises(SystemExit) as exc:  # argparse rejects bad choices
         main(["moments", "--scheme", "heun"])
@@ -164,7 +165,7 @@ _BAND_RUN = ["convergence", "--model", "gl", "--T", "1", "--h-list",
     _BAND_RUN + ["--r2-min", "nan"],
     _BAND_RUN + ["--r2-min", "1.5"],
     ["check-assumptions", "--config", "heun.cfg"],     # scheme = heun
-    ["moments", "--model", "carousel", "--T", "1", "--h", "1/4"],
+    ["moments", "--model", "carousel", "--T", "2", "--h", "1/4"],
     ["contractivity", "--model", "allen-cahn", "--T", "1", "--h", "1/4",
      "--x0", "1", "--y0", "1,1,1"],                    # coincident starts
     ["check-assumptions", "--h", "0.3"],               # not a step
@@ -433,7 +434,7 @@ def test_custom_model_with_misshapen_batch_drift_exits_2(tmp_path):
 
 def test_negative_seed_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "m.csv"
-    rc = main(["moments", "--model", "gl", "--scheme", "be", "--T", "1",
+    rc = main(["moments", "--model", "gl", "--scheme", "be", "--T", "2",
                "--h", "2^-2", "--paths", "8", "--x0", "1", "--seed", "-1",
                "--output", str(out)])
     assert rc == 2
@@ -454,14 +455,46 @@ def test_cli_import_loads_no_scipy():
 
 def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
-        raise SolverFailure("implicit solve diverged", last_iterate=None,
+        exc = SolverFailure("implicit solve diverged", last_iterate=None,
                             residual=1.0, step_index=4, path_index=12)
+        exc.t, exc.h = 1.0, 0.25
+        raise exc
     monkeypatch.setattr(cli, "moment_trace", boom)
-    rc = main(["moments", "--model", "gl", "--T", "1", "--h", "1/4",
+    rc = main(["moments", "--model", "gl", "--T", "2", "--h", "1/4",
                "--paths", "2", "--output", str(tmp_path / "m.csv")])
     assert rc == 3
     assert capsys.readouterr().err == (
-        "solver failure: implicit solve diverged (path 12, step 4)\n")
+        "solver failure: implicit solve diverged (path 12, step 4) "
+        "at t=1.0 with h=0.25\n")
+
+
+def _no_chunk(*args, **kwargs):
+    raise AssertionError("a chunk ran")
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["moments", "--T", "1", "--h", "1/4"], "at least 7 steps"),
+    (["convergence", "--T", "1", "--h-list", "2^-3,2^-4", "--h-ref", "2^-4"],
+     "two steps above h_ref"),
+])
+def test_a_run_too_short_for_its_check_is_refused_before_any_chunk(
+        args, reason, tmp_path, monkeypatch, capsys):
+    """A trace of fewer than 8 records has no stationarity gap, and a ladder
+    with fewer than two steps above h_ref no order to fit: both are usage
+    errors known from the options, so no path runs and no file is written."""
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    out = tmp_path / "r.csv"
+    assert main(args + ["--paths", "8", "--output", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+def test_the_shortest_checked_runs_are_accepted(tmp_path):
+    out = str(tmp_path / "r.csv")
+    assert main(["moments", "--T", "7/4", "--h", "1/4", "--paths", "4",
+                 "--output", out]) in (0, 1)
+    assert main(["convergence", "--T", "1", "--h-list", "2^-2,2^-3,2^-4",
+                 "--h-ref", "2^-4", "--paths", "4", "--output", out]) in (0, 1)
 
 
 def test_version_flag():

@@ -303,6 +303,8 @@ _MISSHAPEN = {
     "drift_batch": lambda X: -X[:, :1],
     "diffusion_apply": lambda X, dW: dW,
     "drift_jacobian_batch": lambda X: np.zeros((X.shape[0], 2)),
+    "resolvent_batch": lambda B, h: B[:, :1],
+    "jacobian_solve_batch": lambda Z, h, F: F.T,
 }
 
 _PAIR = dict(name="pair", d=2, m=1, constants=MonotoneConstants(
@@ -317,7 +319,9 @@ def test_problem_rejects_wrong_output_shapes(field):
     batch = dict(drift_batch=lambda X: -X,
                  diffusion_apply=lambda X, dW: 0.1 * np.repeat(dW, 2, axis=1),
                  drift_jacobian_batch=lambda X: np.broadcast_to(
-                     -np.eye(2), (X.shape[0], 2, 2)))
+                     -np.eye(2), (X.shape[0], 2, 2)),
+                 resolvent_batch=lambda B, h: B / (1.0 + h),
+                 jacobian_solve_batch=lambda Z, h, F: F / (1.0 + h))
     pointwise = dict(drift=lambda x: -x,
                      diffusion=lambda x: np.full((2, 1), 0.1),
                      drift_jacobian=lambda x: -np.eye(2))

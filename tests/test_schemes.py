@@ -13,8 +13,9 @@ from sde_longtime import (MonotoneConstants, NewtonConfig, SchemeConfig,
                           build_allen_cahn, build_ginzburg_landau,
                           evolve_terminal, scheme_orders, step_ceiling)
 from sde_longtime.model import drift_rows
-from sde_longtime.schemes import (VARIANTS, _jacobian_rows, project_batch,
-                                  solve_implicit_batch, step_batch)
+from sde_longtime.schemes import (VARIANTS, _jacobian_rows, _row_norms,
+                                  project_batch, solve_implicit_batch,
+                                  step_batch)
 
 EM = SchemeConfig(variant="em")
 BE = SchemeConfig(variant="be")
@@ -25,6 +26,13 @@ PE = SchemeConfig(variant="pe")
 def gl():
     # drift -x - x^3, diffusion x, kappa = 3
     return build_ginzburg_landau(eta=-1.5, sigma=1.0, theta=1.0)
+
+
+@pytest.fixture(scope="module")
+def gl_newton(gl):
+    """GL without its closed-form root: the damped Newton from b alone,
+    which a small max_iter makes fail."""
+    return dataclasses.replace(gl, resolvent_batch=None)
 
 
 def _still_problem(d=2):
@@ -206,10 +214,11 @@ def test_resolvent_is_nonexpansive(gl, b1, b2, h):
     assert abs(z1[0] - z2[0]) <= abs(b1 - b2) * (1.0 + 1e-10) + 1e-13
 
 
-def test_solver_failure_reports_iterate_and_residual(gl):
+def test_solver_failure_reports_iterate_and_residual(gl_newton):
     cfg = NewtonConfig(max_iter=1)
     with pytest.raises(SolverFailure) as exc:
-        solve_implicit_batch(gl, np.array([[5.0]]), 0.5, cfg, step_index=7)
+        solve_implicit_batch(gl_newton, np.array([[5.0]]), 0.5, cfg,
+                             step_index=7)
     err = exc.value
     assert err.residual > 0.0
     assert err.last_iterate.shape == (1,)
@@ -256,11 +265,12 @@ def _row_batches():
     return {"arctan": (_arctan_problem(), b, 1.0),
             "arctan-fd": (_arctan_problem(jacobian=False), b, 1.0),
             "non-finite": (_arctan_problem(), mixed, 1.0),
-            "allen-cahn": (build_allen_cahn(K=4), ac, 15.0 / 2.0 ** 6)}
+            "allen-cahn": (build_allen_cahn(K=4), ac, 15.0 / 2.0 ** 6),
+            "gl": (build_ginzburg_landau(), b / 10.0, 2.0 ** -3)}
 
 
 @pytest.mark.parametrize("name", ["arctan", "arctan-fd", "non-finite",
-                                  "allen-cahn"])
+                                  "allen-cahn", "gl"])
 def test_implicit_rows_equal_their_solve_alone_and_in_any_subset(name):
     problem, b, h = _row_batches()[name]
     z = solve_implicit_batch(problem, b, h)
@@ -302,13 +312,13 @@ def test_converged_rows_are_not_evaluated_again():
     assert np.all(z[np.arange(512) != 300] == 0.0)
 
 
-def test_solver_failure_names_the_row_through_non_finite_rows(gl):
+def test_solver_failure_names_the_row_through_non_finite_rows(gl_newton):
     b = np.array([[np.nan], [0.0], [np.inf], [0.0], [30.0], [40.0]])
     with pytest.raises(SolverFailure) as exc:
-        solve_implicit_batch(gl, b, 0.5, NewtonConfig(max_iter=2))
+        solve_implicit_batch(gl_newton, b, 0.5, NewtonConfig(max_iter=2))
     assert exc.value.path_index == 4
     with pytest.raises(SolverFailure) as alone:
-        solve_implicit_batch(gl, b[4:5], 0.5, NewtonConfig(max_iter=2))
+        solve_implicit_batch(gl_newton, b[4:5], 0.5, NewtonConfig(max_iter=2))
     assert alone.value.path_index == 0
     assert str(alone.value) == str(exc.value)
     assert alone.value.residual == exc.value.residual
@@ -351,6 +361,98 @@ def test_the_drift_never_sees_a_non_finite_row():
     assert seen and all(np.isfinite(X).all() for X in seen)
     bad = ~np.isfinite(b).all(axis=1)
     assert np.isnan(z[bad]).all() and np.isfinite(z[~bad]).all()
+
+
+# ---------------------------------------------------------------------------
+# structure hooks: GL's closed-form root and Allen-Cahn's Thomas solve, both
+# checked by the one damped Newton
+# ---------------------------------------------------------------------------
+
+def _residuals(problem, z, b, h):
+    return _row_norms(z - h * drift_rows(problem, z) - b)
+
+
+@pytest.mark.parametrize("hook", ["shifted", "nan-rows"])
+def test_a_wrong_resolvent_cannot_weaken_the_solve(gl, gl_newton, hook):
+    """A hook that proposes b + 1, or NaN for the rows with b > 0, still
+    gives roots within tolerance, and with one iteration a SolverFailure
+    like the plain Newton's; where its proposal is NaN the solve starts
+    from b, so roots and failure are the plain Newton's bit for bit."""
+    wrong = {"shifted": lambda B, h: B + 1.0,
+             "nan-rows": lambda B, h: np.where(B > 0.0, np.nan, B)}[hook]
+    problem = dataclasses.replace(gl, resolvent_batch=wrong)
+    b = np.random.default_rng(17).uniform(-20.0, 20.0, size=(200, 1))
+    z = solve_implicit_batch(problem, b, 0.5)
+    assert np.max(_residuals(problem, z, b, 0.5)) <= 1e-12
+    plain = solve_implicit_batch(gl_newton, b, 0.5)
+    npt.assert_allclose(z, plain, rtol=0.0, atol=1e-12)
+    failures = []
+    for p in (problem, gl_newton):
+        with pytest.raises(SolverFailure) as exc:
+            solve_implicit_batch(p, np.array([[5.0]]), 0.5,
+                                 NewtonConfig(max_iter=1))
+        assert exc.value.path_index == 0 and exc.value.residual > 1e-12
+        failures.append((str(exc.value), exc.value.last_iterate.tolist()))
+    if hook == "nan-rows":
+        assert z.tobytes() == plain.tobytes()
+        assert failures[0] == failures[1]
+
+
+@pytest.mark.parametrize("h", [4.0, 2.0 ** -10])
+def test_gl_closed_form_root_at_extreme_right_hand_sides(gl, h):
+    """b = 0 gives 0 exactly; tiny and huge |b| give finite roots, odd in
+    b, whose residual is a few rounding errors of the cubic's terms (at
+    |b| = 1e6 that is above the solve's absolute tolerance for any
+    iteration, so only the hook is checked there)."""
+    a = -1.0                    # eta + sigma^2 / 2 of the fixture
+    zero = np.zeros((1, 1))
+    assert gl.resolvent_batch(zero, h)[0, 0] == 0.0
+    assert solve_implicit_batch(gl, zero, h)[0, 0] == 0.0
+    b = np.array([[1e-300], [-1e-300], [1e6], [-1e6]])
+    z = gl.resolvent_batch(b, h)
+    assert np.isfinite(z).all()
+    npt.assert_array_equal(z[1::2], -z[0::2])
+    terms = np.abs(b) + h * np.abs(drift_rows(gl, z)) + np.abs(z)
+    assert np.all(_residuals(gl, z, b, h)[:, None]
+                  <= 4.0 * np.finfo(float).eps * terms)
+    # near 0 the root is b / (1 - h a), and the solve takes the proposal
+    npt.assert_allclose(z[:2], b[:2] / (1.0 - h * a), rtol=1e-15, atol=0.0)
+    assert solve_implicit_batch(gl, b[:2], h).tobytes() == z[:2].tobytes()
+
+
+def test_structure_kernels_give_each_row_as_alone():
+    rng = np.random.default_rng(29)
+    gl, ac = build_ginzburg_landau(), build_allen_cahn(K=4)
+    h = 15.0 / 2.0 ** 8
+    b = rng.normal(scale=5.0, size=(64, 1))
+    Z, F = rng.normal(scale=3.0, size=(2, 64, 3))
+    roots = gl.resolvent_batch(b, h)
+    steps = ac.jacobian_solve_batch(Z, h, F)
+    for i in range(64):
+        one = slice(i, i + 1)
+        assert gl.resolvent_batch(b[one], h).tobytes() == roots[one].tobytes()
+        assert (ac.jacobian_solve_batch(Z[one], h, F[one]).tobytes()
+                == steps[one].tobytes())
+
+
+@pytest.mark.parametrize("K", [2, 4, 8, 64])
+def test_thomas_solve_equals_the_dense_solve(K):
+    """Both solves are backward stable, so they agree to a few rounding
+    errors times the condition number of I - h Df: to 1e-14 where that is
+    below 100 (every K at h = 2^-10, K <= 8 at every h), and within
+    4 eps cond where it is not (K = 64 at coarse steps, cond up to 740)."""
+    ac = build_allen_cahn(K=K)
+    rng = np.random.default_rng(K)
+    Z = rng.normal(scale=3.0, size=(256, ac.d))
+    F = rng.normal(size=(256, ac.d))
+    for h in (2.0 ** -10, 15.0 / 2.0 ** 6, 1.0, 4.0):
+        J = np.eye(ac.d) - h * ac.drift_jacobian_batch(Z)
+        dense = np.linalg.solve(J, F[..., None])[..., 0]
+        got = ac.jacobian_solve_batch(Z, h, F)
+        err = _row_norms(got - dense) / _row_norms(dense)
+        cond = np.linalg.cond(J)
+        assert np.all(err <= 4.0 * np.finfo(float).eps * cond), h
+        assert np.all(err[cond <= 100.0] <= 1e-14), h
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

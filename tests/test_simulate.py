@@ -1,6 +1,7 @@
 """Coupled-path Monte Carlo engine: determinism, coupling exactness, tagging."""
 
 import concurrent.futures
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -255,15 +256,17 @@ def test_every_protocol_is_identical_across_worker_counts(gl, name):
 
 
 def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl):
-    """A one-iteration damped Newton fails at the first step of every
+    """A one-iteration damped Newton (GL without its closed-form root)
+    fails at the first step of every
     chunk; the caller must see the first chunk's failure, as in the serial
     loop, although the chunks differ (1024 + 6 paths at one worker, 515 +
     515 at two), and no worker may remain."""
     cfg = SchemeConfig(variant="be", newton=NewtonConfig(max_iter=1))
+    newton_only = dataclasses.replace(gl, resolvent_batch=None)
     seen = []
     for threads in (1, 2):
         with pytest.raises(SolverFailure) as info:
-            strong_error_experiment(gl, cfg, T=1.0, h_list=[2.0 ** -2],
+            strong_error_experiment(newton_only, cfg, T=1.0, h_list=[2.0 ** -2],
                                     h_ref=2.0 ** -4, n_paths=1030,
                                     master_seed=1, x0=5.0, threads=threads)
         err = info.value
@@ -317,14 +320,15 @@ def test_solver_failure_is_the_earliest_at_any_worker_count(monkeypatch):
     chunks (750 + 750), and three too (512 + 512 + 476), where the chunk
     first in path order fails later. Every worker count, and three workers
     without the fork start method (run serially), must report the earliest
-    failure, which replays alone."""
+    failure, which replays alone: from the state it carries, at its t
+    and h."""
     def failure(threads):
         with pytest.raises(SolverFailure) as info:
             moment_trace(_ARCTAN, _ARCTAN_CFG, T=8.0, h=1.0, n_paths=1500,
                          master_seed=9, x0=0.0, n_records=2, threads=threads)
         err = info.value
         return (err.path_index, err.step_index, err.residual,
-                err.last_iterate.tolist())
+                err.last_iterate.tolist(), err.t, err.h, err.state.tolist())
 
     seen = [failure(threads) for threads in (1, 2, 3)]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
@@ -332,12 +336,19 @@ def test_solver_failure_is_the_earliest_at_any_worker_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     seen.append(failure(3))
     assert all(s == seen[0] for s in seen), seen
-    path, step, residual, _ = seen[0]
-    assert (path, step) == (836, 2)
+    path, step, residual, _, t, h, state = seen[0]
+    assert (path, step, t, h) == (836, 2, 2.0, 1.0)
+    noise = make_noise_grid(9, path, 1, 1.0, 8)
     with pytest.raises(SolverFailure) as replay:
-        evolve_terminal(_ARCTAN, _ARCTAN_CFG, 1.0, 8,
-                        make_noise_grid(9, path, 1, 1.0, 8), 0.0)
+        evolve_terminal(_ARCTAN, _ARCTAN_CFG, 1.0, 8, noise, 0.0)
     assert (replay.value.step_index, replay.value.residual) == (step, residual)
+    before = evolve_terminal(_ARCTAN, _ARCTAN_CFG, h, step,
+                             noise.increments[:step], 0.0)
+    assert before.tolist() == state
+    with pytest.raises(SolverFailure) as one_step:
+        evolve_terminal(_ARCTAN, _ARCTAN_CFG, h, 1,
+                        noise.increments[step:step + 1], state)
+    assert one_step.value.residual == residual
 
 
 def _acting_off_the_caller(act):
