@@ -83,9 +83,9 @@ class ConvergenceReport:
     std_errors: tuple
     excluded_hs: tuple
     predicted_order: float
-    slope: float
-    intercept: float
-    r_squared: float
+    slope: Optional[float]  # None where fewer than 2 points remain to fit
+    intercept: Optional[float]
+    r_squared: Optional[float]
     band: float
     r2_min: float
     passed: bool
@@ -108,7 +108,9 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
     Points whose error is at or below 10x the implicit-solver residual
     tolerance are excluded from the fit (they measure the solver, not the
     scheme) with a logged note. Passing means the fitted slope lies within
-    `band` of the predicted order and r^2 >= r2_min.
+    `band` of the predicted order and r^2 >= r2_min. With fewer than two
+    points left there is no fit: the report fails, with a note and no
+    slope, intercept or r^2.
     """
     notes = []
     kept_h, kept_e, kept_se, excluded = [], [], [], []
@@ -123,11 +125,12 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
             kept_h.append(h)
             kept_e.append(est.value)
             kept_se.append(est.std_error)
-    if len(kept_h) < 2:
-        raise UsageError(
-            "fewer than 2 error points above the solver floor; nothing to fit")
-    fit = fit_order(kept_h, kept_e)
-    passed = (abs(fit.slope - orders.global_order) <= band
+    fit = fit_order(kept_h, kept_e) if len(kept_h) >= 2 else None
+    if fit is None:
+        notes.append("fewer than 2 error points above the solver floor; "
+                     "no order fitted")
+    passed = (fit is not None
+              and abs(fit.slope - orders.global_order) <= band
               and fit.r_squared >= r2_min)
     p_max = theorem_admissible_p_max(constants) if constants is not None else None
     within = (curve.p <= p_max) if p_max is not None else None
@@ -139,8 +142,9 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
         model=curve.model, scheme=curve.scheme, p=curve.p, T=curve.T,
         h_ref=curve.h_ref, hs=tuple(kept_h), errors=tuple(kept_e),
         std_errors=tuple(kept_se), excluded_hs=tuple(excluded),
-        predicted_order=orders.global_order, slope=fit.slope,
-        intercept=fit.intercept, r_squared=fit.r_squared, band=band,
+        predicted_order=orders.global_order,
+        slope=fit and fit.slope, intercept=fit and fit.intercept,
+        r_squared=fit and fit.r_squared, band=band,
         r2_min=r2_min, passed=passed, p_max_theorem=p_max,
         p_within_theorem=within, notes=tuple(notes))
 

@@ -266,6 +266,9 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     closed-form root (Nickalls, Math. Gazette 77, 1993), the problem's
     resolvent_batch.
     """
+    if not all(math.isfinite(v) for v in (eta, sigma, theta)):
+        raise UsageError(f"eta, sigma and theta must be finite, got "
+                         f"{eta}, {sigma}, {theta}")
     if theta <= 0.0:
         raise UsageError(f"theta must be positive, got {theta}")
     a = eta + 0.5 * sigma * sigma

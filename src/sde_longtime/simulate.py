@@ -8,7 +8,7 @@ reference bit for bit (zero error), and every level of a dyadic ladder sees
 the identical total noise.
 
 One kernel, `_coupled_steps`, implements that coupling for every protocol,
-and one reducer, `_reduce`, turns the states it yields into samples. Each
+and one reducer, `_reduce`, turns the states it yields into exact sums. Each
 protocol is a list of slots, a statistic of some tracks kept as its maximum
 over some fine indices: the reference-to-coarse gap over a level's grid
 (strong error), a statistic at one record (moment and contraction traces),
@@ -20,12 +20,15 @@ blocks. A chunk runs one generator, into which each path's key or saved
 state is restored before the path draws, so a chunk holds no generator per
 path. The chunk size is an even share of the paths per worker, clamped to
 [CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a constant. Neither
-changes any result, because every row is its own path's stream, so results
-are bit-identical whether a run uses one worker or many; partial results are
-merged in path order. Several workers are the calling process plus forked
-processes, each running whole chunks; where the platform cannot fork, the
-chunks run serially in the calling process. A solver failure is likewise the
-same at any worker count: the earliest by (step, track, path) of the run.
+changes any result, because every row is its own path's stream, and a chunk
+returns no samples but, per slot, counts and the exact sums of its samples
+and their squares (`_exact_sums`), which merge by integer addition. So
+results are bit-identical whether a run uses one worker or many, and the
+memory a run holds grows with its chunk, not its ensemble. Several workers
+are the calling process plus forked processes, each running whole chunks;
+where the platform cannot fork, the chunks run serially in the calling
+process. A solver failure is likewise the same at any worker count: the
+earliest by (step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent by one rule in all five protocols, down to
@@ -105,40 +108,136 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
                           n_divergent: int = 0) -> MomentEstimate:
     """Build a MomentEstimate from magnitudes of surviving paths.
 
-    Uses math.fsum, and the summands are nonnegative, so the result is exactly
-    invariant under permutations of the sample list. With no survivors the
-    estimate degenerates to 0 +- 0 and the divergence count carries the story.
-    Samples that are finite but so large their 2p-th powers exceed float range
-    (the explicit scheme en route to blow-up) yield an inf estimate rather
-    than an exception.
+    The same exact accumulator as a chunk's (`_exact_sums` of s^(2p)), over
+    one array, so the result is exactly invariant under permutations and
+    splits of the samples: the mean is the correctly rounded sum over n (what
+    math.fsum gives), and the variance (S2 - S1^2/n)/(n - 1) of the exact
+    sums S1 and S2 of s^(2p) and s^(4p) is rounded once. With no survivors
+    the estimate degenerates to 0 +- 0 and the divergence count carries the
+    story. Samples that are finite but so large their 2p-th powers exceed
+    float range (the explicit scheme en route to blow-up) yield an inf
+    estimate rather than an exception.
     """
     _check_p(p)
     s = np.asarray(samples, dtype=float).ravel()
     if np.any(s < 0.0):
         raise UsageError("samples must be nonnegative magnitudes")
-    n = s.size
     if n_paths is None:
-        n_paths = n + n_divergent
+        n_paths = s.size + n_divergent
+    return _estimate(p, n_paths, s.size, n_divergent,
+                     *_power_sums(s, 2.0 * p))
+
+
+# Exact sums are ints in units of 2^-_UNIT_BITS, below the least bit of any
+# part `_exact_sums` forms (2^-2261 in the b^2 part of a subnormal's square).
+_UNIT_BITS = 2400
+_ONE = 1 << _UNIT_BITS
+# Rows per `np.bincount` pass: a group sums at most 3 * _ROWS parts, each
+# below 2^41 in magnitude, so its float sum stays an exact integer.
+_ROWS = 1024
+# The power of two each part of `_exact_sums` is scaled by, besides its
+# exponent mod 16, so that all of them carry 27 fraction bits.
+_PART_SHIFTS = np.array([26, 26, 52, 79], dtype=np.int32)[:, None, None]
+
+
+def _exact_sums(y: np.ndarray) -> list:
+    """The exact sums over the rows of y, per column (a 1-d y is one
+    column): [non-finite counts..., sums of y..., sums of y^2...], each
+    list one entry per column, the sums over the finite entries as ints in
+    units of 2^-_UNIT_BITS. The elementwise sum of two such lists is the
+    list of their rows together, however the rows were split.
+
+    This is the small superaccumulator of Neal (arXiv:1505.05571). Each
+    y = m 2^e (`np.frexp`), and y^2 = (a^2 + 2ab + b^2) 2^(2e) for m = a + b
+    split into 26-bit halves (Veltkamp), so y and the three parts of y^2
+    are exact products at their own exponents: no y^2 is formed, so none
+    overflows or underflows. With its exponent written as 16 g + r, a part
+    times 2^r is split into an integer and a 27-bit fraction, whose sums
+    per group g `np.bincount` forms exactly, and the few group sums are
+    shifted into place as ints.
+    """
+    y = y[:, None] if y.ndim == 1 else y
+    c = y.shape[1]
+    finite = np.isfinite(y)
+    bad = [0] * c
+    if not finite.all():
+        bad = (~finite).sum(axis=0).tolist()
+        y = np.where(finite, y, 0.0)
+    sums = [0] * (2 * c)
+    # the group blocks: a part's sum (y, or y^2) and column
+    blocks = (np.array([0, c, c, c], dtype=np.int32)[:, None, None]
+              + np.arange(c, dtype=np.int32))
+    for lo in range(0, len(y), _ROWS):
+        rows = y[lo:lo + _ROWS]
+        X = np.empty((4,) + rows.shape)
+        E = np.empty((4,) + rows.shape, dtype=np.int32)
+        m = X[0]
+        np.frexp(rows, out=(m, E[0]))
+        t = m * 134217729.0  # 2^27 + 1
+        a = t - (t - m)
+        b = m - a
+        np.multiply(a, a, out=X[1])
+        np.multiply(a, b, out=X[2])
+        np.multiply(b, b, out=X[3])
+        np.multiply(E[0], 2, out=E[1])
+        np.subtract(E[1], 25, out=E[2])  # 2ab at 2e + 1, shifted by 26
+        np.subtract(E[1], 53, out=E[3])  # b^2 at 2e, shifted by 53
+        x = np.ldexp(X, (E & 15) + _PART_SHIFTS)
+        E >>= 4
+        g0 = int(E.min())
+        n_groups = int(E.max()) - g0 + 1
+        E += blocks * n_groups - g0
+        whole = np.floor(x)
+        x -= whole
+        x *= 134217728.0  # 2^27
+        keys = E.ravel()
+        W = np.bincount(keys, whole.ravel(), 2 * c * n_groups)
+        F = np.bincount(keys, x.ravel(), 2 * c * n_groups)
+        nonzero = np.flatnonzero(np.logical_or(W, F))
+        base = 16 * g0 - 53 + _UNIT_BITS
+        for key, w, f in zip(nonzero.tolist(), W[nonzero].tolist(),
+                             F[nonzero].tolist()):
+            block, g = divmod(key, n_groups)
+            sums[block] += ((int(w) << 27) + int(f)) << (16 * g + base)
+    return bad + sums
+
+
+def _power_sums(s: np.ndarray, power: float) -> list:
+    """`_exact_sums` of y = s ** power, a power beyond float range being
+    inf."""
+    with np.errstate(over="ignore"):
+        return _exact_sums(s ** power)
+
+
+def _mean(total: int, n: int, n_nonfinite: int) -> float:
+    """The exact sum `total` rounded to a float, over n (math.fsum of the
+    samples over n); inf if a sample or the sum is beyond float range."""
+    if n_nonfinite:
+        return math.inf
+    try:
+        return total / _ONE / n
+    except OverflowError:
+        return math.inf
+
+
+def _estimate(p: float, n_paths: int, n: int, n_divergent: int,
+              n_nonfinite: int, s1: int, s2: int) -> MomentEstimate:
+    """The MomentEstimate of n samples s from the exact sums s1 and s2 of
+    y = s^(2p) and y^2 (see `estimate_from_samples`)."""
     if n == 0:
         return MomentEstimate(value=0.0, std_error=0.0, p=p,
                               n_paths=n_paths, n_divergent=n_divergent)
-    with np.errstate(over="ignore"):
-        y = (s ** (2.0 * p)).tolist()
-    try:
-        mu = math.fsum(y) / n
-    except OverflowError:
-        mu = math.inf
+    mu = _mean(s1, n, n_nonfinite)
     if not math.isfinite(mu):
         return MomentEstimate(value=math.inf, std_error=math.inf, p=p,
                               n_paths=n_paths, n_divergent=n_divergent)
+    se_mu = 0.0
     if n > 1:
         try:
-            var = math.fsum((yi - mu) ** 2 for yi in y) / (n - 1)
+            var = (n * s2 * _ONE - s1 * s1) / (n * (n - 1) * _ONE * _ONE)
         except OverflowError:
             var = math.inf
         se_mu = math.sqrt(var / n)
-    else:
-        se_mu = 0.0
     if mu > 0.0:
         value = mu ** (1.0 / (2.0 * p))
         std_error = se_mu * value / (2.0 * p * mu)
@@ -201,12 +300,10 @@ def _chunk_spans(n_paths: int, threads: int):
     return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
-def _map_chunks(worker, n_paths: int, master_seed: int,
-                threads: Optional[int]):
+def _map_chunks(worker, n_paths: int, threads: int):
     """Run `worker(paths)` over the path chunks, `paths` the range of one
-    chunk's path indices; results in path order. The master seed, the path
-    count and the worker count (`resolve_threads(threads)`) are checked
-    before any chunk runs.
+    chunk's path indices; results in path order. `threads` is a worker
+    count from `resolve_threads`.
 
     Several chunks and more than one worker share the chunks among
     P = min(threads, chunks) processes: this one, which runs chunks 0, P,
@@ -222,10 +319,6 @@ def _map_chunks(worker, n_paths: int, master_seed: int,
     first failing chunk in path order; a worker that dies (killed for
     memory, say) raises BrokenProcessPool rather than leaving the run
     waiting."""
-    check_master_seed(master_seed)
-    if n_paths < 1:
-        raise UsageError(f"n_paths must be >= 1, got {n_paths}")
-    threads = resolve_threads(threads)
     spans = _chunk_spans(n_paths, threads)
     processes = min(threads, len(spans))
     if processes > 1:
@@ -385,21 +478,29 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
 def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
             n_paths: int, threads: Optional[int], h_fine: float, n_fine: int,
             tracks, slots):
-    """Per slot, (samples, n_divergent) over all paths, merged in path order
-    one slot at a time as the returned iterator is read (the chunks all run
-    before it is returned).
+    """Per slot, [n_kept, n_divergent, non-finite counts..., exact sums...]
+    over all paths: each chunk returns these lists, the chunks' lists are
+    added elementwise, and no sample outlives its chunk.
 
-    `tracks` are as in `_coupled_steps`. A slot is (ks, reads, statistic):
-    at each fine index k of the ascending `ks`, `statistic(*states)` of the
-    tracks numbered in `reads` gives a new array of one sample row per path,
-    and the slot keeps their elementwise maximum over `ks` (with one index,
-    the statistic itself). At the slot's last index the paths whose read states are not
-    finite are dropped and counted; since a non-finite state stays so, these
-    are the paths that diverged on a read track, and every kept sample was
-    read from finite states only.
+    `tracks` are as in `_coupled_steps`. A slot is (ks, reads, statistic,
+    power): at each fine index k of the ascending `ks`, `statistic(*states)`
+    of the tracks numbered in `reads` gives a new array of one sample row
+    per path, and the slot keeps their elementwise maximum over `ks` (with
+    one index, the statistic itself). At the slot's last index the paths
+    whose read states are not finite are dropped and counted; since a
+    non-finite state stays so, these are the paths that diverged on a read
+    track, and every kept sample s was read from finite states only. The
+    kept samples leave the chunk as `_power_sums(s, power)`.
+
+    The master seed, the path count and the worker count
+    (`resolve_threads(threads)`) are checked before `_map_chunks` is called.
     """
+    check_master_seed(master_seed)
+    if n_paths < 1:
+        raise UsageError(f"n_paths must be >= 1, got {n_paths}")
+    threads = resolve_threads(threads)
     due = {}
-    for j, (ks, _, _) in enumerate(slots):
+    for j, (ks, _, _, _) in enumerate(slots):
         for k in ks:
             due.setdefault(k, []).append(j)
 
@@ -408,7 +509,7 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
         for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths,
                                     h_fine, n_fine, tracks):
             for j in due.get(k, ()):
-                ks, reads, statistic = slots[j]
+                ks, reads, statistic, power = slots[j]
                 states = [Zs[i] for i in reads]
                 with np.errstate(invalid="ignore"):
                     s = statistic(*states)
@@ -418,12 +519,12 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
                 if k == ks[-1]:
                     alive = np.logical_and.reduce(
                         [np.isfinite(Z).all(axis=1) for Z in states])
-                    kept[j] = s[alive], int(alive.size - alive.sum())
+                    n = int(alive.sum())
+                    kept[j] = [n, len(s) - n, *_power_sums(s[alive], power)]
         return kept
 
-    return ((np.concatenate([s for s, _ in slot]), sum(n for _, n in slot))
-            for slot in zip(*_map_chunks(worker, n_paths, master_seed,
-                                         threads)))
+    return [[sum(column) for column in zip(*slot)]
+            for slot in zip(*_map_chunks(worker, n_paths, threads))]
 
 
 def _gap(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -496,10 +597,10 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
         _exact_multiple(T, h, "T", "h")
     x0 = _start_state(problem, x0)
     tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
-    slots = [(range(0, n_fine + 1, f), (0, i), _gap)
+    slots = [(range(0, n_fine + 1, f), (0, i), _gap, 2.0 * p)
              for i, f in enumerate(factors, 1)]
-    estimates = [estimate_from_samples(s, p, n_paths=n_paths, n_divergent=n)
-                 for s, n in _reduce(problem, scheme_cfg, master_seed, n_paths,
+    estimates = [_estimate(p, n_paths, *sums)
+                 for sums in _reduce(problem, scheme_cfg, master_seed, n_paths,
                                      threads, h_ref, n_fine, tracks, slots)]
     return ErrorCurve(model=problem.name, scheme=scheme_cfg.variant, p=p, T=T,
                       h_ref=h_ref, hs=tuple(hs), estimates=tuple(estimates))
@@ -524,10 +625,10 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     _check_p(p)
     n_steps = _exact_multiple(T, h, "T", "h")
     rec = sorted({round(j * n_steps / n_records) for j in range(n_records + 1)})
-    slots = [((k,), range(len(starts)), statistic) for k in rec]
+    slots = [((k,), range(len(starts)), statistic, 2.0 * p) for k in rec]
     times = np.asarray([k * h for k in rec])
-    return times, [estimate_from_samples(s, p, n_paths=n_paths, n_divergent=n)
-                   for s, n in _reduce(problem, scheme_cfg, master_seed,
+    return times, [_estimate(p, n_paths, *sums)
+                   for sums in _reduce(problem, scheme_cfg, master_seed,
                                        n_paths, threads, h, n_steps,
                                        [(x0, 1, h) for x0 in starts], slots)]
 
@@ -592,18 +693,17 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     results = []
     for h in hs:
         h_fine = h / substeps
-        [(diffs, n_div)] = _reduce(
+        # the RMS of |fine - coarse|, and the exact sums of the differences
+        strong, (n, _, *weak) = _reduce(
             problem, scheme_cfg, master_seed, n_paths, threads, h_fine,
             substeps, [(x, 1, h_fine), (x, substeps, h)],
-            [((substeps,), (0, 1), np.subtract)])
-        strong = estimate_from_samples(_row_norms(diffs), p=1.0,
-                                       n_paths=n_paths, n_divergent=n_div)
-        n = max(len(diffs), 1)  # with no survivor, a zero mean
-        try:  # a compensated mean per component over the survivors
-            mean = [math.fsum(c) / n for c in diffs.T.tolist()]
-        except OverflowError:  # their sum leaves float range
-            mean = [math.inf]
-        results.append((h, strong, math.hypot(*mean)))
+            [((substeps,), (0, 1), _gap, 2.0),
+             ((substeps,), (0, 1), np.subtract, 1.0)])
+        d = problem.d  # the mean over the survivors; with none, zero
+        mean = [_mean(total, max(n, 1), bad)
+                for bad, total in zip(weak[:d], weak[d:2 * d])]
+        results.append((h, _estimate(1.0, n_paths, *strong),
+                        math.hypot(*mean)))
     return results
 
 
@@ -629,10 +729,10 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     results = []
     for h in hs:
         h_fine = h / substeps
-        [(samples, n_div)] = _reduce(
+        [sums] = _reduce(
             problem, scheme_cfg, master_seed, n_paths, threads, h_fine,
             substeps, [(x0, 1, h_fine), (y0, 1, h_fine)],
-            [((substeps,), (0, 1), lambda X, Y: _row_norms((X - Y) - gap0))])
-        results.append((h, estimate_from_samples(samples, p, n_paths=n_paths,
-                                                 n_divergent=n_div)))
+            [((substeps,), (0, 1), lambda X, Y: _row_norms((X - Y) - gap0),
+              2.0 * p)])
+        results.append((h, _estimate(p, n_paths, *sums)))
     return results

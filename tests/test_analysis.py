@@ -165,9 +165,15 @@ def test_report_excludes_solver_floor_points():
 
 
 def test_report_needs_two_points_above_floor():
+    """With one point left above the solver floor there is no order to fit:
+    the report fails, says why, and carries no fit."""
     curve = _curve([0.25, 0.125], [0.1, 1e-13])
-    with pytest.raises(UsageError):
-        make_convergence_report(curve, scheme_orders("be"))
+    rep = make_convergence_report(curve, scheme_orders("be"))
+    assert rep.passed is False
+    assert (rep.slope, rep.intercept, rep.r_squared) == (None, None, None)
+    assert (rep.hs, rep.excluded_hs) == ((0.25,), (0.125,))
+    assert rep.notes[-1] == ("fewer than 2 error points above the solver "
+                             "floor; no order fitted")
 
 
 def test_report_flags_moment_order_beyond_guarantee():

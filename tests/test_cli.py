@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sde_longtime.cli as cli
 from sde_longtime import simulate
@@ -487,6 +490,134 @@ def test_a_run_too_short_for_its_check_is_refused_before_any_chunk(
     assert main(args + ["--paths", "8", "--output", str(out)]) == 2
     assert reason in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+# One valid run per command, as flag -> text; the property below makes one
+# option of it invalid at a time.
+_VALID_RUNS = {
+    "convergence": {"T": "1", "h-list": "2^-2,2^-3", "h-ref": "2^-4",
+                    "paths": "4"},
+    "moments": {"T": "2", "h": "1/4", "paths": "4"},
+    "contractivity": {"T": "2", "h": "1/4", "paths": "4", "y0": "0"},
+    "check-assumptions": {},
+}
+
+_GARBAGE = st.sampled_from(["", "x", "1,,2", "nan", "inf", "-inf"])
+_NOT_POSITIVE = st.integers(-64, 0).map(str)
+# positive rationals a float cannot hold exactly, and steps beyond float range
+_NOT_A_STEP = st.one_of(
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(1, 64),
+              st.sampled_from([3, 5, 7, 11])).filter(
+                  lambda t: Fraction(t).denominator != 1),
+    st.sampled_from(["0.1", "1e400", "2^2000", "2^-1100", "1/2^2000"]),
+    st.integers(-64, 0).map(lambda k: f"{k}/4"), _GARBAGE)
+_BAD_P = st.one_of(st.floats(max_value=0.0).map(repr), _GARBAGE)
+_BAD_R2 = st.one_of(st.floats(min_value=1.0, exclude_min=True).map(repr),
+                    st.floats(max_value=0.0, exclude_max=True).map(repr),
+                    _GARBAGE)
+_BAD_START = st.one_of(
+    st.sampled_from(["nan", "inf", "1,nan", "1e400", "1,2", "1,2,3,4"]),
+    _GARBAGE)
+
+
+def _one(flags, values):
+    """{flag: text} for one of `flags` and a drawn value."""
+    return st.tuples(st.sampled_from(flags), values).map(lambda kv: dict([kv]))
+
+
+def _invalid_options(command):
+    """Strategies for {flag: text} changes that make `command`'s valid run
+    invalid: one bad option value, or a combination its checks refuse."""
+    bad = [
+        _one(["p"], _BAD_P),
+        _one(["band"], st.one_of(_BAD_P, st.just("inf"))),
+        _one(["r2-min"], _BAD_R2),
+        _one(["paths"], st.one_of(_NOT_POSITIVE, _GARBAGE)),
+        _one(["T", "h", "h-ref"], _NOT_A_STEP),
+        _one(["h-list"], st.lists(_NOT_A_STEP, min_size=1,
+                                  max_size=3).map(",".join)),
+        # model parameters: a bad value, one the model does not take, or
+        # an unknown model
+        _one(["eta", "sigma", "theta"], _GARBAGE),
+        _one(["theta"], st.floats(max_value=0.0).map(repr)),
+        _one(["eta"], st.floats(0.0, 10.0).map(repr)),  # not dissipative
+        _one(["K"], st.one_of(st.integers(-4, 1).map(str), st.just("2.5"),
+                              _GARBAGE)).map(
+            lambda kv: dict(kv, model="allen-cahn")),
+        st.sampled_from([{"K": "4"}, {"model": "allen-cahn", "eta": "-2"},
+                         {"model": "carousel"}]),
+    ]
+    if command != "check-assumptions":
+        bad += [
+            _one(["seed"], st.one_of(st.integers(max_value=-1).map(str),
+                                     st.just("1.5"), _GARBAGE)),
+            _one(["threads"], _NOT_POSITIVE),
+            _one(["x0"], _BAD_START),
+        ]
+    if command == "convergence":
+        # fewer than two steps above h_ref, h below h_ref, a ratio or a
+        # horizon that is not an integer
+        bad.append(st.sampled_from([
+            {"h-list": "2^-3,2^-4"}, {"h-list": "2^-2,2^-5"},
+            {"h-ref": "3/64"}, {"T": "3/8"}, {"h-list": "3/8,3/16"}]))
+    if command == "moments":  # fewer than 8 records
+        bad.append(st.integers(1, 6).map(lambda n: {"T": f"{n}/4"}))
+    if command == "contractivity":
+        bad += [_one(["y0"], _BAD_START),
+                st.just({"y0": "1"})]  # the starts coincide
+    return st.one_of(bad)
+
+
+@st.composite
+def _invalid_run(draw):
+    command = draw(st.sampled_from(sorted(_VALID_RUNS)))
+    options = dict(_VALID_RUNS[command], **draw(_invalid_options(command)))
+    # --flag=text, since argparse reads "-inf" alone as a flag
+    return [command] + [f"--{flag}={text}" for flag, text in options.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=_invalid_run())
+def test_any_invalid_invocation_exits_2_before_any_chunk(args):
+    """Every command, given an invalid step, ladder, p, band, r2_min, path
+    count, seed, worker count, start or model parameter, exits 2 without
+    running a chunk or writing a file."""
+    with (tempfile.TemporaryDirectory() as tmp,
+          pytest.MonkeyPatch.context() as mp):
+        mp.setattr(simulate, "_map_chunks", _no_chunk)
+        mp.delenv("SDE_LONGTIME_THREADS", raising=False)
+        assert main(args + ["--output", os.path.join(tmp, "r.csv")]) == 2
+        assert os.listdir(tmp) == []
+
+
+_FROZEN = """
+import numpy as np
+from sde_longtime import MonotoneConstants, SdeProblem
+
+PROBLEM = SdeProblem.from_pointwise(
+    name="frozen", d=1, m=1, drift=lambda x: 0.0 * x,
+    diffusion=lambda x: np.zeros((1, 1)),
+    constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.01))
+"""
+
+
+def test_a_ladder_at_the_solver_floor_exits_1_with_outputs(tmp_path):
+    """dX = 0 makes every step exact, so every error sits at the solver
+    floor and no order can be fitted: a quantitative outcome, reported in
+    the outputs with exit code 1, not a usage error."""
+    mod = tmp_path / "frozen.py"
+    mod.write_text(_FROZEN)
+    out = tmp_path / "c.csv"
+    rc = main(["convergence", "--model", f"custom:{mod}", "--T", "1",
+               "--h-list", "2^-2,2^-3", "--h-ref", "2^-4", "--paths", "4",
+               "--output", str(out)])
+    assert rc == 1
+    assert "0.0,0.0,4,0" in out.read_text()
+    report = json.loads(out.with_suffix(".json").read_text())["report"]
+    assert report["passed"] is False
+    assert (report["hs"], report["excluded_hs"]) == ([], [0.25, 0.125])
+    assert report["slope"] is None
+    assert report["notes"][-1].startswith("fewer than 2 error points")
 
 
 def test_the_shortest_checked_runs_are_accepted(tmp_path):

@@ -8,6 +8,7 @@ import os
 import pickle
 import random
 import signal
+from fractions import Fraction
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -172,10 +173,110 @@ def test_estimate_from_samples_degenerate_cases():
 @given(samples=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30),
        p=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 10))
 def test_estimate_is_exactly_permutation_invariant(samples, p, seed):
-    """fsum-based accumulation: the estimate may not depend on sample order."""
+    """Exact accumulation: the estimate may not depend on sample order."""
     shuffled = samples.copy()
     random.Random(seed).shuffle(shuffled)
     assert estimate_from_samples(samples, p) == estimate_from_samples(shuffled, p)
+
+
+# values across float range: zeros, subnormals, either sign, 1e-300 to 1e300,
+# and values whose squares overflow or underflow
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-300, 1e-160, 1e154, 1e300, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(-1e3, 1e3))
+
+
+def _split_sums(values, cuts):
+    """The elementwise sum of `_exact_sums` over the pieces `cuts` makes."""
+    y = np.asarray(values, dtype=float)
+    bounds = [0, *sorted(cuts), len(y)]
+    pieces = [simulate._exact_sums(y[lo:hi])
+              for lo, hi in zip(bounds, bounds[1:])]
+    return [sum(column) for column in zip(*pieces)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_FLOATS, max_size=40), data=st.data())
+def test_exact_sums_are_the_rational_sums_under_any_split(values, data):
+    """Over up to 8 chunks, the summed chunk sums are exactly the rational
+    sums of y and y^2, and their rounding is the correctly rounded sum (inf
+    beyond float range), which is math.fsum's bit for bit wherever fsum
+    does not overflow in an intermediate sum."""
+    cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=7))
+    bad, s1, s2 = _split_sums(values, cuts)
+    exact = sum(map(Fraction, values), Fraction(0))
+    assert bad == 0
+    assert Fraction(s1, simulate._ONE) == exact
+    assert Fraction(s2, simulate._ONE) == sum(
+        (Fraction(v) ** 2 for v in values), Fraction(0))
+    got = simulate._mean(s1, 1, 0)
+    try:
+        assert got.hex() == float(exact).hex()
+    except OverflowError:
+        assert got == math.inf
+    try:
+        assert got.hex() == math.fsum(values).hex()
+    except OverflowError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.lists(_FLOATS, min_size=3, max_size=3),
+                       min_size=1, max_size=20),
+       cuts=st.lists(st.integers(0, 20), max_size=7))
+def test_exact_sums_per_column(values, cuts):
+    """A (B, c) array is summed per column, as each column alone."""
+    whole = _split_sums(values, [c for c in cuts if c <= len(values)])
+    for j in range(3):
+        column = simulate._exact_sums(np.asarray([v[j] for v in values]))
+        assert whole[j::3] == column
+
+
+def test_exact_sums_count_non_finite_values():
+    """Per column: the non-finite entries are counted, and the sums run
+    over the finite ones."""
+    y = np.array([[1.0, math.inf], [math.nan, 2.0], [-math.inf, 3.0]])
+    bad_a, bad_b, *sums = simulate._exact_sums(y)
+    assert (bad_a, bad_b) == (2, 1)
+    assert [Fraction(t, simulate._ONE) for t in sums] == [1, 5, 1, 13]
+
+
+@pytest.mark.parametrize("samples, p, finite_value", [
+    ([1.0, math.inf], 1.0, False),         # an infinite sample
+    ([1.0, 1e200], 1.0, False),            # s^(2p) beyond float range
+    ([1e154, 1e154], 1.0, False),          # the sum of the y beyond it
+    ([1e150, 0.0], 1.0, True),             # only the variance beyond it
+])
+def test_estimates_beyond_float_range(samples, p, finite_value):
+    """An infinite y or an infinite sum of y gives inf +- inf; a finite mean
+    whose variance leaves float range keeps its value, with an inf
+    standard error."""
+    est = estimate_from_samples(samples, p)
+    assert math.isfinite(est.value) == finite_value
+    assert est.std_error == math.inf
+    if finite_value:
+        assert est.value == pytest.approx(math.sqrt(0.5) * 1e150, rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.lists(st.one_of(st.floats(0.0, 1e30),
+                                  st.sampled_from([1.0, 1.0 + 2.0 ** -52])),
+                        min_size=2, max_size=20),
+       p=st.sampled_from([0.5, 1.0, 1.5]))
+def test_variance_is_the_exact_one_rounded_once(samples, p):
+    """std_error comes from (S2 - S1^2/n)/(n - 1) over the exact sums of
+    y = s^(2p) and y^2, rounded once, also for nearly constant samples."""
+    est = estimate_from_samples(samples, p)
+    y = [Fraction(v) for v in (np.asarray(samples) ** (2.0 * p)).tolist()]
+    n = len(y)
+    s1, s2 = sum(y), sum(v * v for v in y)
+    mu = float(s1) / n
+    if mu > 0.0:
+        se_mu = math.sqrt(float((s2 - s1 * s1 / n) / (n - 1)) / n)
+        assert est.std_error == se_mu * est.value / (2.0 * p * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +801,52 @@ def test_results_independent_of_chunk_and_block_size(chunk, block, monkeypatch,
         assert curve == ref_curve, key
         npt.assert_array_equal(times, ref_times)
         assert ests == ref_ests, key
+
+
+def test_a_chunk_returns_sums_not_samples(gl, monkeypatch):
+    """Per slot a chunk returns its counts and exact sums, a fixed number of
+    Python ints of bounded size, so what it returns, and what the run holds
+    once the chunks are done, does not grow with its paths."""
+    returned = {}
+
+    def spy(worker, n_paths, threads):
+        returned[n_paths] = real(worker, n_paths, threads)
+        return returned[n_paths]
+
+    real = simulate._map_chunks
+    monkeypatch.setattr(simulate, "_map_chunks", spy)
+    for n_paths in (16, 1024):
+        moment_trace(gl, EM, T=4.0, h=0.25, n_paths=n_paths, x0=2.0,
+                     n_records=8, threads=1)
+    [small], [big] = returned[16], returned[1024]
+    assert len(small) == len(big) == 9  # one entry per record
+    # y^2 < 2^2048, so a sum of fewer than 2^64 of them has no more bits
+    limit = simulate._UNIT_BITS + 2048 + 64
+    for a, b in zip(small, big):
+        assert len(a) == len(b) == 5
+        assert all(type(v) is int and v.bit_length() <= limit for v in a + b)
+
+
+def test_a_divergent_trace_is_identical_across_workers_and_chunks(
+        gl, monkeypatch):
+    """Explicit Euler from 2 at h = 1/4 loses 10 of 600 paths, and its
+    standard errors run from 0 through 5e42 to inf. Every estimate,
+    std_error included, is the same in every bit at one and two workers
+    and in one chunk of 600 paths, chunks of 512 and 88, or chunks of 10."""
+    def bits(estimates):
+        return [(e.value.hex(), e.std_error.hex(), e.n_divergent)
+                for e in estimates]
+
+    runs = []
+    for chunk, threads in ((512, 1), (512, 2), (5, 1), (5, 2)):
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
+        runs.append(bits(moment_trace(gl, EM, T=8.0, h=0.25, n_paths=600,
+                                      master_seed=3, x0=2.0, n_records=16,
+                                      threads=threads)[1]))
+    assert runs[1:] == runs[:1] * 3
+    assert runs[0][-1][2] == 10
+    errors = {float.fromhex(se) for _, se, _ in runs[0]}
+    assert {0.0, math.inf} <= errors and max(errors - {math.inf}) > 1e42
 
 
 # ---------------------------------------------------------------------------
