@@ -14,8 +14,7 @@ from .model import (AssumptionReport, MonotoneConstants, SampleSpec,
                     max_feasible_pstar, theorem_admissible_p_max)
 from .noise import (NoiseGrid, coarsen, make_noise_grid, pairwise_block_sum,
                     path_generator, path_seed_sequence)
-from .schemes import (NewtonConfig, SchemeConfig, SchemeOrders, scheme_orders,
-                      step_ceiling)
+from .schemes import SchemeConfig, SchemeOrders, scheme_orders, step_ceiling
 from .simulate import (ErrorCurve, MomentEstimate, contraction_experiment,
                        estimate_from_samples, evolve_terminal, moment_trace,
                        one_step_order_experiment, remainder_scaling_experiment,
@@ -37,8 +36,7 @@ __all__ = [
     "NoiseGrid", "coarsen", "make_noise_grid", "pairwise_block_sum",
     "path_generator", "path_seed_sequence",
     # schemes
-    "NewtonConfig", "SchemeConfig", "SchemeOrders", "scheme_orders",
-    "step_ceiling",
+    "SchemeConfig", "SchemeOrders", "scheme_orders", "step_ceiling",
     # simulate
     "ErrorCurve", "MomentEstimate", "contraction_experiment",
     "estimate_from_samples", "evolve_terminal", "moment_trace",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import MonotoneConstants, theorem_admissible_p_max
-from .schemes import SchemeOrders
+from .schemes import RESIDUAL_TOL, SchemeOrders
 from .simulate import ErrorCurve
 
 __all__ = [
@@ -100,21 +100,20 @@ class ConvergenceReport:
 
 def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
                             band: float = 0.1, r2_min: float = 0.98,
-                            residual_tol: float = 1e-12,
                             constants: Optional[MonotoneConstants] = None
                             ) -> ConvergenceReport:
     """Fit the curve and compare against the scheme's predicted global order.
 
-    Points whose error is at or below 10x the implicit-solver residual
-    tolerance are excluded from the fit (they measure the solver, not the
-    scheme) with a logged note. Passing means the fitted slope lies within
-    `band` of the predicted order and r^2 >= r2_min. With fewer than two
-    points left there is no fit: the report fails, with a note and no
-    slope, intercept or r^2.
+    Points whose error is at or below 10x the implicit solve's residual
+    tolerance (`schemes.RESIDUAL_TOL`) are excluded from the fit (they
+    measure the solver, not the scheme) with a logged note. Passing means
+    the fitted slope lies within `band` of the predicted order and
+    r^2 >= r2_min. With fewer than two points left there is no fit: the
+    report fails, with a note and no slope, intercept or r^2.
     """
     notes = []
     kept_h, kept_e, kept_se, excluded = [], [], [], []
-    floor = 10.0 * residual_tol
+    floor = 10.0 * RESIDUAL_TOL
     for h, est in zip(curve.hs, curve.estimates):
         if est.value <= floor:
             excluded.append(h)

@@ -47,6 +47,7 @@ from .errors import SolverFailure, UsageError
 from .model import (SdeProblem, build_allen_cahn, build_ginzburg_landau,
                     check_contractive_monotone, check_poly_lipschitz,
                     max_feasible_pstar, theorem_admissible_p_max)
+from .noise import check_master_seed
 from .schemes import VARIANTS, SchemeConfig, scheme_orders, step_ceiling
 from .simulate import (contraction_experiment, moment_trace,
                        strong_error_experiment)
@@ -141,7 +142,17 @@ class ExperimentConfig:
 
 
 def _states(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+    states = tuple(float(v) for v in text.split(","))
+    if not all(map(math.isfinite, states)):
+        raise UsageError("not a finite state")
+    return states
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise UsageError("must be >= 1")
+    return n
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -163,7 +174,8 @@ _OPTIONS = {
     "T": _step, "h_ref": _step, "h": _step,
     "h_list": lambda text: tuple(sorted(
         {_step(s) for s in text.split(",")}, reverse=True)),
-    "paths": int, "p": float, "seed": int, "threads": int, "output": str,
+    "paths": _count, "threads": _count, "p": float, "output": str,
+    "seed": lambda text: check_master_seed(int(text)),
     "enforce_step_ceiling": lambda text: _BOOLEANS[text.lower()],
     "x0": _states, "y0": _states,
     "eta": float, "sigma": float, "theta": float, "K": int,
@@ -252,8 +264,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig) -> None:
     """The rules that neither build_problem nor the experiments check
     before they run."""
-    if cfg.n_paths < 1:
-        raise UsageError(f"paths must be >= 1, got {cfg.n_paths}")
     if not 0.0 < cfg.p < math.inf:
         raise UsageError(f"p must be positive, got {cfg.p}")
     if not 0.0 < cfg.band < math.inf:
@@ -385,7 +395,6 @@ def run(cfg: ExperimentConfig) -> int:
             x0=cfg.x0, threads=cfg.threads)
         report = make_convergence_report(
             curve, scheme_orders(cfg.scheme), band=cfg.band, r2_min=cfg.r2_min,
-            residual_tol=scheme_cfg.newton.residual_tol,
             constants=problem.constants)
         rows = [dict(base, kind="convergence", h=h, value=e.value,
                      std_error=e.std_error, n_paths=e.n_paths,

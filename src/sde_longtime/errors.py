@@ -12,7 +12,8 @@ class UsageError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The implicit-step nonlinear solver did not reach the residual tolerance.
+    """The implicit solve left a row above both its absolute tolerance and
+    the rounding of its terms; the message gives the residual and bound.
 
     Carries the last iterate and residual so callers can diagnose the step,
     and the step and path indices so they can replay it: `path_index` is the

@@ -117,7 +117,7 @@ class SdeProblem:
     through `SdeProblem.from_pointwise`.
 
     Two optional hooks let a problem lend the implicit solve of
-    z - h f(z) = b its structure; the solve checks every row's residual
+    z - h f(z) = b its structure; the solve certifies every row's residual
     whatever they return, so they speed it up but never weaken it:
 
     * resolvent_batch(b, h) proposes the roots (B, d), from which the solve

@@ -13,13 +13,13 @@ tag the path divergent.
 only step map: a single path is a batch of one, stepped and checked by
 `simulate.evolve_terminal`. The implicit solve is one damped Newton for
 every problem; a problem's optional hooks (see `SdeProblem`) may propose
-its roots or solve its Newton systems, and the solve still checks the
-residual of every row it returns.
+its roots or solve its Newton systems, and the solve still certifies
+every row it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ from .errors import SolverFailure, UsageError
 from .model import SdeProblem, drift_rows
 
 __all__ = [
-    "NewtonConfig",
     "SchemeConfig",
     "SchemeOrders",
     "VARIANTS",
@@ -42,28 +41,16 @@ __all__ = [
 VARIANTS = ("em", "be", "pe")
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Controls for the per-step implicit solve, a damped Newton iteration:
-    each row must reach residual_tol within max_iter iterations, or the solve
-    raises SolverFailure."""
-
-    residual_tol: float = 1e-12
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise UsageError(f"residual_tol must be positive, got {self.residual_tol}")
-        if self.max_iter < 1:
-            raise UsageError(f"max_iter must be >= 1, got {self.max_iter}")
+# the implicit solve's absolute tolerance and iteration budget
+RESIDUAL_TOL = 1e-12
+MAX_ITER = 50
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Which integrator to run and how its implicit/projection internals behave."""
+    """Which integrator to run: one of VARIANTS."""
 
     variant: str = "be"
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -169,7 +156,6 @@ def _newton_steps(problem: SdeProblem, Z: np.ndarray, h: float,
 # ---------------------------------------------------------------------------
 
 def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
-                         cfg: NewtonConfig = NewtonConfig(),
                          step_index: Optional[int] = None) -> np.ndarray:
     """Solve z - h f(z) = b rowwise for a batch b of shape (B, d).
 
@@ -178,35 +164,36 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     analytic (or finite-difference) Jacobians; the strong monotonicity of
     z - h f(z) for dissipative drift makes the root unique, and Newton almost
     always converges in a handful of iterations. A row whose start is
-    already within cfg.residual_tol is returned as it is, so an accurate
+    already within RESIDUAL_TOL is returned as it is, so an accurate
     proposal costs one residual check. A row's step is halved while it would
     raise that row's residual, which keeps the iteration robust at extreme
-    states. A row still above cfg.residual_tol after cfg.max_iter iterations
-    raises SolverFailure, naming the first such row of b (its `path_index`).
-    A non-finite row of b gives a NaN row and never reaches the problem's
-    callables.
+    states. A row still above RESIDUAL_TOL after MAX_ITER iterations is
+    accepted within 2^-50 (|b| + |z| + |h f(z)|), the rounding of its own
+    terms, which is above RESIDUAL_TOL once |b| is large; any other row
+    raises SolverFailure, naming the first such row of b (`path_index`).
+    A non-finite row of b gives a NaN row and never reaches the
+    problem's callables.
 
-    Each iteration works only on the active rows, those still above the
-    tolerance, and each halving only on the rows it halves. Because the
+    Each iteration works only on the active rows, those still above
+    RESIDUAL_TOL, and each halving only on the rows it halves. Because the
     problem's callables are row-independent (see `SdeProblem`), every row
     goes through the same floating-point operations as if solved alone, so
     a row's root does not depend on which other rows share the batch.
     """
-    tol = cfg.residual_tol
     z = np.full_like(b, np.nan)
     act = np.flatnonzero(np.isfinite(b).all(axis=1))
     if not act.size:
         return z
-    # the active rows, still above tol, and their iterates, residuals, norms
-    # and right-hand sides, gathered once from the finite rows
+    # the active rows, still above RESIDUAL_TOL, and their iterates,
+    # residuals, norms and right-hand sides, gathered once from the finite rows
     ba = b[act]
     za = ba if problem.resolvent_batch is None else _proposal(problem, ba, h)
     z[act] = za
     Fa = za - h * drift_rows(problem, za) - ba
     rna = _row_norms(Fa)
-    keep = np.flatnonzero(~(rna <= tol))
+    keep = np.flatnonzero(~(rna <= RESIDUAL_TOL))
     act, za, Fa, rna, ba = act[keep], za[keep], Fa[keep], rna[keep], ba[keep]
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if not act.size:
             return z
         dz = _newton_steps(problem, za, h, Fa)
@@ -224,18 +211,24 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
             more = ~(rn_new[worse] <= rna[worse]) & (alpha > 1e-8)
             worse, alpha = worse[more], alpha[more]
         z[act] = z_new
-        keep = np.flatnonzero(~(rn_new <= tol))
+        keep = np.flatnonzero(~(rn_new <= RESIDUAL_TOL))
         act, za, Fa, rna, ba = (act[keep], z_new[keep], F_new[keep],
                                 rn_new[keep], ba[keep])
 
-    if act.size:
+    # the rows left are held to the rounding of their terms, h f(z) = z - b - F
+    bound = np.maximum(RESIDUAL_TOL, 2.0 ** -50 * (
+        _row_norms(ba) + _row_norms(za) + _row_norms(za - ba - Fa)))
+    failing = np.flatnonzero(~(rna <= bound))
+    if failing.size:
         # the first failing row, not the worst: which row is worst depends
         # on which other paths share the batch
+        i = failing[0]
         raise SolverFailure(
-            f"implicit solve did not converge within {cfg.max_iter} iterations "
-            f"(residual {rna[0]:.3e} in the first failing row)",
-            last_iterate=za[0].copy(), residual=float(rna[0]),
-            step_index=step_index, path_index=int(act[0]))
+            f"implicit solve did not converge within {MAX_ITER} iterations "
+            f"(residual {rna[i]:.3e} above its bound {bound[i]:.3e} in the "
+            f"first failing row)",
+            last_iterate=za[i].copy(), residual=float(rna[i]),
+            step_index=step_index, path_index=int(act[i]))
     return z
 
 
@@ -270,7 +263,7 @@ def step_batch(problem: SdeProblem, cfg: SchemeConfig, Z: np.ndarray,
     that the next step projects again."""
     if cfg.variant == "be":
         return solve_implicit_batch(problem, Z + problem.diffusion_apply(Z, dW),
-                                    h, cfg.newton, step_index=step_index)
+                                    h, step_index=step_index)
     if cfg.variant == "pe":
         Z = project_batch(Z, _projection_radius(h, problem.constants.kappa))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_longtime import (MonotoneConstants, NewtonConfig, SchemeConfig,
-                          SdeProblem, SolverFailure, UsageError,
-                          build_allen_cahn, build_ginzburg_landau,
-                          evolve_terminal, scheme_orders, step_ceiling)
+from sde_longtime import (MonotoneConstants, SchemeConfig, SdeProblem,
+                          SolverFailure, UsageError, build_allen_cahn,
+                          build_ginzburg_landau, evolve_terminal,
+                          scheme_orders, schemes, step_ceiling)
 from sde_longtime.model import drift_rows
 from sde_longtime.schemes import (VARIANTS, _jacobian_rows, _row_norms,
                                   project_batch, solve_implicit_batch,
@@ -31,7 +31,7 @@ def gl():
 @pytest.fixture(scope="module")
 def gl_newton(gl):
     """GL without its closed-form root: the damped Newton from b alone,
-    which a small max_iter makes fail."""
+    which a small MAX_ITER makes fail."""
     return dataclasses.replace(gl, resolvent_batch=None)
 
 
@@ -214,10 +214,10 @@ def test_resolvent_is_nonexpansive(gl, b1, b2, h):
     assert abs(z1[0] - z2[0]) <= abs(b1 - b2) * (1.0 + 1e-10) + 1e-13
 
 
-def test_solver_failure_reports_iterate_and_residual(gl_newton):
-    cfg = NewtonConfig(max_iter=1)
+def test_solver_failure_reports_iterate_and_residual(gl_newton, monkeypatch):
+    monkeypatch.setattr(schemes, "MAX_ITER", 1)
     with pytest.raises(SolverFailure) as exc:
-        solve_implicit_batch(gl_newton, np.array([[5.0]]), 0.5, cfg,
+        solve_implicit_batch(gl_newton, np.array([[5.0]]), 0.5,
                              step_index=7)
     err = exc.value
     assert err.residual > 0.0
@@ -262,15 +262,18 @@ def _row_batches():
     mixed = b[:40].copy()
     mixed[[2, 9, 23, 31]] = [[np.nan], [np.inf], [-np.inf], [np.nan]]
     ac = rng.normal(scale=3.0, size=(120, 3))
+    # |b| up to 1e8, where many roots are certified only to rounding
+    large = b * 10.0 ** rng.uniform(0.0, 6.0, size=(120, 1))
     return {"arctan": (_arctan_problem(), b, 1.0),
             "arctan-fd": (_arctan_problem(jacobian=False), b, 1.0),
             "non-finite": (_arctan_problem(), mixed, 1.0),
             "allen-cahn": (build_allen_cahn(K=4), ac, 15.0 / 2.0 ** 6),
-            "gl": (build_ginzburg_landau(), b / 10.0, 2.0 ** -3)}
+            "gl": (build_ginzburg_landau(), b / 10.0, 2.0 ** -3),
+            "gl-large": (build_ginzburg_landau(), large, 0.5)}
 
 
 @pytest.mark.parametrize("name", ["arctan", "arctan-fd", "non-finite",
-                                  "allen-cahn", "gl"])
+                                  "allen-cahn", "gl", "gl-large"])
 def test_implicit_rows_equal_their_solve_alone_and_in_any_subset(name):
     problem, b, h = _row_batches()[name]
     z = solve_implicit_batch(problem, b, h)
@@ -312,13 +315,15 @@ def test_converged_rows_are_not_evaluated_again():
     assert np.all(z[np.arange(512) != 300] == 0.0)
 
 
-def test_solver_failure_names_the_row_through_non_finite_rows(gl_newton):
+def test_solver_failure_names_the_row_through_non_finite_rows(gl_newton,
+                                                              monkeypatch):
+    monkeypatch.setattr(schemes, "MAX_ITER", 2)
     b = np.array([[np.nan], [0.0], [np.inf], [0.0], [30.0], [40.0]])
     with pytest.raises(SolverFailure) as exc:
-        solve_implicit_batch(gl_newton, b, 0.5, NewtonConfig(max_iter=2))
+        solve_implicit_batch(gl_newton, b, 0.5)
     assert exc.value.path_index == 4
     with pytest.raises(SolverFailure) as alone:
-        solve_implicit_batch(gl_newton, b[4:5], 0.5, NewtonConfig(max_iter=2))
+        solve_implicit_batch(gl_newton, b[4:5], 0.5)
     assert alone.value.path_index == 0
     assert str(alone.value) == str(exc.value)
     assert alone.value.residual == exc.value.residual
@@ -373,7 +378,8 @@ def _residuals(problem, z, b, h):
 
 
 @pytest.mark.parametrize("hook", ["shifted", "nan-rows"])
-def test_a_wrong_resolvent_cannot_weaken_the_solve(gl, gl_newton, hook):
+def test_a_wrong_resolvent_cannot_weaken_the_solve(gl, gl_newton, hook,
+                                                   monkeypatch):
     """A hook that proposes b + 1, or NaN for the rows with b > 0, still
     gives roots within tolerance, and with one iteration a SolverFailure
     like the plain Newton's; where its proposal is NaN the solve starts
@@ -387,10 +393,10 @@ def test_a_wrong_resolvent_cannot_weaken_the_solve(gl, gl_newton, hook):
     plain = solve_implicit_batch(gl_newton, b, 0.5)
     npt.assert_allclose(z, plain, rtol=0.0, atol=1e-12)
     failures = []
+    monkeypatch.setattr(schemes, "MAX_ITER", 1)
     for p in (problem, gl_newton):
         with pytest.raises(SolverFailure) as exc:
-            solve_implicit_batch(p, np.array([[5.0]]), 0.5,
-                                 NewtonConfig(max_iter=1))
+            solve_implicit_batch(p, np.array([[5.0]]), 0.5)
         assert exc.value.path_index == 0 and exc.value.residual > 1e-12
         failures.append((str(exc.value), exc.value.last_iterate.tolist()))
     if hook == "nan-rows":
@@ -599,6 +605,74 @@ def test_step_ceiling_values():
 
 
 # ---------------------------------------------------------------------------
+# roots exact to rounding: beyond |b| of about 1e4 no iterate reaches the
+# absolute tolerance, and the solve accepts the rounding of the row's terms
+# ---------------------------------------------------------------------------
+
+def _assert_certified(problem, z, b, h):
+    """Every row's residual within max(RESIDUAL_TOL, 2^-50 (|b| + |z| +
+    |h f(z)|)), with h f(z) evaluated afresh."""
+    hf = h * drift_rows(problem, z)
+    bound = np.maximum(schemes.RESIDUAL_TOL, 2.0 ** -50 * (
+        _row_norms(b) + _row_norms(z) + _row_norms(hf)))
+    resid = _row_norms(z - hf - b)
+    assert np.all(resid <= bound), (b, resid, bound)
+
+
+@pytest.mark.parametrize("model, h, value", [
+    *[("gl", 0.5, v) for v in (3e4, 1e5, 1e12)],
+    *[("allen-cahn", 15.0 / 2.0 ** 10, v) for v in (1e4, 1e8)]])
+def test_large_right_hand_sides_give_roots_exact_to_rounding(model, h, value):
+    problem = {"gl": build_ginzburg_landau, "allen-cahn": build_allen_cahn}[
+        model]()
+    b = np.stack([np.full(problem.d, value), np.full(problem.d, -value)])
+    z = solve_implicit_batch(problem, b, h)
+    assert np.all(_residuals(problem, z, b, h) > schemes.RESIDUAL_TOL)
+    _assert_certified(problem, z, b, h)
+
+
+_GL = build_ginzburg_landau()
+_AC = build_allen_cahn(K=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(["gl", "allen-cahn"]),
+       exponents=st.lists(st.floats(-300.0, 15.0), min_size=3, max_size=3),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
+def test_every_root_is_certified(model, exponents, signs):
+    """b log-uniform over 1e-300..1e15 with either sign. Allen-Cahn has no
+    closed-form root: its Newton starts from b and, far above the root,
+    shrinks the iterate by about 2/3 per step, so the 50-iteration budget
+    reaches the root from |b| up to about 1e10 only; its components are
+    capped at 1e9 here."""
+    problem, h = {"gl": (_GL, 0.5), "allen-cahn": (_AC, 15.0 / 2.0 ** 10)}[
+        model]
+    if model == "allen-cahn":
+        exponents = [min(e, 9.0) for e in exponents]
+    b = (np.array(signs) * 10.0 ** np.array(exponents))[None, :problem.d]
+    _assert_certified(problem, solve_implicit_batch(problem, b, h), b, h)
+
+
+def test_a_failure_names_the_bound_it_missed(gl_newton, monkeypatch):
+    """A row not converged within the budget names its residual and its
+    bound: the absolute tolerance for a small right-hand side, the
+    rounding of the last iterate's terms for a large one."""
+    monkeypatch.setattr(schemes, "MAX_ITER", 1)
+    for value in (5.0, 1e5):
+        b = np.array([[value]])
+        with pytest.raises(SolverFailure) as exc:
+            solve_implicit_batch(gl_newton, b, 0.5)
+        z = exc.value.last_iterate[None]
+        rounding = 2.0 ** -50 * (value + abs(z[0, 0]) + abs(
+            0.5 * drift_rows(gl_newton, z)[0, 0]))
+        assert (rounding < 1e-12) == (value == 5.0)
+        bound = max(schemes.RESIDUAL_TOL, rounding)
+        assert "within 1 iterations" in str(exc.value)
+        assert (f"residual {exc.value.residual:.3e} above its bound "
+                f"{bound:.3e}" in str(exc.value))
+
+
+# ---------------------------------------------------------------------------
 # the projected state keeps one explicit step affordable
 # ---------------------------------------------------------------------------
 
@@ -618,13 +692,6 @@ def test_projected_drift_obeys_step_budget(gl, x, k):
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
-
-def test_newton_config_validation():
-    with pytest.raises(UsageError):
-        NewtonConfig(residual_tol=0.0)
-    with pytest.raises(UsageError):
-        NewtonConfig(max_iter=0)
-
 
 def test_scheme_config_validation():
     with pytest.raises(UsageError):

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sde_longtime import (MomentEstimate, MonotoneConstants, NewtonConfig,
-                          SchemeConfig, SdeProblem, SolverFailure, UsageError,
+from sde_longtime import (MomentEstimate, MonotoneConstants, SchemeConfig,
+                          SdeProblem, SolverFailure, UsageError,
                           check_contractive_monotone, build_allen_cahn,
                           build_ginzburg_landau, coarsen,
                           contraction_experiment, estimate_from_samples,
@@ -26,7 +26,7 @@ from sde_longtime import (MomentEstimate, MonotoneConstants, NewtonConfig,
                           moment_trace, one_step_order_experiment,
                           path_generator, pairwise_block_sum,
                           remainder_scaling_experiment, resolve_threads,
-                          simulate, strong_error_experiment)
+                          schemes, simulate, strong_error_experiment)
 from sde_longtime.schemes import _row_norms
 
 BE = SchemeConfig(variant="be")
@@ -356,18 +356,19 @@ def test_every_protocol_is_identical_across_worker_counts(gl, name):
         assert 0 < ests[-1].n_divergent < 1030  # some paths, not all
 
 
-def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl):
+def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl,
+                                                                  monkeypatch):
     """A one-iteration damped Newton (GL without its closed-form root)
     fails at the first step of every
     chunk; the caller must see the first chunk's failure, as in the serial
     loop, although the chunks differ (1024 + 6 paths at one worker, 515 +
     515 at two), and no worker may remain."""
-    cfg = SchemeConfig(variant="be", newton=NewtonConfig(max_iter=1))
+    monkeypatch.setattr(schemes, "MAX_ITER", 1)
     newton_only = dataclasses.replace(gl, resolvent_batch=None)
     seen = []
     for threads in (1, 2):
         with pytest.raises(SolverFailure) as info:
-            strong_error_experiment(newton_only, cfg, T=1.0, h_list=[2.0 ** -2],
+            strong_error_experiment(newton_only, BE, T=1.0, h_list=[2.0 ** -2],
                                     h_ref=2.0 ** -4, n_paths=1030,
                                     master_seed=1, x0=5.0, threads=threads)
         err = info.value
@@ -386,16 +387,16 @@ _ARCTAN = SdeProblem(
     diffusion_apply=lambda X, dW: 100.0 * dW,
     constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1e4),
     drift_jacobian_batch=lambda X: (-100.0 / (1.0 + X * X))[..., None])
-_ARCTAN_CFG = SchemeConfig(variant="be", newton=NewtonConfig(max_iter=10))
 
 
-def test_solver_failure_names_a_replayable_global_path():
+def test_solver_failure_names_a_replayable_global_path(monkeypatch):
     """dx = -100 arctan(x) dt + 100 dW at h = 1 with ten Newton iterations
     fails on path 1037 alone, at step 4: beyond chunk 0 at one worker
     (chunks of 1024 and 476 paths) and at two (750 and 750). Both must name
     that path, and replaying its noise grid alone must fail at the same
     step with the same residual and iterate."""
-    problem, cfg = _ARCTAN, _ARCTAN_CFG
+    monkeypatch.setattr(schemes, "MAX_ITER", 10)
+    problem, cfg = _ARCTAN, BE
     seen = []
     for threads in (1, 2):
         with pytest.raises(SolverFailure) as info:
@@ -423,9 +424,11 @@ def test_solver_failure_is_the_earliest_at_any_worker_count(monkeypatch):
     without the fork start method (run serially), must report the earliest
     failure, which replays alone: from the state it carries, at its t
     and h."""
+    monkeypatch.setattr(schemes, "MAX_ITER", 10)
+
     def failure(threads):
         with pytest.raises(SolverFailure) as info:
-            moment_trace(_ARCTAN, _ARCTAN_CFG, T=8.0, h=1.0, n_paths=1500,
+            moment_trace(_ARCTAN, BE, T=8.0, h=1.0, n_paths=1500,
                          master_seed=9, x0=0.0, n_records=2, threads=threads)
         err = info.value
         return (err.path_index, err.step_index, err.residual,
@@ -441,13 +444,13 @@ def test_solver_failure_is_the_earliest_at_any_worker_count(monkeypatch):
     assert (path, step, t, h) == (836, 2, 2.0, 1.0)
     noise = make_noise_grid(9, path, 1, 1.0, 8)
     with pytest.raises(SolverFailure) as replay:
-        evolve_terminal(_ARCTAN, _ARCTAN_CFG, 1.0, 8, noise, 0.0)
+        evolve_terminal(_ARCTAN, BE, 1.0, 8, noise, 0.0)
     assert (replay.value.step_index, replay.value.residual) == (step, residual)
-    before = evolve_terminal(_ARCTAN, _ARCTAN_CFG, h, step,
+    before = evolve_terminal(_ARCTAN, BE, h, step,
                              noise.increments[:step], 0.0)
     assert before.tolist() == state
     with pytest.raises(SolverFailure) as one_step:
-        evolve_terminal(_ARCTAN, _ARCTAN_CFG, h, 1,
+        evolve_terminal(_ARCTAN, BE, h, 1,
                         noise.increments[step:step + 1], state)
     assert one_step.value.residual == residual
 
