@@ -14,10 +14,10 @@ state into it before that path draws; the rows are bit for bit the reference
 streams.
 
 Coarsening sums consecutive fine increments with a fixed pairwise
-(balanced-tree) order. For power-of-two factors the tree composes exactly, so
-``coarsen(coarsen(g, 2), 2)`` and ``coarsen(g, 4)`` agree bit for bit and the
-total increment over the interval is identical at every level of a dyadic
-ladder.
+(balanced-tree) order. The tree of a factor g 2^j is the tree of g halved j
+times: ``coarsen(coarsen(g, 2), 2)`` equals ``coarsen(g, 4)`` bit for bit,
+every level of a dyadic ladder sees the same total increment, and the engine
+halves each such level from the one below (`simulate._coarse_noise`).
 """
 
 from __future__ import annotations

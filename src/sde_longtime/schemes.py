@@ -132,10 +132,11 @@ def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
 
 
 def _proposal(problem: SdeProblem, b: np.ndarray, h: float) -> np.ndarray:
-    """The problem's proposed roots of z - h f(z) = b, with b itself in
-    each row whose proposal is not finite."""
+    """The problem's proposed roots of z - h f(z) = b: the proposal itself
+    when it is finite, else with b in each row whose proposal is not."""
     z = np.asarray(problem.resolvent_batch(b, h), dtype=float)
-    return np.where(np.isfinite(z).all(axis=1)[:, None], z, b)
+    ok = np.isfinite(z).all(axis=1)
+    return z if ok.all() else np.where(ok[:, None], z, b)
 
 
 def _newton_steps(problem: SdeProblem, Z: np.ndarray, h: float,
@@ -155,6 +156,14 @@ def _newton_steps(problem: SdeProblem, Z: np.ndarray, h: float,
 # implicit solve
 # ---------------------------------------------------------------------------
 
+def _rounding_bound(b: np.ndarray, z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Per row, max(RESIDUAL_TOL, 2^-50 (|b| + |z| + |h f(z)|)), the
+    rounding of the row's own terms, with h f(z) = z - b - F (no drift
+    call)."""
+    return np.maximum(RESIDUAL_TOL, 2.0 ** -50 * (
+        _row_norms(b) + _row_norms(z) + _row_norms(z - b - F)))
+
+
 def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
                          step_index: Optional[int] = None) -> np.ndarray:
     """Solve z - h f(z) = b rowwise for a batch b of shape (B, d).
@@ -167,35 +176,53 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     already within RESIDUAL_TOL is returned as it is, so an accurate
     proposal costs one residual check. A row's step is halved while it would
     raise that row's residual, which keeps the iteration robust at extreme
-    states. A row still above RESIDUAL_TOL after MAX_ITER iterations is
-    accepted within 2^-50 (|b| + |z| + |h f(z)|), the rounding of its own
-    terms, which is above RESIDUAL_TOL once |b| is large; any other row
-    raises SolverFailure, naming the first such row of b (`path_index`).
-    A non-finite row of b gives a NaN row and never reaches the
-    problem's callables.
+    states. A row whose residual an iteration does not strictly lower is
+    as close as rounding lets it get: it is accepted at once if that
+    residual is within 2^-50 (|b| + |z| + |h f(z)|), the rounding of its
+    own terms, which is above RESIDUAL_TOL once |b| is large. A row still
+    above RESIDUAL_TOL after MAX_ITER iterations is held to the same bound;
+    any other row raises SolverFailure, naming the first such row of b
+    (`path_index`). A non-finite row of b gives a NaN row and never
+    reaches the problem's callables.
 
-    Each iteration works only on the active rows, those still above
-    RESIDUAL_TOL, and each halving only on the rows it halves. Because the
-    problem's callables are row-independent (see `SdeProblem`), every row
-    goes through the same floating-point operations as if solved alone, so
-    a row's root does not depend on which other rows share the batch.
+    Each iteration works only on the active rows, those not yet accepted,
+    and each halving only on the rows it halves. While every row of b is
+    finite and active, the iterates are the whole batch; the rows are
+    gathered only when some row leaves. Because the problem's callables are
+    row-independent (see `SdeProblem`), every row goes through the same
+    floating-point operations as if solved alone, so a row's root does not
+    depend on which other rows share the batch.
     """
-    z = np.full_like(b, np.nan)
-    act = np.flatnonzero(np.isfinite(b).all(axis=1))
-    if not act.size:
-        return z
-    # the active rows, still above RESIDUAL_TOL, and their iterates,
-    # residuals, norms and right-hand sides, gathered once from the finite rows
-    ba = b[act]
+    finite = np.isfinite(b).all(axis=1)
+    # act indexes the active rows of b into the output z; while it is None,
+    # every row is active and the iterates are the whole batch
+    act = None if finite.all() else np.flatnonzero(finite)
+    ba = b if act is None else b[act]
+    z = None if act is None else np.full_like(b, np.nan)
+    if not len(ba):
+        return np.full_like(b, np.nan)
     za = ba if problem.resolvent_batch is None else _proposal(problem, ba, h)
-    z[act] = za
     Fa = za - h * drift_rows(problem, za) - ba
     rna = _row_norms(Fa)
-    keep = np.flatnonzero(~(rna <= RESIDUAL_TOL))
-    act, za, Fa, rna, ba = act[keep], za[keep], Fa[keep], rna[keep], ba[keep]
-    for _ in range(MAX_ITER):
-        if not act.size:
-            return z
+    done = rna <= RESIDUAL_TOL
+    for it in range(MAX_ITER + 1):
+        if it == MAX_ITER:
+            # the rows left are held to the rounding of their terms
+            done = rna <= _rounding_bound(ba, za, Fa)
+        if done.any():
+            # the rows done leave; the first time, the iterates become z
+            if act is None:
+                act = np.arange(len(b))
+                z = za.copy() if np.may_share_memory(za, b) else za
+            else:
+                z[act[done]] = za[done]
+            if done.all():
+                return z
+            keep = np.flatnonzero(~done)
+            act, za, Fa, rna, ba = (act[keep], za[keep], Fa[keep], rna[keep],
+                                    ba[keep])
+        if it == MAX_ITER:
+            break
         dz = _newton_steps(problem, za, h, Fa)
         z_new = za - dz
         F_new = z_new - h * drift_rows(problem, z_new) - ba
@@ -210,26 +237,21 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
             z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _row_norms(Fw)
             more = ~(rn_new[worse] <= rna[worse]) & (alpha > 1e-8)
             worse, alpha = worse[more], alpha[more]
-        z[act] = z_new
-        keep = np.flatnonzero(~(rn_new <= RESIDUAL_TOL))
-        act, za, Fa, rna, ba = (act[keep], z_new[keep], F_new[keep],
-                                rn_new[keep], ba[keep])
+        done = rn_new <= RESIDUAL_TOL
+        stalled = ~(rn_new < rna)
+        if stalled.any():
+            done |= stalled & (rn_new <= _rounding_bound(ba, z_new, F_new))
+        za, Fa, rna = z_new, F_new, rn_new
 
-    # the rows left are held to the rounding of their terms, h f(z) = z - b - F
-    bound = np.maximum(RESIDUAL_TOL, 2.0 ** -50 * (
-        _row_norms(ba) + _row_norms(za) + _row_norms(za - ba - Fa)))
-    failing = np.flatnonzero(~(rna <= bound))
-    if failing.size:
-        # the first failing row, not the worst: which row is worst depends
-        # on which other paths share the batch
-        i = failing[0]
-        raise SolverFailure(
-            f"implicit solve did not converge within {MAX_ITER} iterations "
-            f"(residual {rna[i]:.3e} above its bound {bound[i]:.3e} in the "
-            f"first failing row)",
-            last_iterate=za[i].copy(), residual=float(rna[i]),
-            step_index=step_index, path_index=int(act[i]))
-    return z
+    # the first failing row, not the worst: which row is worst depends on
+    # which other paths share the batch
+    bound = _rounding_bound(ba[:1], za[:1], Fa[:1])[0]
+    raise SolverFailure(
+        f"implicit solve did not converge within {MAX_ITER} iterations "
+        f"(residual {rna[0]:.3e} above its bound {bound:.3e} in the "
+        f"first failing row)",
+        last_iterate=za[0].copy(), residual=float(rna[0]),
+        step_index=step_index, path_index=0 if act is None else int(act[0]))
 
 
 # ---------------------------------------------------------------------------

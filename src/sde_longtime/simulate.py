@@ -382,6 +382,22 @@ def _noise_block(gen, states, shape, sqrt_h: float, carry: bool):
     return W, ends
 
 
+def _coarse_noise(W: np.ndarray, factors) -> dict:
+    """Per factor f, `pairwise_block_sum(W, f, axis=1)` bit for bit (W
+    itself at f = 1). The split-at-half tree of f = g 2^j is the tree of g
+    halved j times, so f is built from the largest coarse factor g > 1
+    already built by j pairwise halvings; a factor with no such g is summed
+    from W, which holds smaller temporaries than halving W itself."""
+    Wf = {}
+    for f in sorted(set(factors) - {1}):
+        bases = [g for g in Wf if f % g == 0 and (f // g).bit_count() == 1]
+        c = Wf[max(bases)] if bases else pairwise_block_sum(W, f, axis=1)
+        while c.shape[1] * f > W.shape[1]:
+            c = c[:, 0::2] + c[:, 1::2]
+        Wf[f] = c
+    return {1: W, **Wf}
+
+
 def _start_state(problem: SdeProblem, x0, name: str = "x0") -> np.ndarray:
     """x0 as a finite state of shape (d,); a single value (a scalar or any
     size-1 array) fills every component. Every protocol checks its start
@@ -429,7 +445,8 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
     `paths` are the chunk's path indices, whose substreams of `master_seed`
     drive it; each track is (x0, factor, h), a start state from
     `_start_state` and a step of size h taken every `factor` fine steps, on
-    the pairwise sums of `factor` fine increments of size h_fine. Yields
+    the pairwise sums of `factor` fine increments of size h_fine, built
+    level from level per noise block (`_coarse_noise`). Yields
     (k, states) for the fine indices k = 0..n_fine; at each k > 0 every track
     whose factor divides k has just been stepped, in track order, and
     `states` lists the current state batch of every track. A SolverFailure
@@ -455,8 +472,7 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
             W, states = _noise_block(gen, states,
                                      (len(paths), t1 - t0, problem.m),
                                      sqrt_h, carry=t1 < n_fine)
-            Wf = {f: W if f == 1 else pairwise_block_sum(W, f, axis=1)
-                  for f in factors}
+            Wf = _coarse_noise(W, factors)
             for k in range(t0 + 1, t1 + 1):
                 for i, (_, f, h) in enumerate(tracks):
                     if k % f == 0:

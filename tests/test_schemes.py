@@ -264,16 +264,23 @@ def _row_batches():
     ac = rng.normal(scale=3.0, size=(120, 3))
     # |b| up to 1e8, where many roots are certified only to rounding
     large = b * 10.0 ** rng.uniform(0.0, 6.0, size=(120, 1))
+    # components near 1e3: every row stays active for several iterations,
+    # so the solve iterates the whole batch before its first gather
+    ac_large = (rng.choice([-1.0, 1.0], size=(120, 3))
+                * rng.uniform(5e2, 2e3, size=(120, 3)))
     return {"arctan": (_arctan_problem(), b, 1.0),
             "arctan-fd": (_arctan_problem(jacobian=False), b, 1.0),
             "non-finite": (_arctan_problem(), mixed, 1.0),
             "allen-cahn": (build_allen_cahn(K=4), ac, 15.0 / 2.0 ** 6),
+            "allen-cahn-large": (build_allen_cahn(K=4), ac_large,
+                                 15.0 / 2.0 ** 6),
             "gl": (build_ginzburg_landau(), b / 10.0, 2.0 ** -3),
             "gl-large": (build_ginzburg_landau(), large, 0.5)}
 
 
 @pytest.mark.parametrize("name", ["arctan", "arctan-fd", "non-finite",
-                                  "allen-cahn", "gl", "gl-large"])
+                                  "allen-cahn", "allen-cahn-large", "gl",
+                                  "gl-large"])
 def test_implicit_rows_equal_their_solve_alone_and_in_any_subset(name):
     problem, b, h = _row_batches()[name]
     z = solve_implicit_batch(problem, b, h)
@@ -330,6 +337,21 @@ def test_solver_failure_names_the_row_through_non_finite_rows(gl_newton,
     npt.assert_array_equal(alone.value.last_iterate, exc.value.last_iterate)
 
 
+def test_solver_failure_names_a_later_row_of_a_finite_batch(gl_newton,
+                                                            monkeypatch):
+    """A finite batch is iterated whole until the budget runs out; row 0
+    is then within tolerance and row 1 is the first that fails."""
+    monkeypatch.setattr(schemes, "MAX_ITER", 2)
+    b = np.array([[1e-3], [30.0], [40.0]])
+    with pytest.raises(SolverFailure) as exc:
+        solve_implicit_batch(gl_newton, b, 0.5)
+    with pytest.raises(SolverFailure) as alone:
+        solve_implicit_batch(gl_newton, b[1:2], 0.5)
+    assert (exc.value.path_index, alone.value.path_index) == (1, 0)
+    assert str(alone.value) == str(exc.value)
+    npt.assert_array_equal(alone.value.last_iterate, exc.value.last_iterate)
+
+
 def test_a_batch_without_finite_rows_never_calls_the_drift():
     """Nothing to solve: a pointwise problem, whose batch callables cannot
     stack zero rows, must not be called on an empty batch of rows."""
@@ -366,6 +388,52 @@ def test_the_drift_never_sees_a_non_finite_row():
     assert seen and all(np.isfinite(X).all() for X in seen)
     bad = ~np.isfinite(b).all(axis=1)
     assert np.isnan(z[bad]).all() and np.isfinite(z[~bad]).all()
+
+
+def _row_counts(problem):
+    """`problem` with its drift counting the rows of each call, and the
+    list of those counts (the probe at construction not counted)."""
+    rows = []
+
+    def drift_batch(X):
+        rows.append(X.shape[0])
+        return problem.drift_batch(X)
+
+    counted = dataclasses.replace(problem, drift_batch=drift_batch)
+    rows.clear()
+    return counted, rows
+
+
+def test_the_large_allen_cahn_batch_iterates_whole_before_any_row_leaves():
+    """The batch that covers the no-gather branch keeps its point: its
+    first several drift calls see every row."""
+    problem, b, h = _row_batches()["allen-cahn-large"]
+    problem, rows = _row_counts(problem)
+    solve_implicit_batch(problem, b, h)
+    assert rows[:6] == [len(b)] * 6 and rows[-1] < len(b)
+
+
+def test_a_certified_proposal_costs_one_drift_call(gl):
+    """A finite GL batch whose closed-form roots are all within tolerance
+    is returned after the one residual check."""
+    problem, rows = _row_counts(gl)
+    b = np.random.default_rng(17).uniform(-20.0, 20.0, size=(200, 1))
+    z = solve_implicit_batch(problem, b, 0.5)
+    assert rows == [200]
+    assert z.tobytes() == gl.resolvent_batch(b, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.0, 20.0])
+def test_the_solve_returns_a_new_array_and_leaves_b_alone(gl_newton, scale):
+    """Without a resolvent the iterates start as b itself: neither a batch
+    that is its own root (b = 0) nor one that iterates returns b or
+    writes into it."""
+    b = scale * np.random.default_rng(3).uniform(-1.0, 1.0, size=(64, 1))
+    before = b.copy()
+    z = solve_implicit_batch(gl_newton, b, 0.5)
+    assert not np.shares_memory(z, b)
+    assert b.tobytes() == before.tobytes()
+    assert np.max(_residuals(gl_newton, z, b, 0.5)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +696,24 @@ def test_large_right_hand_sides_give_roots_exact_to_rounding(model, h, value):
     b = np.stack([np.full(problem.d, value), np.full(problem.d, -value)])
     z = solve_implicit_batch(problem, b, h)
     assert np.all(_residuals(problem, z, b, h) > schemes.RESIDUAL_TOL)
+    _assert_certified(problem, z, b, h)
+
+
+@pytest.mark.parametrize("model, h, value, calls", [
+    ("gl", 0.5, 1e5, 3), ("gl", 0.5, 1e8, 3),
+    ("allen-cahn", 15.0 / 2.0 ** 10, 1e4, 19),
+    ("allen-cahn", 15.0 / 2.0 ** 10, 1e8, 34)])
+def test_a_stalled_row_is_certified_when_it_stalls(model, h, value, calls):
+    """A row whose residual stops falling above RESIDUAL_TOL but within
+    the rounding of its terms leaves at once, instead of running out the
+    MAX_ITER budget (51 drift calls in each of these cases)."""
+    problem = {"gl": build_ginzburg_landau, "allen-cahn": build_allen_cahn}[
+        model]()
+    counted, rows = _row_counts(problem)
+    b = np.full((1, problem.d), value)
+    z = solve_implicit_batch(counted, b, h)
+    assert len(rows) == calls
+    assert _residuals(problem, z, b, h)[0] > schemes.RESIDUAL_TOL
     _assert_certified(problem, z, b, h)
 
 

@@ -708,6 +708,34 @@ def test_strong_error_engine_matches_stepwise_replication(gl):
     assert (curve.model, curve.scheme, curve.hs) == (gl.name, "be", (h,))
 
 
+@pytest.mark.parametrize("factors", [(2, 4, 8), (8, 16, 32, 64, 128),
+                                     (2, 8), (3, 6, 12), (5,)])
+def test_the_kernel_coarsens_every_level_as_pairwise_block_sum(gl, factors,
+                                                               monkeypatch):
+    """Each track's increments, built level from level by pairwise halving
+    where a factor is a power of two times a smaller one, are
+    `pairwise_block_sum` of the fine noise bit for bit, over two blocks."""
+    seen = {}
+
+    def spy(problem, cfg, Z, dW, h, step_index=None):
+        seen.setdefault(h, []).append(dW.copy())
+        return Z
+
+    monkeypatch.setattr(simulate, "step_batch", spy)
+    monkeypatch.setattr(simulate, "BLOCK_STEPS", math.lcm(*factors))
+    h_fine, seed, n_paths = 2.0 ** -8, 13, 3
+    n_fine = 2 * math.lcm(*factors)
+    tracks = [(np.ones(1), f, f * h_fine) for f in factors]
+    for _ in simulate._coupled_steps(gl, BE, seed, range(n_paths), h_fine,
+                                     n_fine, tracks):
+        pass
+    W = np.stack([path_generator(seed, i).standard_normal((n_fine, 1))
+                  for i in range(n_paths)]) * math.sqrt(h_fine)
+    for f in factors:
+        got = np.stack(seen[f * h_fine], axis=1)
+        assert got.tobytes() == pairwise_block_sum(W, f, axis=1).tobytes(), f
+
+
 def test_strong_error_zero_when_h_equals_h_ref(gl):
     curve = strong_error_experiment(gl, BE, T=0.5, h_list=[2.0 ** -4],
                                     h_ref=2.0 ** -4, n_paths=8, p=1.0,
@@ -921,7 +949,21 @@ def _oracle_trace(problem, cfg, h, n_steps, records, n_paths, seed, starts,
     return _oracle_estimates(samples, n_div, n_paths)
 
 
-_DIVERGENT_CASE = dict(model="gl", variant="em", x0=3.0, h_exp=1, levels=3,
+# the ladders as factors over h_ref: dyadic, with a skipped level, and
+# from an odd base
+_LADDERS = [(2,), (2, 4), (2, 4, 8), (2, 8), (3, 6), (3, 12), (5,)]
+
+
+def _ladder_steps(case):
+    """h_ref = 2^-(h_exp + 3), the ladder's steps largest first, and the
+    largest step."""
+    h_ref = 2.0 ** -(case["h_exp"] + 3)
+    hs = [f * h_ref for f in sorted(case["ladder"], reverse=True)]
+    return h_ref, hs, hs[0]
+
+
+_DIVERGENT_CASE = dict(model="gl", variant="em", x0=3.0, h_exp=1,
+                       ladder=(2, 4, 8),
                        n_coarse=8, n_trace=10, n_records=4, n_paths=12,
                        threads=2, chunk=3, block=5, seed=7)
 
@@ -931,25 +973,27 @@ _DIVERGENT_CASE = dict(model="gl", variant="em", x0=3.0, h_exp=1, levels=3,
     model=st.sampled_from(sorted(_ORACLE_PROBLEMS)),
     variant=st.sampled_from(["em", "be", "pe"]),
     x0=st.sampled_from([0.5, 1.5, 3.0]),
-    h_exp=st.integers(1, 3), levels=st.integers(1, 3),
+    h_exp=st.integers(1, 3), ladder=st.sampled_from(_LADDERS),
     n_coarse=st.integers(1, 8), n_trace=st.integers(1, 12),
     n_records=st.integers(1, 4), n_paths=st.integers(1, 40),
     threads=st.integers(1, 3), chunk=st.integers(1, 16),
     block=st.integers(1, 9), seed=st.integers(0, 2 ** 20))))
 @example(_DIVERGENT_CASE)
+@example(dict(_DIVERGENT_CASE, variant="be", ladder=(3, 12), n_paths=7))
 def test_reducers_equal_a_path_by_path_oracle(case):
     """Strong error, moment trace and contraction trace, at any worker
     count, chunk size and block size (blocks need not be multiples of the
     ladder's factors), equal in every bit the estimates built path by path
     from `make_noise_grid`, `coarsen` and single `evolve_terminal` steps,
     where a path counts only while it is finite at every grid point or
-    record so far. The explicit example diverges on some paths and levels."""
+    record so far. The ladder's factors (steps over h_ref) may skip a
+    level or start from an odd base. The first explicit example diverges
+    on some paths and levels; the second is an odd ladder with a skipped
+    level."""
     problem = _ORACLE_PROBLEMS[case["model"]]
     cfg = SchemeConfig(variant=case["variant"])
     x0 = np.full(problem.d, case["x0"])
-    h = 2.0 ** -case["h_exp"]
-    hs = [h / 2 ** j for j in range(case["levels"])]
-    h_ref = h / 2 ** case["levels"]
+    h_ref, hs, h = _ladder_steps(case)
     T, T_trace = case["n_coarse"] * h, case["n_trace"] * h
     n_paths, seed, threads = case["n_paths"], case["seed"], case["threads"]
     with pytest.MonkeyPatch.context() as mp:
@@ -983,10 +1027,9 @@ def test_the_oracle_example_diverges():
     of some levels and records diverge, and not all of them."""
     case = _DIVERGENT_CASE
     problem = _ORACLE_PROBLEMS[case["model"]]
-    h = 2.0 ** -case["h_exp"]
+    h_ref, hs, h = _ladder_steps(case)
     n_div = [e.n_divergent for e in _oracle_strong(
-        problem, SchemeConfig(variant="em"), case["n_coarse"] * h,
-        [h / 2 ** j for j in range(case["levels"])], h / 2 ** case["levels"],
+        problem, SchemeConfig(variant="em"), case["n_coarse"] * h, hs, h_ref,
         case["n_paths"], case["seed"], np.full(problem.d, case["x0"]))]
     assert 0 < max(n_div) and min(n_div) < case["n_paths"], n_div
 
