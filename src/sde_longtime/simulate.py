@@ -22,7 +22,8 @@ path. The chunk size is an even share of the paths per worker, clamped to
 [CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a constant. Neither
 changes any result, because every row is its own path's stream, and a chunk
 returns no samples but, per slot, counts and the exact sums of its samples
-and their squares (`_exact_sums`), which merge by integer addition. So
+and their squares (`_exact_sums`, TILE records per call), which merge by
+integer addition. So
 results are bit-identical whether a run uses one worker or many, and the
 memory a run holds grows with its chunk, not its ensemble. Several workers
 are the calling process plus forked processes, each running whole chunks;
@@ -66,6 +67,10 @@ __all__ = [
 # amortized over many paths.
 CHUNK_PATHS = 512
 BLOCK_STEPS = 4096
+# Records a chunk sums per call of the exact accumulator (see `_reduce`): a
+# call's fixed cost is paid once per TILE records. Like the two above, it
+# changes no result and only trades memory for speed.
+TILE = 8
 
 
 @dataclass(frozen=True)
@@ -116,11 +121,12 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
     the estimate degenerates to 0 +- 0 and the divergence count carries the
     story. Samples that are finite but so large their 2p-th powers exceed
     float range (the explicit scheme en route to blow-up) yield an inf
-    estimate rather than an exception.
+    estimate rather than an exception, as does an infinite sample; a
+    negative or NaN sample is refused.
     """
     _check_p(p)
     s = np.asarray(samples, dtype=float).ravel()
-    if np.any(s < 0.0):
+    if not np.all(s >= 0.0):
         raise UsageError("samples must be nonnegative magnitudes")
     if n_paths is None:
         n_paths = s.size + n_divergent
@@ -129,77 +135,190 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
 
 
 # Exact sums are ints in units of 2^-_UNIT_BITS, below the least bit of any
-# part `_exact_sums` forms (2^-2261 in the b^2 part of a subnormal's square).
+# part `_exact_sums` forms (2^-2148 in the L^2 part of a subnormal's square).
 _UNIT_BITS = 2400
 _ONE = 1 << _UNIT_BITS
-# Rows per `np.bincount` pass: a group sums at most 3 * _ROWS parts, each
-# below 2^41 in magnitude, so its float sum stays an exact integer.
+# Samples per row of `_exact_sums`: a bin adds at most _ROWS parts, each
+# below 2^54, so its uint64 sum cannot wrap.
 _ROWS = 1024
-# The power of two each part of `_exact_sums` is scaled by, besides its
-# exponent mod 16, so that all of them carry 27 fraction bits.
-_PART_SHIFTS = np.array([26, 26, 52, 79], dtype=np.int32)[:, None, None]
+# Rows `_exact_sums` folds per call when it splits a long array, which
+# bounds its temporaries.
+_BLOCK_ROWS = 64
+
+
+def _fold_weights(step: int, shifts) -> np.ndarray:
+    """The matrix that folds bins into 16-bit digits. A row of bins is cut
+    into blocks of 16 // step bins; the 32-bit half k of bin r of a block,
+    in the part whose bins sit `step` bits apart from `shift`, holds bit
+    b = step r + shift + 32 k of the block, so it adds 2^(b % 16) times
+    itself to the block's digit b // 16."""
+    bits = [step * r + shift + 32 * k for shift in shifts
+            for r in range(16 // step) for k in range(2)]
+    W = np.zeros((len(shifts), len(bits) // len(shifts), max(bits) // 16 + 1))
+    for i, b in enumerate(bits):
+        W[divmod(i, W.shape[1]) + (b // 16,)] = 2.0 ** (b % 16)
+    return W
+
+
+# y = M 2^(E - 1075) with M < 2^53 and M = H 2^26 + L, so y^2 is
+# (H^2 2^52 + HL 2^27 + L^2) 2^(2E - 2150): the sum of y is one part, the
+# sum of y^2 three, and their bins sit 1 and 2 bits apart per exponent.
+_FOLD_S1 = _fold_weights(1, (0,))[0]
+_FOLD_S2 = _fold_weights(2, (52, 27, 0))
 
 
 def _exact_sums(y: np.ndarray) -> list:
-    """The exact sums over the rows of y, per column (a 1-d y is one
-    column): [non-finite counts..., sums of y..., sums of y^2...], each
-    list one entry per column, the sums over the finite entries as ints in
-    units of 2^-_UNIT_BITS. The elementwise sum of two such lists is the
-    list of their rows together, however the rows were split.
+    """The exact sums over each row of y (a 1-d y is one row):
+    [non-finite counts..., sums of y..., sums of y^2...], each list one
+    entry per row, the sums over the finite entries as ints in units of
+    2^-_UNIT_BITS. The elementwise sum of two such lists is the list of
+    their entries together, however the entries were split.
 
-    This is the small superaccumulator of Neal (arXiv:1505.05571). Each
-    y = m 2^e (`np.frexp`), and y^2 = (a^2 + 2ab + b^2) 2^(2e) for m = a + b
-    split into 26-bit halves (Veltkamp), so y and the three parts of y^2
-    are exact products at their own exponents: no y^2 is formed, so none
-    overflows or underflows. With its exponent written as 16 g + r, a part
-    times 2^r is split into an integer and a 27-bit fraction, whose sums
-    per group g `np.bincount` forms exactly, and the few group sums are
-    shifted into place as ints.
+    This is the small superaccumulator of Neal (arXiv:1505.05571), taken
+    over all rows at once: exact uint64 sums per row and exponent of the
+    parts of y and y^2 (`_row_sums`), folded into one int per row and sum
+    with no Python loop over exponents (`_block_digits`, `_digit_ints`).
+    Rows longer than _ROWS are cut into rows of _ROWS, summed, and added
+    back.
     """
-    y = y[:, None] if y.ndim == 1 else y
-    c = y.shape[1]
-    finite = np.isfinite(y)
-    bad = [0] * c
-    if not finite.all():
-        bad = (~finite).sum(axis=0).tolist()
-        y = np.where(finite, y, 0.0)
-    sums = [0] * (2 * c)
-    # the group blocks: a part's sum (y, or y^2) and column
-    blocks = (np.array([0, c, c, c], dtype=np.int32)[:, None, None]
-              + np.arange(c, dtype=np.int32))
-    for lo in range(0, len(y), _ROWS):
-        rows = y[lo:lo + _ROWS]
-        X = np.empty((4,) + rows.shape)
-        E = np.empty((4,) + rows.shape, dtype=np.int32)
-        m = X[0]
-        np.frexp(rows, out=(m, E[0]))
-        t = m * 134217729.0  # 2^27 + 1
-        a = t - (t - m)
-        b = m - a
-        np.multiply(a, a, out=X[1])
-        np.multiply(a, b, out=X[2])
-        np.multiply(b, b, out=X[3])
-        np.multiply(E[0], 2, out=E[1])
-        np.subtract(E[1], 25, out=E[2])  # 2ab at 2e + 1, shifted by 26
-        np.subtract(E[1], 53, out=E[3])  # b^2 at 2e, shifted by 53
-        x = np.ldexp(X, (E & 15) + _PART_SHIFTS)
-        E >>= 4
-        g0 = int(E.min())
-        n_groups = int(E.max()) - g0 + 1
-        E += blocks * n_groups - g0
-        whole = np.floor(x)
-        x -= whole
-        x *= 134217728.0  # 2^27
-        keys = E.ravel()
-        W = np.bincount(keys, whole.ravel(), 2 * c * n_groups)
-        F = np.bincount(keys, x.ravel(), 2 * c * n_groups)
-        nonzero = np.flatnonzero(np.logical_or(W, F))
-        base = 16 * g0 - 53 + _UNIT_BITS
-        for key, w, f in zip(nonzero.tolist(), W[nonzero].tolist(),
-                             F[nonzero].tolist()):
-            block, g = divmod(key, n_groups)
-            sums[block] += ((int(w) << 27) + int(f)) << (16 * g + base)
-    return bad + sums
+    y = np.ascontiguousarray(y, dtype=float)
+    y = y[None] if y.ndim == 1 else y
+    R, n = y.shape
+    if y.size == 0:
+        return [0] * (3 * R)
+    if n <= _ROWS:
+        return [v for part in _row_sums(y) for v in part]
+    pieces = -(-n // _ROWS)
+    Y = np.zeros((R * pieces, _ROWS))
+    Y.reshape(R, -1)[:, :n] = y
+    sums = [[], [], []]
+    for lo in range(0, len(Y), _BLOCK_ROWS):
+        for total, part in zip(sums, _row_sums(Y[lo:lo + _BLOCK_ROWS])):
+            total += part
+    return [sum(total[i:i + pieces]) for total in sums
+            for i in range(0, len(Y), pieces)]
+
+
+def _row_sums(y: np.ndarray):
+    """`_exact_sums` of a C-contiguous (R, n) float array, n <= _ROWS, as
+    three lists: the non-finite counts, the sums of y and of y^2.
+
+    By its bits y = M 2^(E - 1075), M < 2^53 and E >= 1 (a subnormal takes
+    E = 1 with M its fraction bits), and with M = H 2^26 + L,
+    y^2 = (H^2 2^52 + HL 2^27 + L^2) 2^(2E - 2150). So four
+    uint64 bins per row and exponent, from the row's least nonzero
+    exponent up, take the sums of M, H^2, HL and L^2 (`np.add.at`): no y^2
+    is formed, so none overflows or underflows, and at most _ROWS parts
+    below 2^54 keep every bin below 2^64. A negative y is binned by |y| in
+    a second row, whose sum of y is subtracted; infinities and NaNs are
+    counted and dropped."""
+    R, n = y.shape
+    # K holds the exponents, then the bin keys; M, H and T the parts
+    K, M, H, T = np.empty((4, R, n), dtype=np.int64)
+    Ku, Mu, Hu = K.view(np.uint64), M.view(np.uint64), H.view(np.uint64)
+    bits = y.view(np.uint64)
+    np.right_shift(bits, np.uint64(52), out=Ku)
+    hi = K.max(axis=1).tolist()
+    bad, negative = [0] * R, None
+    if max(hi) > 2047:  # a sign bit: bin |y|, the negative entries apart
+        negative = bits >= np.uint64(1 << 63)
+        bits = np.bitwise_and(bits, np.uint64((1 << 63) - 1), out=Hu)
+        np.right_shift(bits, np.uint64(52), out=Ku)
+        hi = K.max(axis=1).tolist()
+    if max(hi) == 2047:  # infinities and NaNs: count them, then zero them
+        finite = K != 2047
+        bad = (n - np.count_nonzero(finite, axis=1)).tolist()
+        bits = np.multiply(bits, finite, out=Hu)
+        np.right_shift(bits, np.uint64(52), out=Ku)
+        hi = K.max(axis=1).tolist()
+    # the least exponent of a nonzero entry starts the row's bins
+    # (subtracting 1 sends a zero to the top of uint64, 2^64 - 1)
+    np.subtract(bits, np.uint64(1), out=Mu)
+    lo = [max(1, (m + 1) % 2 ** 64 >> 52) for m in Mu.min(axis=1).tolist()]
+    # a subnormal (E = 0) has M = its fraction at the exponent of E = 1, and
+    # so has a zero, whose M = 0 may go to any bin
+    np.maximum(K, 1, out=K)
+    np.left_shift(K, 52, out=T)
+    np.subtract(bits, T.view(np.uint64), out=Mu)
+    Mu += np.uint64(1 << 52)
+    J = 16 * -(-max(max(h, e) - e + 1 for h, e in zip(hi, lo)) // 16)
+    start = [r * J - e for r, e in enumerate(lo)]
+    margin = max(0, -min(start))  # bins for the zeros below lo
+    K += np.array(start)[:, None] + margin
+    rows = R
+    if negative is not None:
+        K += negative * (R * J)
+        rows = 2 * R
+    key = K.ravel()
+    bins = np.empty(margin + rows * J, dtype=np.uint64)
+
+    def digits(part, W, blocks):
+        """The bins of one part, as each block's digits (`_block_digits`)."""
+        bins[:] = 0
+        np.add.at(bins, key, part.ravel())
+        return _block_digits(bins[margin:], W, rows * blocks)
+
+    Q = J // 16
+    s1 = digits(Mu, _FOLD_S1, Q)
+    np.right_shift(M, 26, out=H)
+    M &= (1 << 26) - 1
+    np.multiply(H, M, out=T)
+    s2 = digits(T.view(np.uint64), _FOLD_S2[1], 2 * Q)
+    H *= H
+    s2 += digits(Hu, _FOLD_S2[0], 2 * Q)
+    M *= M
+    s2 += digits(Mu, _FOLD_S2[2], 2 * Q)
+    s1, s2 = _digit_ints(s1.reshape(rows, Q, -1), s2.reshape(rows, 2 * Q, -1))
+    if negative is not None:
+        s1 = [a - b for a, b in zip(s1[:R], s1[R:])]
+        s2 = [a + b for a, b in zip(s2[:R], s2[R:])]
+    return (bad, [s << (e + _UNIT_BITS - 1075) for s, e in zip(s1, lo)],
+            [s << (2 * e + _UNIT_BITS - 2150) for s, e in zip(s2, lo)])
+
+
+def _block_digits(bins: np.ndarray, W: np.ndarray, blocks: int):
+    """Each of `blocks` equal blocks of one part's uint64 bins as its
+    16-bit digits (see `_fold_weights`): the 32-bit halves of its bins, as
+    floats, times W. Exact, as every partial sum is an integer below
+    2^52."""
+    return bins.view(np.uint32).astype(float).reshape(blocks, -1) @ W
+
+
+def _digit_ints(s1: np.ndarray, s2: np.ndarray):
+    """Per row, the int of the sum of y and of the sum of y^2, as two
+    lists: digit o of block q of a row's bins, s1[row, q, o] or
+    s2[row, q, o], is its int's 16-bit digit q + o.
+
+    Two carry passes leave every digit below 2^32, so the even and the odd
+    digits are each one little-endian array of uint32. A row's 2 Q + 8
+    digits (an even count) hold the 2 Q + 6 that s2's 2 Q blocks reach
+    and the two the carries reach, so no carry crosses into the next
+    row."""
+    rows, blocks, offsets = s2.shape
+    width = blocks + offsets + 1
+    D = np.concatenate([_add_blocks(s1, width), _add_blocks(s2, width)])
+    D = D.astype(np.int64)
+    for _ in range(2):
+        carry = D >> 16
+        D &= 0xFFFF
+        D[1:] += carry[:-1]
+    D = D.reshape(2 * rows, width)
+    even = memoryview(D[:, 0::2].astype(np.uint32).tobytes())
+    odd = memoryview(D[:, 1::2].astype(np.uint32).tobytes())
+    size = len(even) // (2 * rows)
+    ints = [int.from_bytes(even[i:i + size], "little")
+            + (int.from_bytes(odd[i:i + size], "little") << 16)
+            for i in range(0, len(even), size)]
+    return ints[:rows], ints[rows:]
+
+
+def _add_blocks(C: np.ndarray, width: int) -> np.ndarray:
+    """The rows of digits, `width` each, flat: digit q + o of row r adds
+    C[r, q, o] for every block q and offset o."""
+    rows, blocks, offsets = C.shape
+    first = np.arange(rows * width).reshape(rows, width)[:, :blocks, None]
+    return np.bincount((first + np.arange(offsets)).ravel(), C.ravel(),
+                       rows * width)
 
 
 def _power_sums(s: np.ndarray, power: float) -> list:
@@ -491,6 +610,22 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
         raise
 
 
+def _store_sums(rows: np.ndarray, filled, kept) -> None:
+    """`_exact_sums` of the tile rows `rows`, stored per slot: `filled`
+    lists (slot, n_kept, n_divergent, row count) in row order, and
+    kept[slot] becomes [n_kept, n_divergent, non-finite counts...,
+    sums of y..., sums of y^2...] over its rows."""
+    if not filled:
+        return
+    sums = _exact_sums(rows)
+    used, i = len(rows), 0
+    for j, n, n_divergent, c in filled:
+        kept[j] = [n, n_divergent, *sums[i:i + c],
+                   *sums[used + i:used + i + c],
+                   *sums[2 * used + i:2 * used + i + c]]
+        i += c
+
+
 def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
             n_paths: int, threads: Optional[int], h_fine: float, n_fine: int,
             tracks, slots):
@@ -505,8 +640,13 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
     one index, the statistic itself). At the slot's last index the paths
     whose read states are not finite are dropped and counted; since a
     non-finite state stays so, these are the paths that diverged on a read
-    track, and every kept sample s was read from finite states only. The
-    kept samples leave the chunk as `_power_sums(s, power)`.
+    track, and every kept sample s was read from finite states only.
+
+    A chunk's worker writes y = s ** power of every path, per sample
+    column, into a row of a (TILE, paths) tile, 0 for a dropped path
+    (a zero adds nothing to either sum), and sums the tile's rows at once
+    (`_store_sums`) when the next slot would not fit and at the chunk's
+    end. The tile grows only for a slot of more than TILE columns.
 
     The master seed, the path count and the worker count
     (`resolve_threads(threads)`) are checked before `_map_chunks` is called.
@@ -522,21 +662,36 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
 
     def worker(paths):
         kept = [None] * len(slots)
+        tile = np.empty((TILE, len(paths)))
+        filled, used = [], 0  # (slot, n_kept, n_divergent, rows) in the tile
         for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths,
                                     h_fine, n_fine, tracks):
             for j in due.get(k, ()):
                 ks, reads, statistic, power = slots[j]
                 states = [Zs[i] for i in reads]
-                with np.errstate(invalid="ignore"):
+                with np.errstate(invalid="ignore", over="ignore"):
                     s = statistic(*states)
                     if k != ks[0]:
                         np.maximum(kept[j], s, out=s)
-                kept[j] = s
-                if k == ks[-1]:
-                    alive = np.logical_and.reduce(
-                        [np.isfinite(Z).all(axis=1) for Z in states])
-                    n = int(alive.sum())
-                    kept[j] = [n, len(s) - n, *_power_sums(s[alive], power)]
+                    if k != ks[-1]:
+                        kept[j] = s
+                        continue
+                    alive = np.isfinite(states[0]).all(axis=1)
+                    for Z in states[1:]:
+                        alive &= np.isfinite(Z).all(axis=1)
+                    n = int(np.count_nonzero(alive))
+                    if n < len(paths):
+                        s[~alive] = 0.0
+                    y = s.reshape(len(paths), -1).T ** power
+                if used + len(y) > len(tile):
+                    _store_sums(tile[:used], filled, kept)
+                    filled, used = [], 0
+                    if len(y) > len(tile):
+                        tile = np.empty((len(y), len(paths)))
+                tile[used:used + len(y)] = y
+                filled.append((j, n, len(paths) - n, len(y)))
+                used += len(y)
+        _store_sums(tile[:used], filled, kept)
         return kept
 
     return [[sum(column) for column in zip(*slot)]

@@ -1,5 +1,6 @@
 """Command-line interface: exact rationals, config merging, outputs, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -318,6 +319,23 @@ def test_moments_explicit_blowup_exits_one(tmp_path):
     side = json.loads(out.with_suffix(".json").read_text())["moments"]
     assert side["max_divergent"] == 8
     assert side["passed"] is False
+
+
+def test_a_divergent_moments_run_writes_its_recorded_bytes(tmp_path):
+    """Explicit Euler from 2 at h = 1/4 loses 10 of 600 paths; its CSV
+    and JSON are pinned by their sha256. The estimates are functions of
+    exact sums rounded once, so any exact summation writes these bytes,
+    and a change that moves one bit of an estimate fails here."""
+    out = tmp_path / "m.csv"
+    rc = main(["moments", "--model", "gl", "--scheme", "em", "--T", "8",
+               "--h", "1/4", "--paths", "600", "--x0", "2", "--seed", "3",
+               "--output", str(out)])
+    assert rc == 1
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, out.with_suffix(".json"))]
+    assert digests == [
+        "fc6ffd3fa36d969f76ff274980fa06217700caf6837ce33e5742384ec3fc1574",
+        "85ddf78b4993163ca4463c99cff5744819584fe9a7ba0531d4e42546029db6d1"]
 
 
 def test_contractivity_decay_exits_zero(tmp_path):

@@ -167,6 +167,8 @@ def test_estimate_from_samples_degenerate_cases():
         estimate_from_samples([1.0], p=0.0)
     with pytest.raises(UsageError):
         estimate_from_samples([-1.0], p=1.0)
+    with pytest.raises(UsageError):
+        estimate_from_samples([1.0, math.nan], p=1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,10 +192,12 @@ _FLOATS = st.one_of(
 
 
 def _split_sums(values, cuts):
-    """The elementwise sum of `_exact_sums` over the pieces `cuts` makes."""
-    y = np.asarray(values, dtype=float)
-    bounds = [0, *sorted(cuts), len(y)]
-    pieces = [simulate._exact_sums(y[lo:hi])
+    """The elementwise sum of `_exact_sums` over the pieces `cuts` makes
+    of the samples `values` (a (B, c) list is c columns of B samples, which
+    `_exact_sums` takes as c rows)."""
+    y = np.asarray(values, dtype=float).T
+    bounds = [0, *sorted(cuts), y.shape[-1]]
+    pieces = [simulate._exact_sums(y[..., lo:hi])
               for lo, hi in zip(bounds, bounds[1:])]
     return [sum(column) for column in zip(*pieces)]
 
@@ -228,7 +232,8 @@ def test_exact_sums_are_the_rational_sums_under_any_split(values, data):
                        min_size=1, max_size=20),
        cuts=st.lists(st.integers(0, 20), max_size=7))
 def test_exact_sums_per_column(values, cuts):
-    """A (B, c) array is summed per column, as each column alone."""
+    """Samples in c columns, passed as the c rows of a record-major array,
+    are summed per row, as each column alone."""
     whole = _split_sums(values, [c for c in cuts if c <= len(values)])
     for j in range(3):
         column = simulate._exact_sums(np.asarray([v[j] for v in values]))
@@ -236,12 +241,102 @@ def test_exact_sums_per_column(values, cuts):
 
 
 def test_exact_sums_count_non_finite_values():
-    """Per column: the non-finite entries are counted, and the sums run
-    over the finite ones."""
-    y = np.array([[1.0, math.inf], [math.nan, 2.0], [-math.inf, 3.0]])
+    """Per row: the non-finite entries are counted, and the sums run over
+    the finite ones."""
+    y = np.array([[1.0, math.nan, -math.inf], [math.inf, 2.0, 3.0]])
     bad_a, bad_b, *sums = simulate._exact_sums(y)
     assert (bad_a, bad_b) == (2, 1)
     assert [Fraction(t, simulate._ONE) for t in sums] == [1, 5, 1, 13]
+
+
+def _oracle_sums(rows):
+    """Per row: its non-finite count and the exact sums of its finite
+    entries and of their squares, in units of 2^-_UNIT_BITS."""
+    out = [[], [], []]
+    for row in np.atleast_2d(rows).tolist():
+        finite = [Fraction(v) for v in row if math.isfinite(v)]
+        out[0].append(len(row) - len(finite))
+        for total, sums in ((sum(finite, Fraction(0)), out[1]),
+                            (sum((v * v for v in finite), Fraction(0)), out[2])):
+            scaled = total * simulate._ONE
+            assert scaled.denominator == 1
+            sums.append(scaled.numerator)
+    return out[0] + out[1] + out[2]
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("scale", [-1074 + 53, -1, 0, 970])
+@pytest.mark.parametrize("spread", [1, 16])
+def test_exact_sums_of_full_mantissas(n, scale, spread):
+    """The worst cases for the accumulator: n values, all with the full
+    53-bit mantissa (2^53 - 1) 2^-53 or within 2^-33 of it, at one
+    exponent (so a row of 1024 fills one bin close to 2^64) or spread over
+    16 consecutive exponents (so every bin of a fold block is full); rows
+    of 1025 and 2049 are cut into rows of at most 1024. Sums and sums of
+    squares equal the rational ones, at the bottom of the normal range, at
+    1, and near the top (where y^2 is beyond float range), for either
+    sign."""
+    rng = np.random.default_rng(n)
+    mantissas = (2 ** 53 - 1) - rng.integers(0, 2 ** 20, n)
+    mantissas[::3] = 2 ** 53 - 1
+    y = np.ldexp(mantissas.astype(float), scale - 53 + np.arange(n) % spread)
+    assert len(set(np.frexp(y)[1].tolist())) == spread
+    for values in (y, -y):
+        assert simulate._exact_sums(values) == _oracle_sums(values[None])
+
+
+@pytest.mark.parametrize("fill", ["ones", "random"])
+def test_the_fold_is_exact_for_any_bins(fill):
+    """The fold turns any uint64 bins of the parts M, H^2, HL and L^2, all
+    ones included (the largest digits its carry passes can meet), into the
+    ints they stand for: sum_j M_j 2^j and
+    sum_j (H^2_j 2^52 + HL_j 2^27 + L^2_j) 4^j."""
+    rows, Q = 3, 3
+    shape = (4, rows, 16 * Q)
+    if fill == "ones":
+        bins = np.full(shape, 2 ** 64 - 1, dtype=np.uint64)
+    else:
+        bins = np.random.default_rng(0).integers(0, 2 ** 64, shape,
+                                                 dtype=np.uint64)
+    s1 = simulate._block_digits(bins[0], simulate._FOLD_S1, rows * Q)
+    s2 = sum(simulate._block_digits(part, W, rows * 2 * Q)
+             for part, W in zip(bins[1:], simulate._FOLD_S2))
+    s1, s2 = simulate._digit_ints(s1.reshape(rows, Q, -1),
+                                  s2.reshape(rows, 2 * Q, -1))
+    for r in range(rows):
+        m, h2, hl, l2 = ([int(v) for v in part[r]] for part in bins)
+        assert s1[r] == sum(v << j for j, v in enumerate(m))
+        assert s2[r] == sum(((a << 52) + (b << 27) + c) << (2 * j)
+                            for j, (a, b, c) in enumerate(zip(h2, hl, l2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_FLOATS, min_size=1, max_size=40),
+       signs=st.lists(st.booleans(), min_size=45, max_size=45),
+       rows=st.integers(1, 3 * simulate.TILE))
+def test_exact_sums_of_mixed_signs_and_subnormals_per_row(values, signs,
+                                                          rows):
+    """Rows of mixed signs, zeros, subnormals and values whose squares
+    leave float range, as many rows as a tile holds and more, are each
+    summed exactly."""
+    pool = values + [5e-324, -5e-324, 2.0 ** -1060, 0.0, -0.0]
+    y = np.array([[(-v if s else v) for v, s in zip(pool, signs)]
+                  for _ in range(rows)])
+    y *= np.resize([1.0, -1.0, 2.0 ** -60], rows)[:, None]
+    assert simulate._exact_sums(y) == _oracle_sums(y)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_exact_sums_of_a_full_tile_and_one_row_more(extra):
+    """A tile of 1024-path records, full (TILE rows) and one row past it,
+    with dead paths (zeros), non-finite entries and a wide exponent range,
+    gives every row's exact sums."""
+    rng = np.random.default_rng(extra)
+    y = (rng.standard_normal((simulate.TILE + extra, 1024))
+         * np.exp(rng.uniform(-600.0, 600.0, (simulate.TILE + extra, 1024))))
+    y[:, ::37] = 0.0
+    y[1, 5], y[2, 7], y[-1, 11] = math.inf, -math.inf, math.nan
+    assert simulate._exact_sums(y) == _oracle_sums(y)
 
 
 @pytest.mark.parametrize("samples, p, finite_value", [
@@ -856,6 +951,64 @@ def test_a_chunk_returns_sums_not_samples(gl, monkeypatch):
     for a, b in zip(small, big):
         assert len(a) == len(b) == 5
         assert all(type(v) is int and v.bit_length() <= limit for v in a + b)
+
+
+def _accumulator_spy(monkeypatch):
+    """The shape of every `_exact_sums` call's rows."""
+    calls = []
+    real = simulate._exact_sums
+
+    def spy(y):
+        calls.append(y.shape)
+        return real(y)
+
+    monkeypatch.setattr(simulate, "_exact_sums", spy)
+    return calls
+
+
+def test_tile_boundaries_are_invisible(gl, monkeypatch):
+    """A moment trace of 21 records (not a multiple of TILE) and the
+    one-step probe on Allen-Cahn, whose signed slot takes d = 3 rows, give
+    the same bits with one record per tile (the tile grows for the 3-row
+    slot) as with TILE records, and the accumulator never sees more than
+    TILE rows."""
+    ac = build_allen_cahn(K=4)
+
+    def runs():
+        trace = moment_trace(gl, EM, T=8.0, h=0.25, n_paths=300,
+                             master_seed=3, x0=2.0, n_records=20, threads=1)
+        probe = one_step_order_experiment(ac, EM, [0.25, 0.125], 1.0,
+                                          n_paths=40, master_seed=5,
+                                          substeps=4, threads=1)
+        return trace, probe
+
+    def bits(trace, probe):
+        return ([(e.value.hex(), e.std_error.hex(), e.n_divergent)
+                 for e in trace],
+                [(s.value.hex(), s.std_error.hex(), s.n_divergent, w.hex())
+                 for _, s, w in probe])
+
+    calls = _accumulator_spy(monkeypatch)
+    (times, trace), probe = runs()
+    assert len(trace) == 21 and 21 % simulate.TILE
+    assert max(rows for rows, _ in calls) <= simulate.TILE
+    monkeypatch.setattr(simulate, "TILE", 1)
+    (times_1, trace_1), probe_1 = runs()
+    npt.assert_array_equal(times, times_1)
+    assert bits(trace, probe) == bits(trace_1, probe_1)
+
+
+def test_the_tile_does_not_grow_with_the_records(gl, monkeypatch):
+    """10,000 records of 6 paths are summed TILE records at a time, in the
+    same (TILE, 6) tile from the first call to the last."""
+    calls = _accumulator_spy(monkeypatch)
+    _, trace = moment_trace(gl, EM, T=2500.0, h=0.25, n_paths=6,
+                            master_seed=1, x0=1.0, n_records=10_000,
+                            threads=1)
+    assert len(trace) == 10_001
+    assert len(calls) == -(-10_001 // simulate.TILE)
+    assert set(calls[:-1]) == {(simulate.TILE, 6)}
+    assert calls[-1] == (10_001 % simulate.TILE or simulate.TILE, 6)
 
 
 def test_a_divergent_trace_is_identical_across_workers_and_chunks(
