@@ -62,6 +62,8 @@ def fit_order(hs: Sequence[float], errors: Sequence[float]) -> FitResult:
         raise UsageError("hs and errors must be 1-d arrays of equal length")
     if hs.size < 2:
         raise UsageError(f"need at least 2 points to fit an order, got {hs.size}")
+    if not (np.all(np.isfinite(hs)) and np.all(np.isfinite(errors))):
+        raise UsageError("step sizes and errors must be finite for a fit")
     if np.any(hs <= 0.0) or np.any(errors <= 0.0):
         raise UsageError("step sizes and errors must be positive for a log-log fit")
     slope, intercept, r = _ols(np.log2(hs), np.log2(errors))
@@ -106,29 +108,38 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
 
     Points whose error is at or below 10x the implicit solve's residual
     tolerance (`schemes.RESIDUAL_TOL`) are excluded from the fit (they
-    measure the solver, not the scheme) with a logged note. Passing means
-    the fitted slope lies within `band` of the predicted order and
-    r^2 >= r2_min. With fewer than two points left there is no fit: the
-    report fails, with a note and no slope, intercept or r^2.
+    measure the solver, not the scheme) with a logged note. So is a level
+    with no surviving path or an infinite error, and then the report
+    fails: the scheme diverged there. Otherwise passing means the fitted
+    slope lies within `band` of the predicted order and r^2 >= r2_min.
+    With fewer than two points left there is no fit: the report fails,
+    with a note and no slope, intercept or r^2.
     """
     notes = []
     kept_h, kept_e, kept_se, excluded = [], [], [], []
     floor = 10.0 * RESIDUAL_TOL
+    diverged = False
     for h, est in zip(curve.hs, curve.estimates):
-        if est.value <= floor:
-            excluded.append(h)
-            log.warning("excluding h=%g from fit: error %.3e at/below solver floor %.1e",
-                        h, est.value, floor)
-            notes.append(f"excluded h={h:g}: error {est.value:.3e} at solver floor")
+        lost = est.n_divergent == est.n_paths
+        if lost or not math.isfinite(est.value):
+            diverged = True
+            reason = (f"all {est.n_paths} paths diverged" if lost
+                      else f"error {est.value} beyond float range")
+        elif est.value <= floor:
+            reason = f"error {est.value:.3e} at solver floor"
         else:
             kept_h.append(h)
             kept_e.append(est.value)
             kept_se.append(est.std_error)
+            continue
+        excluded.append(h)
+        log.warning("excluding h=%g from fit: %s", h, reason)
+        notes.append(f"excluded h={h:g}: {reason}")
     fit = fit_order(kept_h, kept_e) if len(kept_h) >= 2 else None
     if fit is None:
         notes.append("fewer than 2 error points above the solver floor; "
                      "no order fitted")
-    passed = (fit is not None
+    passed = (fit is not None and not diverged
               and abs(fit.slope - orders.global_order) <= band
               and fit.r_squared >= r2_min)
     p_max = theorem_admissible_p_max(constants) if constants is not None else None
@@ -152,12 +163,15 @@ def decay_slope(times: Sequence[float], values: Sequence[float]) -> float:
     """OLS slope of ln(values) against time, for exponential-decay traces.
 
     Zero values (exactly coincident coupled paths, degenerate estimates) are
-    dropped before the fit; at least two positive values must remain.
+    dropped before the fit; at least two positive values must remain, and
+    a non-finite time or value is refused.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise UsageError("times and values must be 1-d arrays of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise UsageError("times and values must be finite for a decay fit")
     keep = v > 0.0
     if keep.sum() < 2:
         raise UsageError("need at least 2 positive values for a decay fit")

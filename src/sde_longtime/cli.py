@@ -433,9 +433,12 @@ def run(cfg: ExperimentConfig) -> int:
             summary["stationarity"] = {"gap": gap, "sup": sup, "ratio": ratio}
             summary["max_divergent"] = n_div
         else:
-            slope2p = 2.0 * cfg.p * decay_slope(times, values)
+            try:
+                slope2p = 2.0 * cfg.p * decay_slope(times, values)
+            except UsageError:  # an infinite value or < 2 positive ones
+                slope2p = None
             threshold = -2.0 * cfg.p * problem.constants.alpha1 + 0.1
-            passed = slope2p <= threshold
+            passed = slope2p is not None and slope2p <= threshold
             summary["decay_slope_2p"] = slope2p
             summary["threshold"] = threshold
         summary["passed"] = bool(passed)

@@ -250,6 +250,16 @@ def _diffusion_columns(problem: SdeProblem, X: np.ndarray) -> np.ndarray:
 # built-in problems
 # ---------------------------------------------------------------------------
 
+def _cubic_root(B, h: float, a: float, theta: float):
+    """Elementwise, the one real root z of the monotone cubic
+    theta h z^3 + (1 - h a) z = B (theta h > 0, 1 - h a > 0):
+    2 r sinh(asinh(B / (2 theta h r^3)) / 3) with r^2 = (1 - h a) /
+    (3 theta h), the hyperbolic form of Cardano's formula (Nickalls,
+    Math. Gazette 77, 1993)."""
+    r = math.sqrt((1.0 - h * a) / (3.0 * theta * h))
+    return 2.0 * r * np.sinh(np.arcsinh(B / (2.0 * theta * h * r ** 3)) / 3.0)
+
+
 def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
                           theta: float = 1.0) -> SdeProblem:
     """Scalar stochastic Ginzburg-Landau equation.
@@ -263,8 +273,7 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     condition is p*-independent, so alpha1 = |a| and p* sits at PSTAR_CAP.
     kappa = 3 (the drift is cubic, so |f(x)|^2 grows like |x|^6) with c1
     certified on the default sample. The implicit step's cubic has a
-    closed-form root (Nickalls, Math. Gazette 77, 1993), the problem's
-    resolvent_batch.
+    closed-form root (`_cubic_root`), the problem's resolvent_batch.
     """
     if not all(math.isfinite(v) for v in (eta, sigma, theta)):
         raise UsageError(f"eta, sigma and theta must be finite, got "
@@ -286,11 +295,8 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
         return (a - 3.0 * theta * X ** 2)[..., None]
 
     def resolvent_batch(B, h):
-        # z - h f(z) = b is the monotone cubic theta h z^3 + (1 - h a) z = b,
-        # whose one real root is 2 r sinh(asinh(b / (2 theta h r^3)) / 3)
-        # (the hyperbolic form of Cardano's formula)
-        r = math.sqrt((1.0 - h * a) / (3.0 * theta * h))
-        return 2.0 * r * np.sinh(np.arcsinh(B / (2.0 * theta * h * r ** 3)) / 3.0)
+        # z - h f(z) = b is the monotone cubic theta h z^3 + (1 - h a) z = b
+        return _cubic_root(B, h, a, theta)
 
     if sigma != 0.0:
         alpha1 = 0.25 * (-a)
@@ -332,6 +338,9 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
     diffusion. kappa = 3 with c1 certified on the default sample. The
     implicit solve's Newton steps are a Thomas solve on the three diagonals
     of the Jacobian (jacobian_solve_batch); no dense Jacobian is formed.
+    Far above the root, where a Newton step from b shrinks the iterate by
+    only about 2/3, the solve starts from two Jacobi sweeps of GL's
+    closed-form root (resolvent_batch).
     """
     if int(K) != K or K < 2:
         raise UsageError(f"K must be an integer >= 2, got {K}")
@@ -346,6 +355,23 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
 
     def diffusion_apply(X, dW):
         return (np.sin(X) + 1.0) * dW
+
+    def resolvent_batch(B, h):
+        # row i of z - h f(z) = b is the cubic h z_i^3 + (1 - h a) z_i =
+        # b_i + h K^2 (z_(i-1) + z_(i+1)) with a = 1 - 2 K^2: two sweeps,
+        # the neighbours taken from the last (zero at first), for the rows
+        # with h max_i b_i^2 >= 100; any other row, and a batch without
+        # one, is b
+        gate = 10.0 / math.sqrt(h)
+        if not np.abs(B).max() >= gate:
+            return B
+        a = 1.0 - 2.0 * K * K
+        Z = _cubic_root(B, h, a, 1.0)
+        N = np.zeros_like(Z)
+        N[:, 1:] = Z[:, :-1]
+        N[:, :-1] += Z[:, 1:]
+        Z = _cubic_root(B + h * K * K * N, h, a, 1.0)
+        return np.where(np.abs(B).max(axis=1, keepdims=True) >= gate, Z, B)
 
     A_plus_I = A + np.eye(d)
 
@@ -379,6 +405,7 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
         name="allen-cahn", d=d, m=1, drift_batch=drift_batch,
         diffusion_apply=diffusion_apply, constants=constants,
         drift_jacobian_batch=drift_jacobian_batch,
+        resolvent_batch=resolvent_batch,
         jacobian_solve_batch=jacobian_solve_batch)
 
 

@@ -133,8 +133,12 @@ def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
 
 def _proposal(problem: SdeProblem, b: np.ndarray, h: float) -> np.ndarray:
     """The problem's proposed roots of z - h f(z) = b: the proposal itself
-    when it is finite, else with b in each row whose proposal is not."""
+    when it is finite, else with b in each row whose proposal is not. A
+    proposal that is b itself is finite, as the solve passes finite rows
+    only."""
     z = np.asarray(problem.resolvent_batch(b, h), dtype=float)
+    if z is b:
+        return z
     ok = np.isfinite(z).all(axis=1)
     return z if ok.all() else np.where(ok[:, None], z, b)
 

@@ -22,7 +22,7 @@ path. The chunk size is an even share of the paths per worker, clamped to
 [CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a constant. Neither
 changes any result, because every row is its own path's stream, and a chunk
 returns no samples but, per slot, counts and the exact sums of its samples
-and their squares (`_exact_sums`, TILE records per call), which merge by
+and their squares (`_exact_sums`, TILE rows per call), which merge by
 integer addition. So
 results are bit-identical whether a run uses one worker or many, and the
 memory a run holds grows with its chunk, not its ensemble. Several workers
@@ -43,6 +43,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,9 +68,9 @@ __all__ = [
 # amortized over many paths.
 CHUNK_PATHS = 512
 BLOCK_STEPS = 4096
-# Records a chunk sums per call of the exact accumulator (see `_reduce`): a
-# call's fixed cost is paid once per TILE records. Like the two above, it
-# changes no result and only trades memory for speed.
+# Rows a chunk sums per call of the exact accumulator (see `_reduce`): a
+# call's fixed cost is paid once per TILE one-row records. Like the two
+# above, it changes no result and only trades memory for speed.
 TILE = 8
 
 
@@ -130,8 +131,9 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
         raise UsageError("samples must be nonnegative magnitudes")
     if n_paths is None:
         n_paths = s.size + n_divergent
-    return _estimate(p, n_paths, s.size, n_divergent,
-                     *_power_sums(s, 2.0 * p))
+    with np.errstate(over="ignore"):  # a power beyond float range is inf
+        y = s ** (2.0 * p)
+    return _estimate(p, n_paths, s.size, n_divergent, *_exact_sums(y))
 
 
 # Exact sums are ints in units of 2^-_UNIT_BITS, below the least bit of any
@@ -141,8 +143,8 @@ _ONE = 1 << _UNIT_BITS
 # Samples per row of `_exact_sums`: a bin adds at most _ROWS parts, each
 # below 2^54, so its uint64 sum cannot wrap.
 _ROWS = 1024
-# Rows `_exact_sums` folds per call when it splits a long array, which
-# bounds its temporaries.
+# Rows `_exact_sums` passes to one `_row_sums` call, which bounds its
+# temporaries.
 _BLOCK_ROWS = 64
 
 
@@ -178,19 +180,18 @@ def _exact_sums(y: np.ndarray) -> list:
     over all rows at once: exact uint64 sums per row and exponent of the
     parts of y and y^2 (`_row_sums`), folded into one int per row and sum
     with no Python loop over exponents (`_block_digits`, `_digit_ints`).
-    Rows longer than _ROWS are cut into rows of _ROWS, summed, and added
-    back.
+    A row longer than _ROWS is zero-padded to a multiple of _ROWS and cut
+    into rows of _ROWS, summed _BLOCK_ROWS at a time and added back.
     """
-    y = np.ascontiguousarray(y, dtype=float)
-    y = y[None] if y.ndim == 1 else y
+    y = np.ascontiguousarray(np.atleast_2d(y), dtype=float)
     R, n = y.shape
     if y.size == 0:
         return [0] * (3 * R)
-    if n <= _ROWS:
-        return [v for part in _row_sums(y) for v in part]
-    pieces = -(-n // _ROWS)
-    Y = np.zeros((R * pieces, _ROWS))
-    Y.reshape(R, -1)[:, :n] = y
+    width = min(n, _ROWS)
+    pieces = -(-n // width)
+    if pieces * width > n:
+        y = np.concatenate([y, np.zeros((R, pieces * width - n))], axis=1)
+    Y = y.reshape(R * pieces, width)
     sums = [[], [], []]
     for lo in range(0, len(Y), _BLOCK_ROWS):
         for total, part in zip(sums, _row_sums(Y[lo:lo + _BLOCK_ROWS])):
@@ -319,13 +320,6 @@ def _add_blocks(C: np.ndarray, width: int) -> np.ndarray:
     first = np.arange(rows * width).reshape(rows, width)[:, :blocks, None]
     return np.bincount((first + np.arange(offsets)).ravel(), C.ravel(),
                        rows * width)
-
-
-def _power_sums(s: np.ndarray, power: float) -> list:
-    """`_exact_sums` of y = s ** power, a power beyond float range being
-    inf."""
-    with np.errstate(over="ignore"):
-        return _exact_sums(s ** power)
 
 
 def _mean(total: int, n: int, n_nonfinite: int) -> float:
@@ -610,22 +604,6 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
         raise
 
 
-def _store_sums(rows: np.ndarray, filled, kept) -> None:
-    """`_exact_sums` of the tile rows `rows`, stored per slot: `filled`
-    lists (slot, n_kept, n_divergent, row count) in row order, and
-    kept[slot] becomes [n_kept, n_divergent, non-finite counts...,
-    sums of y..., sums of y^2...] over its rows."""
-    if not filled:
-        return
-    sums = _exact_sums(rows)
-    used, i = len(rows), 0
-    for j, n, n_divergent, c in filled:
-        kept[j] = [n, n_divergent, *sums[i:i + c],
-                   *sums[used + i:used + i + c],
-                   *sums[2 * used + i:2 * used + i + c]]
-        i += c
-
-
 def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
             n_paths: int, threads: Optional[int], h_fine: float, n_fine: int,
             tracks, slots):
@@ -642,11 +620,12 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
     non-finite state stays so, these are the paths that diverged on a read
     track, and every kept sample s was read from finite states only.
 
-    A chunk's worker writes y = s ** power of every path, per sample
-    column, into a row of a (TILE, paths) tile, 0 for a dropped path
-    (a zero adds nothing to either sum), and sums the tile's rows at once
-    (`_store_sums`) when the next slot would not fit and at the chunk's
-    end. The tile grows only for a slot of more than TILE columns.
+    A chunk's worker keeps the records that are due as a list of (slot,
+    n_kept, n_divergent, y), y = s ** power of every path with one row per
+    sample column, 0 for a dropped path (a zero adds nothing to either
+    sum). One `_exact_sums` call on the list's rows together empties it
+    when the next record would take it past TILE rows, and at the chunk's
+    end; so a call sees at most TILE rows unless one record is wider.
 
     The master seed, the path count and the worker count
     (`resolve_threads(threads)`) are checked before `_map_chunks` is called.
@@ -662,8 +641,18 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
 
     def worker(paths):
         kept = [None] * len(slots)
-        tile = np.empty((TILE, len(paths)))
-        filled, used = [], 0  # (slot, n_kept, n_divergent, rows) in the tile
+        records = []  # (slot, n_kept, n_divergent, y rows), not yet summed
+
+        def flush():
+            """`_exact_sums` of the records' rows at once, kept per slot."""
+            sums = _exact_sums(np.concatenate([y for *_, y in records]))
+            R = len(sums) // 3
+            parts = [iter(sums[i:i + R]) for i in range(0, 3 * R, R)]
+            for j, n, n_divergent, y in records:
+                kept[j] = [n, n_divergent, *(v for part in parts
+                                             for v in islice(part, len(y)))]
+            records.clear()
+
         for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths,
                                     h_fine, n_fine, tracks):
             for j in due.get(k, ()):
@@ -683,15 +672,11 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
                     if n < len(paths):
                         s[~alive] = 0.0
                     y = s.reshape(len(paths), -1).T ** power
-                if used + len(y) > len(tile):
-                    _store_sums(tile[:used], filled, kept)
-                    filled, used = [], 0
-                    if len(y) > len(tile):
-                        tile = np.empty((len(y), len(paths)))
-                tile[used:used + len(y)] = y
-                filled.append((j, n, len(paths) - n, len(y)))
-                used += len(y)
-        _store_sums(tile[:used], filled, kept)
+                rows = sum([len(r[-1]) for r in records]) + len(y)
+                if records and rows > TILE:
+                    flush()
+                records.append((j, n, len(paths) - n, y))
+        flush()
         return kept
 
     return [[sum(column) for column in zip(*slot)]

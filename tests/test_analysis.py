@@ -89,6 +89,18 @@ def test_decay_slope_validation():
         decay_slope([1.0, 1.0], [1.0, 0.5])  # all at one time
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fits_refuse_non_finite_input(bad):
+    """A diverged estimate is no point of a fit: neither fit draws a line
+    through it (or warns on its way to a NaN slope)."""
+    for fit, good in ((fit_order, [0.5, 0.25, 0.125]),
+                      (decay_slope, [0.0, 1.0, 2.0])):
+        with pytest.raises(UsageError):
+            fit(good, [0.1, bad, 0.05])
+        with pytest.raises(UsageError):
+            fit([good[0], bad, good[2]], [0.1, 0.07, 0.05])
+
+
 def test_stationarity_gap_constant_trace():
     t = np.arange(16.0)
     gap, sup, ratio = stationarity_gap(t, np.full(16, 3.0))
@@ -162,6 +174,19 @@ def test_report_excludes_solver_floor_points():
     assert rep.hs == tuple(hs[:3])
     assert any("solver floor" in note for note in rep.notes)
     assert rep.passed
+
+
+def test_report_excludes_an_infinite_error_and_fails():
+    """A level whose error is beyond float range is excluded with a note
+    naming it, without a warning, and fails the report although the
+    other levels fit the predicted order exactly."""
+    hs = [0.25, 0.125, 0.0625, 0.03125]
+    values = [math.inf] + [0.2 * h ** 0.5 for h in hs[1:]]
+    rep = make_convergence_report(_curve(hs, values), scheme_orders("be"))
+    assert (rep.hs, rep.excluded_hs) == (tuple(hs[1:]), (0.25,))
+    assert rep.notes == ("excluded h=0.25: error inf beyond float range",)
+    assert rep.slope == pytest.approx(0.5, abs=1e-12)
+    assert rep.passed is False
 
 
 def test_report_needs_two_points_above_floor():

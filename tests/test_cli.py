@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -351,6 +352,39 @@ def test_contractivity_decay_exits_zero(tmp_path):
     assert side["passed"] is True
     row = dict(zip(COLUMNS, out.read_text().splitlines()[3].split(",")))
     assert (row["kind"], row["value"]) == ("contractivity", "1.0")
+
+
+@pytest.mark.parametrize("x0, y0, T", [("1e200", "-1e200", "4"),
+                                       ("100", "50", "8")])
+def test_a_diverged_contraction_trace_fails_without_a_fit(tmp_path, x0, y0,
+                                                          T):
+    """Explicit Euler at h = 1 from far apart: the gap's estimate is
+    infinite at some record, and from 1e200 every path then diverges, so
+    fewer than two positive values remain. No decay is fitted through
+    that: the run writes its outputs, exits 1 and reports no slope."""
+    out = tmp_path / "c.csv"
+    rc = main(["contractivity", "--model", "gl", "--scheme", "em", "--T", T,
+               "--h", "1", "--x0", x0, f"--y0={y0}", "--paths", "8",
+               "--threads", "1", "--output", str(out)])
+    assert rc == 1
+    side = json.loads(out.with_suffix(".json").read_text())["contractivity"]
+    assert math.inf in side["values"]
+    assert side["decay_slope_2p"] is None and side["passed"] is False
+
+
+def test_a_ladder_level_without_survivors_fails_the_report(tmp_path):
+    """Explicit Euler from 3 loses all 64 paths at h = 1/2 but not at 1 or
+    1/4. That level is excluded with a note naming it and why, not as an
+    error at the solver floor, and the report fails."""
+    out = tmp_path / "c.csv"
+    rc = main(["convergence", "--model", "gl", "--scheme", "em", "--T", "4",
+               "--h-list", "1,1/2,1/4", "--h-ref", "1/64", "--x0", "3",
+               "--paths", "64", "--threads", "1", "--output", str(out)])
+    assert rc == 1
+    report = json.loads(out.with_suffix(".json").read_text())["report"]
+    assert (report["hs"], report["excluded_hs"]) == ([1.0, 0.25], [0.5])
+    assert report["notes"][0] == "excluded h=0.5: all 64 paths diverged"
+    assert report["slope"] is not None and report["passed"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """The public surface: every exported name resolves, none is listed twice,
-and the package exports only what its modules export."""
+the package exports only what its modules export, and the benchmark finds
+the attributes it traces and times."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import sde_longtime
+from sde_longtime import build_allen_cahn, build_ginzburg_landau
 
 MODULES = ["sde_longtime"] + [
     f"sde_longtime.{info.name}"
@@ -35,3 +39,32 @@ def test_package_exports_are_exported_where_defined():
                 importlib.import_module(home), "__all__", ()):
             missing.append(f"{home}.{name}")
     assert missing == []
+
+
+def _bench_module(name):
+    """bench/<name>.py, loaded under a name of its own."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_bench_finds_what_it_traces_and_times():
+    """`bench/run.py --trace 1` wraps package attributes by name, and
+    `bench/layers.py` times every built-in problem's drift_jacobian_batch:
+    renaming or deleting one must fail here, not only the traced bench.
+    Restoring puts every wrapped attribute back."""
+    import sde_longtime.cli as cli
+    import sde_longtime.schemes as schemes
+    import sde_longtime.simulate as simulate
+    run, tracer = _bench_module("run"), _bench_module("tracer")
+    modules = (cli, schemes, simulate)
+    before = [dict(vars(m)) for m in modules]
+    t = tracer.Tracer()
+    run._install(t)
+    assert [dict(vars(m)) for m in modules] != before
+    t.restore()
+    assert [dict(vars(m)) for m in modules] == before
+    for problem in (build_ginzburg_landau(), build_allen_cahn(K=4)):
+        assert callable(problem.drift_jacobian_batch), problem.name

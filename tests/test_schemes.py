@@ -268,19 +268,27 @@ def _row_batches():
     # so the solve iterates the whole batch before its first gather
     ac_large = (rng.choice([-1.0, 1.0], size=(120, 3))
                 * rng.uniform(5e2, 2e3, size=(120, 3)))
+    # half the rows far above the resolvent's gate (up to 2e13), half below
+    ac_far = np.where(rng.random((120, 1)) < 0.5, ac,
+                      ac_large * 10.0 ** rng.uniform(0.0, 10.0, (120, 1)))
     return {"arctan": (_arctan_problem(), b, 1.0),
             "arctan-fd": (_arctan_problem(jacobian=False), b, 1.0),
             "non-finite": (_arctan_problem(), mixed, 1.0),
             "allen-cahn": (build_allen_cahn(K=4), ac, 15.0 / 2.0 ** 6),
-            "allen-cahn-large": (build_allen_cahn(K=4), ac_large,
-                                 15.0 / 2.0 ** 6),
+            # Newton from b: the resolvent would start these rows at
+            # their roots
+            "allen-cahn-large": (dataclasses.replace(
+                build_allen_cahn(K=4), resolvent_batch=None), ac_large,
+                15.0 / 2.0 ** 6),
+            "allen-cahn-far": (build_allen_cahn(K=4), ac_far,
+                               15.0 / 2.0 ** 6),
             "gl": (build_ginzburg_landau(), b / 10.0, 2.0 ** -3),
             "gl-large": (build_ginzburg_landau(), large, 0.5)}
 
 
 @pytest.mark.parametrize("name", ["arctan", "arctan-fd", "non-finite",
-                                  "allen-cahn", "allen-cahn-large", "gl",
-                                  "gl-large"])
+                                  "allen-cahn", "allen-cahn-large",
+                                  "allen-cahn-far", "gl", "gl-large"])
 def test_implicit_rows_equal_their_solve_alone_and_in_any_subset(name):
     problem, b, h = _row_batches()[name]
     z = solve_implicit_batch(problem, b, h)
@@ -502,11 +510,21 @@ def test_structure_kernels_give_each_row_as_alone():
     Z, F = rng.normal(scale=3.0, size=(2, 64, 3))
     roots = gl.resolvent_batch(b, h)
     steps = ac.jacobian_solve_batch(Z, h, F)
+    # Allen-Cahn's resolvent: rows below its gate (h |b|^2 < 100) are b,
+    # rows above it the sweeps, in a batch of both
+    far = Z * 10.0 ** rng.uniform(-1.0, 12.0, size=(64, 1))
+    assert ac.resolvent_batch(Z, h) is Z
+    starts = ac.resolvent_batch(far, h)
+    gated = h * np.max(far * far, axis=1) >= 100.0
+    assert 0 < gated.sum() < 64
+    assert starts[~gated].tobytes() == far[~gated].tobytes()
     for i in range(64):
         one = slice(i, i + 1)
         assert gl.resolvent_batch(b[one], h).tobytes() == roots[one].tobytes()
         assert (ac.jacobian_solve_batch(Z[one], h, F[one]).tobytes()
                 == steps[one].tobytes())
+        assert (ac.resolvent_batch(far[one], h).tobytes()
+                == starts[one].tobytes())
 
 
 @pytest.mark.parametrize("K", [2, 4, 8, 64])
@@ -706,9 +724,11 @@ def test_large_right_hand_sides_give_roots_exact_to_rounding(model, h, value):
 def test_a_stalled_row_is_certified_when_it_stalls(model, h, value, calls):
     """A row whose residual stops falling above RESIDUAL_TOL but within
     the rounding of its terms leaves at once, instead of running out the
-    MAX_ITER budget (51 drift calls in each of these cases)."""
-    problem = {"gl": build_ginzburg_landau, "allen-cahn": build_allen_cahn}[
-        model]()
+    MAX_ITER budget (51 drift calls in each of these cases). Allen-Cahn
+    runs without its resolvent, so its rows stall after Newton from b."""
+    problem = {"gl": build_ginzburg_landau(),
+               "allen-cahn": dataclasses.replace(build_allen_cahn(),
+                                                 resolvent_batch=None)}[model]
     counted, rows = _row_counts(problem)
     b = np.full((1, problem.d), value)
     z = solve_implicit_batch(counted, b, h)
@@ -726,17 +746,26 @@ _AC = build_allen_cahn(K=4)
        exponents=st.lists(st.floats(-300.0, 15.0), min_size=3, max_size=3),
        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
 def test_every_root_is_certified(model, exponents, signs):
-    """b log-uniform over 1e-300..1e15 with either sign. Allen-Cahn has no
-    closed-form root: its Newton starts from b and, far above the root,
-    shrinks the iterate by about 2/3 per step, so the 50-iteration budget
-    reaches the root from |b| up to about 1e10 only; its components are
-    capped at 1e9 here."""
+    """b log-uniform over 1e-300..1e15 with either sign, on both models
+    (Allen-Cahn starts far rows from its resolvent's sweeps)."""
     problem, h = {"gl": (_GL, 0.5), "allen-cahn": (_AC, 15.0 / 2.0 ** 10)}[
         model]
-    if model == "allen-cahn":
-        exponents = [min(e, 9.0) for e in exponents]
     b = (np.array(signs) * 10.0 ** np.array(exponents))[None, :problem.d]
     _assert_certified(problem, solve_implicit_batch(problem, b, h), b, h)
+
+
+@pytest.mark.parametrize("value, calls", [
+    (1e4, 5), (1e8, 4), (1e11, 5), (1e13, 3), (1e15, 3)])
+def test_allen_cahn_roots_from_far_starts(value, calls):
+    """b = (s, 0, -s/3), where Newton from b shrinks the iterate by only
+    about 2/3 per step (22 and 40 drift calls at 1e4 and 1e8, a failure
+    beyond), is certified in a few drift calls from the resolvent's
+    start."""
+    counted, rows = _row_counts(_AC)
+    b = np.array([[value, 0.0, -value / 3.0]])
+    z = solve_implicit_batch(counted, b, 15.0 / 2.0 ** 10)
+    assert len(rows) == calls
+    _assert_certified(_AC, z, b, 15.0 / 2.0 ** 10)
 
 
 def test_a_failure_names_the_bound_it_missed(gl_newton, monkeypatch):

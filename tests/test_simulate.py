@@ -285,6 +285,22 @@ def test_exact_sums_of_full_mantissas(n, scale, spread):
         assert simulate._exact_sums(values) == _oracle_sums(values[None])
 
 
+def test_estimate_from_samples_of_a_long_row_is_exact():
+    """64 * 1024 + 1 samples, full mantissas or zero, over 2^-500..2^500:
+    past one block of _BLOCK_ROWS rows of _ROWS, with a padded last row.
+    The sums of y = s^2 and y^2 are the rational ones, and the estimate
+    is their rounding."""
+    n = simulate._BLOCK_ROWS * simulate._ROWS + 1
+    rng = np.random.default_rng(n)
+    mantissas = (2 ** 53 - 1) - rng.integers(0, 2 ** 20, n)
+    s = np.ldexp(mantissas.astype(float), rng.integers(-553, 447, n))
+    s[::97] = 0.0
+    sums = _oracle_sums(s ** 2.0)
+    assert simulate._exact_sums(s ** 2.0) == sums
+    assert (estimate_from_samples(s, 1.0)
+            == simulate._estimate(1.0, n, n, 0, *sums))
+
+
 @pytest.mark.parametrize("fill", ["ones", "random"])
 def test_the_fold_is_exact_for_any_bins(fill):
     """The fold turns any uint64 bins of the parts M, H^2, HL and L^2, all
