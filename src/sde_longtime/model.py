@@ -121,8 +121,9 @@ class SdeProblem:
     whatever they return, so they speed it up but never weaken it:
 
     * resolvent_batch(b, h) proposes the roots (B, d), from which the solve
-      starts instead of from b (a row with a non-finite proposal starts
-      from b);
+      starts instead of from b. It may return any array, b itself
+      included: the solve checks finiteness for the whole batch first, and
+      a row with a non-finite proposal starts from b;
     * jacobian_solve_batch(Z, h, F) returns the Newton steps dz (B, d)
       solving (I - h Df(z)) dz = F row by row, in place of a dense solve
       with the Jacobians.

@@ -82,8 +82,7 @@ def scheme_orders(variant: str) -> SchemeOrders:
     The local orders are the lower bounds the long-time theorem needs; the
     local weak order these steps reach on smooth coefficients is 2.
     """
-    if variant not in VARIANTS:
-        raise UsageError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    SchemeConfig(variant)
     return SchemeOrders(q1=1.5, q2=1.0, global_order=0.5,
                         requires_global_lipschitz=(variant == "em"))
 
@@ -95,8 +94,7 @@ def step_ceiling(variant: str, p: float, alpha1: float, h0: float = 1.0) -> floa
     additionally needs h <= 1/(2 p alpha1) (stated to hold below an
     analysis-only offset of alpha1, so this is its conservative limit).
     """
-    if variant not in VARIANTS:
-        raise UsageError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    SchemeConfig(variant)
     if p <= 0.0 or alpha1 <= 0.0:
         raise UsageError(f"p and alpha1 must be positive, got p={p}, alpha1={alpha1}")
     h1 = min(1.0 / (p * alpha1), h0)
@@ -111,6 +109,18 @@ def step_ceiling(variant: str, p: float, alpha1: float, h0: float = 1.0) -> floa
 
 def _row_norms(Z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", Z, Z))
+
+
+def _scaled_norms(Z: np.ndarray) -> np.ndarray:
+    """`_row_norms`, with each row whose plain norm overflows divided by its
+    largest entry first, so that a finite row's norm is finite unless it
+    exceeds the largest float; a row with an infinite entry keeps inf."""
+    n = _row_norms(Z)
+    big = np.isinf(n)
+    if big.any():
+        s = np.minimum(np.abs(Z[big]).max(axis=1), np.finfo(float).max)
+        n[big] = s * _row_norms(Z[big] / s[:, None])
+    return n
 
 
 def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
@@ -129,18 +139,6 @@ def _jacobian_rows(problem: SdeProblem, Z: np.ndarray) -> np.ndarray:
         cols.append((drift_rows(problem, Z + E) - drift_rows(problem, Z - E))
                     / (2.0 * eps)[:, None])
     return np.stack(cols, axis=2)
-
-
-def _proposal(problem: SdeProblem, b: np.ndarray, h: float) -> np.ndarray:
-    """The problem's proposed roots of z - h f(z) = b: the proposal itself
-    when it is finite, else with b in each row whose proposal is not. A
-    proposal that is b itself is finite, as the solve passes finite rows
-    only."""
-    z = np.asarray(problem.resolvent_batch(b, h), dtype=float)
-    if z is b:
-        return z
-    ok = np.isfinite(z).all(axis=1)
-    return z if ok.all() else np.where(ok[:, None], z, b)
 
 
 def _newton_steps(problem: SdeProblem, Z: np.ndarray, h: float,
@@ -165,7 +163,7 @@ def _rounding_bound(b: np.ndarray, z: np.ndarray, F: np.ndarray) -> np.ndarray:
     rounding of the row's own terms, with h f(z) = z - b - F (no drift
     call)."""
     return np.maximum(RESIDUAL_TOL, 2.0 ** -50 * (
-        _row_norms(b) + _row_norms(z) + _row_norms(z - b - F)))
+        _scaled_norms(b) + _scaled_norms(z) + _scaled_norms(z - b - F)))
 
 
 def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
@@ -176,16 +174,20 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     proposal where it is finite, with the problem's jacobian_solve_batch or
     analytic (or finite-difference) Jacobians; the strong monotonicity of
     z - h f(z) for dissipative drift makes the root unique, and Newton almost
-    always converges in a handful of iterations. A row whose start is
-    already within RESIDUAL_TOL is returned as it is, so an accurate
-    proposal costs one residual check. A row's step is halved while it would
-    raise that row's residual, which keeps the iteration robust at extreme
-    states. A row whose residual an iteration does not strictly lower is
-    as close as rounding lets it get: it is accepted at once if that
-    residual is within 2^-50 (|b| + |z| + |h f(z)|), the rounding of its
-    own terms, which is above RESIDUAL_TOL once |b| is large. A row still
-    above RESIDUAL_TOL after MAX_ITER iterations is held to the same bound;
-    any other row raises SolverFailure, naming the first such row of b
+    always converges in a handful of iterations. Finiteness is checked for
+    the whole batch first, of b and then of the proposal, and row by row
+    only when that check fails. The proposal may be any array, b itself
+    included; the solve never writes into it or returns b. A row whose
+    start is already within RESIDUAL_TOL is returned as it is, so an
+    accurate proposal costs one residual check. A row's step is halved
+    while it would raise that row's residual, which keeps the iteration
+    robust at extreme states. After each iteration, a row whose residual
+    it did not strictly lower, and every row after the last of MAX_ITER
+    iterations, is as close as it will get: it is accepted if that
+    residual is finite and within 2^-50 (|b| + |z| + |h f(z)|), the
+    rounding of its own terms, which is above RESIDUAL_TOL once |b| is
+    large (these norms overflow only past the largest float). Any other
+    row raises SolverFailure, naming the first such row of b
     (`path_index`). A non-finite row of b gives a NaN row and never
     reaches the problem's callables.
 
@@ -197,22 +199,23 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     floating-point operations as if solved alone, so a row's root does not
     depend on which other rows share the batch.
     """
-    finite = np.isfinite(b).all(axis=1)
     # act indexes the active rows of b into the output z; while it is None,
     # every row is active and the iterates are the whole batch
-    act = None if finite.all() else np.flatnonzero(finite)
-    ba = b if act is None else b[act]
-    z = None if act is None else np.full_like(b, np.nan)
+    act, ba, z = None, b, None
+    if not np.isfinite(b).all():
+        act = np.flatnonzero(np.isfinite(b).all(axis=1))
+        ba, z = b[act], np.full_like(b, np.nan)
     if not len(ba):
         return np.full_like(b, np.nan)
-    za = ba if problem.resolvent_batch is None else _proposal(problem, ba, h)
+    za = ba
+    if problem.resolvent_batch is not None:
+        za = np.asarray(problem.resolvent_batch(ba, h), dtype=float)
+        if not np.isfinite(za).all():
+            za = np.where(np.isfinite(za).all(axis=1)[:, None], za, ba)
     Fa = za - h * drift_rows(problem, za) - ba
-    rna = _row_norms(Fa)
+    rna = _scaled_norms(Fa)
     done = rna <= RESIDUAL_TOL
     for it in range(MAX_ITER + 1):
-        if it == MAX_ITER:
-            # the rows left are held to the rounding of their terms
-            done = rna <= _rounding_bound(ba, za, Fa)
         if done.any():
             # the rows done leave; the first time, the iterates become z
             if act is None:
@@ -230,7 +233,7 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
         dz = _newton_steps(problem, za, h, Fa)
         z_new = za - dz
         F_new = z_new - h * drift_rows(problem, z_new) - ba
-        rn_new = _row_norms(F_new)
+        rn_new = _scaled_norms(F_new)
         # halve the step of the rows it would make worse, recomputing only them
         worse = np.flatnonzero(~(rn_new <= rna))
         alpha = np.ones(worse.size)
@@ -238,13 +241,17 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
             alpha *= 0.5
             zw = za[worse] - alpha[:, None] * dz[worse]
             Fw = zw - h * drift_rows(problem, zw) - ba[worse]
-            z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _row_norms(Fw)
+            z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _scaled_norms(Fw)
             more = ~(rn_new[worse] <= rna[worse]) & (alpha > 1e-8)
             worse, alpha = worse[more], alpha[more]
         done = rn_new <= RESIDUAL_TOL
-        stalled = ~(rn_new < rna)
-        if stalled.any():
-            done |= stalled & (rn_new <= _rounding_bound(ba, z_new, F_new))
+        # a row that stalls, and every row after the last iteration, is
+        # accepted if its residual is finite and within the rounding of its
+        # terms
+        held = ~(rn_new < rna) | (it == MAX_ITER - 1)
+        if held.any():
+            done |= held & np.isfinite(rn_new) & (
+                rn_new <= _rounding_bound(ba, z_new, F_new))
         za, Fa, rna = z_new, F_new, rn_new
 
     # the first failing row, not the worst: which row is worst depends on

@@ -339,6 +339,24 @@ def test_a_divergent_moments_run_writes_its_recorded_bytes(tmp_path):
         "85ddf78b4993163ca4463c99cff5744819584fe9a7ba0531d4e42546029db6d1"]
 
 
+def test_a_backward_euler_ladder_writes_its_recorded_bytes(tmp_path):
+    """A GL backward-Euler ladder: every root comes from the implicit
+    solve, so a change that moves one bit of any root, or of an estimate,
+    fails here. Allen-Cahn is not pinned: its drift's `X @ A` goes
+    through BLAS, whose kernel may differ between machines."""
+    out = tmp_path / "c.csv"
+    rc = main(["convergence", "--model", "gl", "--scheme", "be", "--T", "1",
+               "--h-list", "1/8,1/16,1/32", "--h-ref", "1/128",
+               "--paths", "600", "--seed", "3", "--band", "5",
+               "--r2-min", "0", "--output", str(out)])
+    assert rc == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, out.with_suffix(".json"))]
+    assert digests == [
+        "b1e305faecbbdf85ceaa781caca4b767316f476b7156260cf27e43b185b77ec6",
+        "d03582d3ac91c881209b254a6080294e411a92193a999e4d38dee41de5a4d182"]
+
+
 def test_contractivity_decay_exits_zero(tmp_path):
     out = tmp_path / "c.csv"
     rc = main(["contractivity", "--model", "gl", "--scheme", "be", "--T", "8",

@@ -1,6 +1,8 @@
 """One-step integrators: frozen-value oracles, algebraic invariants, failure paths."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -14,8 +16,8 @@ from sde_longtime import (MonotoneConstants, SchemeConfig, SdeProblem,
                           scheme_orders, schemes, step_ceiling)
 from sde_longtime.model import drift_rows
 from sde_longtime.schemes import (VARIANTS, _jacobian_rows, _row_norms,
-                                  project_batch, solve_implicit_batch,
-                                  step_batch)
+                                  _scaled_norms, project_batch,
+                                  solve_implicit_batch, step_batch)
 
 EM = SchemeConfig(variant="em")
 BE = SchemeConfig(variant="be")
@@ -431,17 +433,25 @@ def test_a_certified_proposal_costs_one_drift_call(gl):
     assert z.tobytes() == gl.resolvent_batch(b, 0.5).tobytes()
 
 
-@pytest.mark.parametrize("scale", [0.0, 20.0])
-def test_the_solve_returns_a_new_array_and_leaves_b_alone(gl_newton, scale):
-    """Without a resolvent the iterates start as b itself: neither a batch
-    that is its own root (b = 0) nor one that iterates returns b or
-    writes into it."""
-    b = scale * np.random.default_rng(3).uniform(-1.0, 1.0, size=(64, 1))
+@pytest.mark.parametrize("model, scale",
+                         [("gl", 0.0), ("gl", 20.0), ("allen-cahn", 0.0)],
+                         ids=["0.0", "20.0", "allen-cahn-0.0"])
+def test_the_solve_returns_a_new_array_and_leaves_b_alone(gl_newton, model,
+                                                          scale):
+    """Without a resolvent the iterates start as b itself, and so they do
+    where Allen-Cahn's gated resolvent returns b itself (b = 0, below its
+    gate): neither a batch that is its own root (b = 0) nor one that
+    iterates returns b or writes into it."""
+    problem = {"gl": gl_newton, "allen-cahn": build_allen_cahn()}[model]
+    b = scale * np.random.default_rng(3).uniform(-1.0, 1.0,
+                                                 size=(64, problem.d))
+    if model == "allen-cahn":
+        assert problem.resolvent_batch(b, 0.5) is b
     before = b.copy()
-    z = solve_implicit_batch(gl_newton, b, 0.5)
+    z = solve_implicit_batch(problem, b, 0.5)
     assert not np.shares_memory(z, b)
     assert b.tobytes() == before.tobytes()
-    assert np.max(_residuals(gl_newton, z, b, 0.5)) <= 1e-12
+    assert np.max(_residuals(problem, z, b, 0.5)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +776,78 @@ def test_allen_cahn_roots_from_far_starts(value, calls):
     z = solve_implicit_batch(counted, b, 15.0 / 2.0 ** 10)
     assert len(rows) == calls
     _assert_certified(_AC, z, b, 15.0 / 2.0 ** 10)
+
+
+def test_scaled_norms_rescale_only_the_rows_that_overflow():
+    """A row whose plain norm does not overflow keeps its bits; one that
+    does gets its true norm, and a row with an infinite or NaN entry keeps
+    its inf or NaN, without a RuntimeWarning."""
+    Z = np.array([[3.0, 4.0], [1e-200, 2e-200], [1e200, -1e200],
+                  [1e308, 1e300], [np.inf, 1.0], [np.nan, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = _scaled_norms(Z)
+        plain = _row_norms(Z)
+    assert n[:2].tobytes() == plain[:2].tobytes()
+    npt.assert_allclose(n[2:4], [math.hypot(*Z[2]), math.hypot(*Z[3])],
+                        rtol=1e-15)
+    assert n[4] == np.inf and np.isnan(n[5])
+
+
+@pytest.mark.parametrize("model, h, value", [
+    *[("gl", 0.5, v) for v in (1e200, 1e300)],
+    *[("allen-cahn", 15.0 / 2.0 ** 10, v) for v in (1e200, 1e300)]])
+def test_huge_right_hand_sides_are_certified_within_a_finite_bound(model, h,
+                                                                   value):
+    """b = s on GL, (s, 0, -s/3) on Allen-Cahn: the plain norms of the
+    residual and of the bound's terms overflow to inf here, so the root
+    must be certified by its true, finite residual and bound, here taken
+    with `math.hypot` and h f(z) evaluated afresh."""
+    problem = {"gl": _GL, "allen-cahn": _AC}[model]
+    b = np.array([[value, 0.0, -value / 3.0][:problem.d]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = solve_implicit_batch(problem, b, h)
+    hf = h * drift_rows(problem, z)[0]
+    bound = max(schemes.RESIDUAL_TOL, 2.0 ** -50 * (
+        math.hypot(*b[0]) + math.hypot(*z[0]) + math.hypot(*hf)))
+    assert math.isfinite(bound)
+    assert math.hypot(*(z[0] - hf - b[0])) <= bound
+
+
+@pytest.mark.parametrize("model, b, h", [
+    ("gl", [1e100], 0.5),
+    ("allen-cahn", [1e100, 0.0, -3.3e99], 15.0 / 2.0 ** 6)],
+    ids=["gl", "allen-cahn"])
+def test_no_root_is_certified_through_an_overflowed_norm(model, b, h):
+    """Without its resolvent, Newton from b = 1e100 shrinks the iterate by
+    about 2/3 a step, far too slowly for the budget. The residual's plain
+    norm is inf at the first iterates, and inf <= inf once certified GL's
+    6.67e99 (the root is 2.71e33); the solve must raise instead, with the
+    true, finite residual."""
+    problem = dataclasses.replace({"gl": _GL, "allen-cahn": _AC}[model],
+                                  resolvent_batch=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure) as exc:
+            solve_implicit_batch(problem, np.array([b]), h)
+    assert math.isfinite(exc.value.residual)
+
+
+def test_an_infinite_residual_is_never_certified():
+    """A drift that is -inf above 1 and a hook whose Newton steps are 0:
+    from b = 2 the row stalls at once, its residual and its rounding bound
+    both inf. inf <= inf must not certify it, so the budget runs out."""
+    wall = SdeProblem(
+        name="wall", d=1, m=1,
+        drift_batch=lambda X: np.where(X > 1.0, -np.inf, -X),
+        diffusion_apply=lambda X, dW: 0.0 * X * dW,
+        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0,
+                                    c1=1.0),
+        jacobian_solve_batch=lambda Z, h, F: np.zeros_like(F))
+    with pytest.raises(SolverFailure) as exc:
+        solve_implicit_batch(wall, np.array([[2.0]]), 0.5)
+    assert exc.value.residual == np.inf
 
 
 def test_a_failure_names_the_bound_it_missed(gl_newton, monkeypatch):
