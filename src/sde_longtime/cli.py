@@ -22,9 +22,8 @@ then rows of  kind,model,scheme,p,h,t,value,std_error,n_paths,n_divergent
 (the `t` column is empty for convergence and assumption rows).
 
 Exit codes: 0 pass, 1 quantitative check failed, 2 usage error, 3 solver
-failure. SDE_LONGTIME_THREADS overrides any configured worker count; the
-workers are this process and forked ones (`--threads 1`, or a platform
-without fork, runs serially in this process).
+failure. The workers are this process and forked ones (`--threads 1`, or a
+platform without fork, runs serially in this process).
 """
 
 from __future__ import annotations

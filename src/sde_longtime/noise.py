@@ -202,7 +202,4 @@ def coarsen(grid: NoiseGrid, factor: int) -> np.ndarray:
     """
     if factor < 1:
         raise UsageError(f"factor must be a positive integer, got {factor}")
-    if grid.n_fine % factor != 0:
-        raise UsageError(
-            f"factor {factor} does not divide n_fine {grid.n_fine}")
     return pairwise_block_sum(grid.increments, factor, axis=0)

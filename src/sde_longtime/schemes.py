@@ -279,7 +279,7 @@ def project_batch(Z: np.ndarray, R: float) -> np.ndarray:
     """Rowwise radial projection of a batch (B, d) onto the ball of radius R:
     the identity inside, x R/|x| outside; 1-Lipschitz, and it fixes the
     origin, as the projected scheme's stability argument needs."""
-    nrm = _row_norms(Z)
+    nrm = _scaled_norms(Z)
     scale = np.where(nrm > R, R / np.where(nrm > 0.0, nrm, 1.0), 1.0)
     return Z * scale[:, None]
 

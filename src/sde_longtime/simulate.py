@@ -68,9 +68,9 @@ __all__ = [
 # amortized over many paths.
 CHUNK_PATHS = 512
 BLOCK_STEPS = 4096
-# Rows a chunk sums per call of the exact accumulator (see `_reduce`): a
-# call's fixed cost is paid once per TILE one-row records. Like the two
-# above, it changes no result and only trades memory for speed.
+# Most rows per call of the exact accumulator: a chunk flushes its records
+# at TILE rows (see `_reduce`), and `_exact_sums` sums a longer input TILE
+# rows at a time. Like the two above, it changes no result.
 TILE = 8
 
 
@@ -143,9 +143,6 @@ _ONE = 1 << _UNIT_BITS
 # Samples per row of `_exact_sums`: a bin adds at most _ROWS parts, each
 # below 2^54, so its uint64 sum cannot wrap.
 _ROWS = 1024
-# Rows `_exact_sums` passes to one `_row_sums` call, which bounds its
-# temporaries.
-_BLOCK_ROWS = 64
 
 
 def _fold_weights(step: int, shifts) -> np.ndarray:
@@ -181,7 +178,7 @@ def _exact_sums(y: np.ndarray) -> list:
     parts of y and y^2 (`_row_sums`), folded into one int per row and sum
     with no Python loop over exponents (`_block_digits`, `_digit_ints`).
     A row longer than _ROWS is zero-padded to a multiple of _ROWS and cut
-    into rows of _ROWS, summed _BLOCK_ROWS at a time and added back.
+    into rows of _ROWS, summed TILE rows at a time and added back.
     """
     y = np.ascontiguousarray(np.atleast_2d(y), dtype=float)
     R, n = y.shape
@@ -193,8 +190,8 @@ def _exact_sums(y: np.ndarray) -> list:
         y = np.concatenate([y, np.zeros((R, pieces * width - n))], axis=1)
     Y = y.reshape(R * pieces, width)
     sums = [[], [], []]
-    for lo in range(0, len(Y), _BLOCK_ROWS):
-        for total, part in zip(sums, _row_sums(Y[lo:lo + _BLOCK_ROWS])):
+    for lo in range(0, len(Y), TILE):
+        for total, part in zip(sums, _row_sums(Y[lo:lo + TILE])):
             total += part
     return [sum(total[i:i + pieces]) for total in sums
             for i in range(0, len(Y), pieces)]
@@ -366,15 +363,9 @@ def _check_p(p: float) -> None:
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
-    """Worker-process count: SDE_LONGTIME_THREADS wins, then the argument,
-    then the number of cores this process may run on."""
-    env = os.environ.get("SDE_LONGTIME_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"SDE_LONGTIME_THREADS must be an integer, got {env!r}")
-    elif requested is not None:
+    """Worker-process count: the argument if given, else the number of cores
+    this process may run on. No environment variable changes it."""
+    if requested is not None:
         n = int(requested)
     elif hasattr(os, "sched_getaffinity"):
         n = len(os.sched_getaffinity(0))
@@ -625,7 +616,7 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
     sample column, 0 for a dropped path (a zero adds nothing to either
     sum). One `_exact_sums` call on the list's rows together empties it
     when the next record would take it past TILE rows, and at the chunk's
-    end; so a call sees at most TILE rows unless one record is wider.
+    end; a wider record alone is summed TILE rows at a time.
 
     The master seed, the path count and the worker count
     (`resolve_threads(threads)`) are checked before `_map_chunks` is called.

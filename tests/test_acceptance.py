@@ -175,7 +175,7 @@ def test_criterion_8_implicit_solver_certification(criterion):
               f"(tol 1e-12), zero failures")
 
 
-def test_criterion_9_invariant_suite(criterion, tmp_path, monkeypatch):
+def test_criterion_9_invariant_suite(criterion, tmp_path):
     failures = []
 
     # projection map: fixes origin, stays in the ball, never expands (1e4 pairs)
@@ -235,8 +235,7 @@ def test_criterion_9_invariant_suite(criterion, tmp_path, monkeypatch):
     outs = []
     for name, threads in (("one", "1"), ("four", "4")):
         out = tmp_path / f"{name}.csv"
-        monkeypatch.setenv("SDE_LONGTIME_THREADS", threads)
-        if cli.main(argv + ["--output", str(out)]) != 0:
+        if cli.main(argv + ["--threads", threads, "--output", str(out)]) != 0:
             failures.append(f"cli run ({threads} threads)")
         outs.append(out)
     if not (outs[0].read_bytes() == outs[1].read_bytes()

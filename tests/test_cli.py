@@ -263,12 +263,12 @@ def test_convergence_csv_and_json_schema(tmp_path):
     assert 0.0 < report["slope"] < 1.5
 
 
-def test_outputs_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_outputs_byte_identical_across_thread_counts(tmp_path):
     paths = []
     for name, threads in (("a", "1"), ("b", "4")):
         out = tmp_path / f"{name}.csv"
-        monkeypatch.setenv("SDE_LONGTIME_THREADS", threads)
-        rc = main(_CONV + ["--band", "5", "--r2-min", "0", "--output", str(out)])
+        rc = main(_CONV + ["--band", "5", "--r2-min", "0", "--threads", threads,
+                           "--output", str(out)])
         assert rc == 0
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -320,6 +320,23 @@ def test_moments_explicit_blowup_exits_one(tmp_path):
     side = json.loads(out.with_suffix(".json").read_text())["moments"]
     assert side["max_divergent"] == 8
     assert side["passed"] is False
+
+
+def test_a_projected_run_from_a_huge_start_keeps_its_records(tmp_path):
+    """Projected Euler from 1e200, a state whose plain norm overflows,
+    is projected onto the sphere as from 1e100: every record after the
+    start is the 1e100 run's, bit for bit, not the origin's 0."""
+    rows = []
+    for x0 in ("1e200", "1e100"):
+        out = tmp_path / f"{x0}.csv"
+        assert main(["moments", "--model", "gl", "--scheme", "pe", "--T", "1",
+                     "--h", "1/8", "--x0", x0, "--paths", "8", "--threads",
+                     "1", "--output", str(out)]) == 0
+        rows.append([dict(zip(COLUMNS, line.split(","))) for line
+                     in out.read_text().splitlines() if line[0] != "#"][1:])
+    assert rows[0][1]["t"] == "0.125"
+    assert rows[0][1]["value"] == "0.8034098599769288"
+    assert rows[0][1:] == rows[1][1:]
 
 
 def test_a_divergent_moments_run_writes_its_recorded_bytes(tmp_path):
@@ -668,7 +685,6 @@ def test_any_invalid_invocation_exits_2_before_any_chunk(args):
     with (tempfile.TemporaryDirectory() as tmp,
           pytest.MonkeyPatch.context() as mp):
         mp.setattr(simulate, "_map_chunks", _no_chunk)
-        mp.delenv("SDE_LONGTIME_THREADS", raising=False)
         assert main(args + ["--output", os.path.join(tmp, "r.csv")]) == 2
         assert os.listdir(tmp) == []
 

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, none is listed twice,
-the package exports only what its modules export, and the benchmark finds
-the attributes it traces and times."""
+the package exports only what its modules export, no module reads the
+environment, and the benchmark finds the attributes it traces and times."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -39,6 +40,19 @@ def test_package_exports_are_exported_where_defined():
                 importlib.import_module(home), "__all__", ()):
             missing.append(f"{home}.{name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    Path(sde_longtime.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Every setting comes from an argument, a flag or a config file: no
+    module reads `os.environ` or calls `os.getenv`, so no environment
+    variable can change a run behind its configuration."""
+    reads = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("environ", "getenv")]
+    assert reads == []
 
 
 def _bench_module(name):

@@ -183,6 +183,26 @@ def test_project_batch_matches_single():
         npt.assert_allclose(out[i], expect, rtol=5e-16, atol=0.0)
 
 
+def test_a_huge_state_lands_on_the_sphere_in_any_batch():
+    """A state whose plain norm overflows (beyond about 1.3e154) goes to
+    the sphere of radius R, not to the origin. Huge, ordinary, zero and
+    infinite rows projected together equal each row projected alone, bit
+    for bit; a row whose plain norm is finite is scaled by R over that
+    norm, and an infinite row comes out NaN."""
+    assert project_batch(np.array([[1e200]]), 2.0).tolist() == [[2.0]]
+    R = 1.25
+    Z = np.array([[1e200, -1e200, 3.0], [3.0, 4.0, 0.0], [0.1, 0.2, 0.3],
+                  [0.0, 0.0, 0.0], [np.inf, 1.0, 1.0], [1e300, 1e300, 1e300]])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the infinite row
+        out = project_batch(Z, R)
+        alone = np.concatenate([project_batch(z[None], R) for z in Z])
+    assert out.tobytes() == alone.tobytes()
+    assert out[1].tobytes() == (Z[1] * (R / _row_norms(Z[1:2])[0])).tobytes()
+    assert out[2:4].tobytes() == Z[2:4].tobytes()
+    assert np.isnan(out[4, 0])
+    npt.assert_allclose([math.hypot(*z) for z in out[[0, 5]]], R, rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # implicit solve: residuals, nonexpansiveness, failure reporting
 # ---------------------------------------------------------------------------
