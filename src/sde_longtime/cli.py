@@ -46,7 +46,7 @@ from .errors import SolverFailure, UsageError
 from .model import (SdeProblem, build_allen_cahn, build_ginzburg_landau,
                     check_contractive_monotone, check_poly_lipschitz,
                     max_feasible_pstar, theorem_admissible_p_max)
-from .noise import check_master_seed
+from .noise import check_count, check_master_seed
 from .schemes import VARIANTS, SchemeConfig, scheme_orders, step_ceiling
 from .simulate import (contraction_experiment, moment_trace,
                        strong_error_experiment)
@@ -147,13 +147,6 @@ def _states(text: str) -> tuple:
     return states
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise UsageError("must be >= 1")
-    return n
-
-
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -173,7 +166,9 @@ _OPTIONS = {
     "T": _step, "h_ref": _step, "h": _step,
     "h_list": lambda text: tuple(sorted(
         {_step(s) for s in text.split(",")}, reverse=True)),
-    "paths": _count, "threads": _count, "p": float, "output": str,
+    "paths": lambda text: check_count(int(text), "paths"),
+    "threads": lambda text: check_count(int(text), "threads"),
+    "p": float, "output": str,
     "seed": lambda text: check_master_seed(int(text)),
     "enforce_step_ceiling": lambda text: _BOOLEANS[text.lower()],
     "x0": _states, "y0": _states,

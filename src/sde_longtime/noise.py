@@ -51,13 +51,18 @@ def path_generator(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(path_seed_sequence(master_seed, path_index)))
 
 
+def check_count(value, name: str, least: int = 1) -> int:
+    """`value` as an int of at least `least`, or a usage error: a bool or a
+    non-integer is refused whatever its value, so no count is truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(
+            value, bool) and value >= least:
+        return int(value)
+    raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_master_seed(master_seed) -> int:
     """`master_seed` as a non-negative int, or a usage error."""
-    if isinstance(master_seed, (int, np.integer)) and not isinstance(
-            master_seed, bool) and master_seed >= 0:
-        return int(master_seed)
-    raise UsageError(
-        f"master seed must be a non-negative integer, got {master_seed!r}")
+    return check_count(master_seed, "master seed", 0)
 
 
 def _hashmix(init: int, mult: int):
@@ -153,12 +158,8 @@ def make_noise_grid(master_seed: int, path_index: int, m: int,
     """
     if h_fine <= 0.0 or not math.isfinite(h_fine):
         raise UsageError(f"h_fine must be positive and finite, got {h_fine}")
-    if n_fine <= 0:
-        raise UsageError(f"n_fine must be positive, got {n_fine}")
-    if m <= 0:
-        raise UsageError(f"m must be positive, got {m}")
-    if path_index < 0:
-        raise UsageError(f"path_index must be nonnegative, got {path_index}")
+    n_fine, m = check_count(n_fine, "n_fine"), check_count(m, "m")
+    path_index = check_count(path_index, "path_index", 0)
     check_master_seed(master_seed)
     gen = path_generator(master_seed, path_index)
     increments = gen.standard_normal((n_fine, m)) * math.sqrt(h_fine)
@@ -171,8 +172,10 @@ def pairwise_block_sum(arr: np.ndarray, factor: int, axis: int = 0) -> np.ndarra
 
     The group sum is formed by recursive split-at-half (a balanced binary
     tree), the order every consumer of coarsened increments must share for the
-    telescoping identities to hold exactly.
+    telescoping identities to hold exactly. `factor` must be a positive
+    integer dividing the length along `axis`, or a usage error is raised.
     """
+    factor = check_count(factor, "factor")
     if factor == 1:
         return arr.copy()
     arr = np.moveaxis(arr, axis, 0)
@@ -198,8 +201,6 @@ def coarsen(grid: NoiseGrid, factor: int) -> np.ndarray:
 
     Returns an array of shape ``(n_fine // factor, m)`` whose k-th row is the
     pairwise-ordered sum of fine rows ``k*factor .. (k+1)*factor - 1``. Raises
-    a usage error when `factor` does not divide ``n_fine``.
+    a usage error when `factor` is not a positive integer dividing ``n_fine``.
     """
-    if factor < 1:
-        raise UsageError(f"factor must be a positive integer, got {factor}")
     return pairwise_block_sum(grid.increments, factor, axis=0)

@@ -95,8 +95,9 @@ def step_ceiling(variant: str, p: float, alpha1: float, h0: float = 1.0) -> floa
     analysis-only offset of alpha1, so this is its conservative limit).
     """
     SchemeConfig(variant)
-    if p <= 0.0 or alpha1 <= 0.0:
-        raise UsageError(f"p and alpha1 must be positive, got p={p}, alpha1={alpha1}")
+    if not (0.0 < p < np.inf and 0.0 < alpha1 < np.inf and h0 > 0.0):
+        raise UsageError("p and alpha1 must be positive and finite, and h0 "
+                         f"positive, got p={p}, alpha1={alpha1}, h0={h0}")
     h1 = min(1.0 / (p * alpha1), h0)
     if variant == "pe":
         return min(h1, 1.0 / (2.0 * p * alpha1))

@@ -21,15 +21,15 @@ state is restored before the path draws, so a chunk holds no generator per
 path. The chunk size is an even share of the paths per worker, clamped to
 [CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a constant. Neither
 changes any result, because every row is its own path's stream, and a chunk
-returns no samples but, per slot, counts and the exact sums of its samples
-and their squares (`_exact_sums`, TILE rows per call), which merge by
-integer addition. So
-results are bit-identical whether a run uses one worker or many, and the
-memory a run holds grows with its chunk, not its ensemble. Several workers
-are the calling process plus forked processes, each running whole chunks;
-where the platform cannot fork, the chunks run serially in the calling
-process. A solver failure is likewise the same at any worker count: the
-earliest by (step, track, path) of the run.
+returns no samples but, per slot, one record (`_Sums`) of counts and the
+exact sums of its samples and their squares (`_exact_sums`, TILE rows per
+call), which merge by integer addition, field by field. So results are
+bit-identical whether a run uses one worker or many, and the memory a run
+holds grows with its chunk, not its ensemble. Several workers are the
+calling process plus forked processes, each running whole chunks; where
+the platform cannot fork, the chunks run serially in the calling process.
+A solver failure is likewise the same at any worker count: the earliest by
+(step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent by one rule in all five protocols, down to
@@ -43,15 +43,14 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .model import SdeProblem
-from .noise import (NoiseGrid, check_master_seed, pairwise_block_sum,
-                    path_generator, path_keys)
+from .noise import (NoiseGrid, check_count, check_master_seed,
+                    pairwise_block_sum, path_generator, path_keys)
 from .schemes import SchemeConfig, _row_norms, step_batch
 
 __all__ = [
@@ -110,9 +109,10 @@ class ErrorCurve:
     estimates: tuple  # of MomentEstimate, parallel to hs
 
 
-def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
+def estimate_from_samples(samples, p: float, *,
                           n_divergent: int = 0) -> MomentEstimate:
-    """Build a MomentEstimate from magnitudes of surviving paths.
+    """Build a MomentEstimate from magnitudes of surviving paths; its
+    n_paths counts them and the n_divergent paths that did not survive.
 
     The same exact accumulator as a chunk's (`_exact_sums` of s^(2p)), over
     one array, so the result is exactly invariant under permutations and
@@ -129,11 +129,11 @@ def estimate_from_samples(samples, p: float, n_paths: Optional[int] = None,
     s = np.asarray(samples, dtype=float).ravel()
     if not np.all(s >= 0.0):
         raise UsageError("samples must be nonnegative magnitudes")
-    if n_paths is None:
-        n_paths = s.size + n_divergent
+    n_divergent = check_count(n_divergent, "n_divergent", 0)
     with np.errstate(over="ignore"):  # a power beyond float range is inf
-        y = s ** (2.0 * p)
-    return _estimate(p, n_paths, s.size, n_divergent, *_exact_sums(y))
+        y = np.abs(s) ** (2.0 * p)  # abs: (-0.0) ** 1.0 keeps its sign bit
+    return _estimate(p, s.size + n_divergent,
+                     _Sums(n_divergent, *_exact_sums(y)))
 
 
 # Exact sums are ints in units of 2^-_UNIT_BITS, below the least bit of any
@@ -166,12 +166,13 @@ _FOLD_S1 = _fold_weights(1, (0,))[0]
 _FOLD_S2 = _fold_weights(2, (52, 27, 0))
 
 
-def _exact_sums(y: np.ndarray) -> list:
-    """The exact sums over each row of y (a 1-d y is one row):
-    [non-finite counts..., sums of y..., sums of y^2...], each list one
-    entry per row, the sums over the finite entries as ints in units of
-    2^-_UNIT_BITS. The elementwise sum of two such lists is the list of
-    their entries together, however the entries were split.
+def _exact_sums(y: np.ndarray) -> np.ndarray:
+    """The exact sums over each row of a nonnegative y (a 1-d y is one
+    row), as a (3, R) object array of ints: per row, its non-finite count
+    and the sums of its finite entries and of their squares, in units of
+    2^-_UNIT_BITS. The sum of two such arrays is the array of their entries
+    together, however the entries were split. An entry with its sign bit
+    set, -0.0 included, is a ValueError.
 
     This is the small superaccumulator of Neal (arXiv:1505.05571), taken
     over all rows at once: exact uint64 sums per row and exponent of the
@@ -183,23 +184,19 @@ def _exact_sums(y: np.ndarray) -> list:
     y = np.ascontiguousarray(np.atleast_2d(y), dtype=float)
     R, n = y.shape
     if y.size == 0:
-        return [0] * (3 * R)
+        return np.zeros((3, R), dtype=object)
     width = min(n, _ROWS)
     pieces = -(-n // width)
     if pieces * width > n:
         y = np.concatenate([y, np.zeros((R, pieces * width - n))], axis=1)
     Y = y.reshape(R * pieces, width)
-    sums = [[], [], []]
-    for lo in range(0, len(Y), TILE):
-        for total, part in zip(sums, _row_sums(Y[lo:lo + TILE])):
-            total += part
-    return [sum(total[i:i + pieces]) for total in sums
-            for i in range(0, len(Y), pieces)]
+    sums = np.concatenate([_row_sums(Y[lo:lo + TILE])
+                           for lo in range(0, len(Y), TILE)], axis=1)
+    return sums.reshape(3, R, pieces).sum(axis=2)
 
 
 def _row_sums(y: np.ndarray):
-    """`_exact_sums` of a C-contiguous (R, n) float array, n <= _ROWS, as
-    three lists: the non-finite counts, the sums of y and of y^2.
+    """`_exact_sums` of a C-contiguous (R, n) float array, n <= _ROWS.
 
     By its bits y = M 2^(E - 1075), M < 2^53 and E >= 1 (a subnormal takes
     E = 1 with M its fraction bits), and with M = H 2^26 + L,
@@ -207,9 +204,8 @@ def _row_sums(y: np.ndarray):
     uint64 bins per row and exponent, from the row's least nonzero
     exponent up, take the sums of M, H^2, HL and L^2 (`np.add.at`): no y^2
     is formed, so none overflows or underflows, and at most _ROWS parts
-    below 2^54 keep every bin below 2^64. A negative y is binned by |y| in
-    a second row, whose sum of y is subtracted; infinities and NaNs are
-    counted and dropped."""
+    below 2^54 keep every bin below 2^64. Infinities and NaNs are counted
+    and dropped; a sign bit is refused, since E would not be the exponent."""
     R, n = y.shape
     # K holds the exponents, then the bin keys; M, H and T the parts
     K, M, H, T = np.empty((4, R, n), dtype=np.int64)
@@ -217,12 +213,9 @@ def _row_sums(y: np.ndarray):
     bits = y.view(np.uint64)
     np.right_shift(bits, np.uint64(52), out=Ku)
     hi = K.max(axis=1).tolist()
-    bad, negative = [0] * R, None
-    if max(hi) > 2047:  # a sign bit: bin |y|, the negative entries apart
-        negative = bits >= np.uint64(1 << 63)
-        bits = np.bitwise_and(bits, np.uint64((1 << 63) - 1), out=Hu)
-        np.right_shift(bits, np.uint64(52), out=Ku)
-        hi = K.max(axis=1).tolist()
+    if max(hi) > 2047:
+        raise ValueError("_exact_sums takes no entry with its sign bit set")
+    bad = [0] * R
     if max(hi) == 2047:  # infinities and NaNs: count them, then zero them
         finite = K != 2047
         bad = (n - np.count_nonzero(finite, axis=1)).tolist()
@@ -243,18 +236,14 @@ def _row_sums(y: np.ndarray):
     start = [r * J - e for r, e in enumerate(lo)]
     margin = max(0, -min(start))  # bins for the zeros below lo
     K += np.array(start)[:, None] + margin
-    rows = R
-    if negative is not None:
-        K += negative * (R * J)
-        rows = 2 * R
     key = K.ravel()
-    bins = np.empty(margin + rows * J, dtype=np.uint64)
+    bins = np.empty(margin + R * J, dtype=np.uint64)
 
     def digits(part, W, blocks):
         """The bins of one part, as each block's digits (`_block_digits`)."""
         bins[:] = 0
         np.add.at(bins, key, part.ravel())
-        return _block_digits(bins[margin:], W, rows * blocks)
+        return _block_digits(bins[margin:], W, R * blocks)
 
     Q = J // 16
     s1 = digits(Mu, _FOLD_S1, Q)
@@ -266,12 +255,11 @@ def _row_sums(y: np.ndarray):
     s2 += digits(Hu, _FOLD_S2[0], 2 * Q)
     M *= M
     s2 += digits(Mu, _FOLD_S2[2], 2 * Q)
-    s1, s2 = _digit_ints(s1.reshape(rows, Q, -1), s2.reshape(rows, 2 * Q, -1))
-    if negative is not None:
-        s1 = [a - b for a, b in zip(s1[:R], s1[R:])]
-        s2 = [a + b for a, b in zip(s2[:R], s2[R:])]
-    return (bad, [s << (e + _UNIT_BITS - 1075) for s, e in zip(s1, lo)],
-            [s << (2 * e + _UNIT_BITS - 2150) for s, e in zip(s2, lo)])
+    s1, s2 = _digit_ints(s1.reshape(R, Q, -1), s2.reshape(R, 2 * Q, -1))
+    # shifted as Python ints: an object array shifted by int64 ones overflows
+    return np.array([bad, [s << (e + _UNIT_BITS - 1075) for s, e in zip(s1, lo)],
+                     [s << (2 * e + _UNIT_BITS - 2150) for s, e in zip(s2, lo)]],
+                    dtype=object)
 
 
 def _block_digits(bins: np.ndarray, W: np.ndarray, blocks: int):
@@ -330,31 +318,37 @@ def _mean(total: int, n: int, n_nonfinite: int) -> float:
         return math.inf
 
 
-def _estimate(p: float, n_paths: int, n: int, n_divergent: int,
-              n_nonfinite: int, s1: int, s2: int) -> MomentEstimate:
-    """The MomentEstimate of n samples s from the exact sums s1 and s2 of
-    y = s^(2p) and y^2 (see `estimate_from_samples`)."""
-    if n == 0:
-        return MomentEstimate(value=0.0, std_error=0.0, p=p,
-                              n_paths=n_paths, n_divergent=n_divergent)
-    mu = _mean(s1, n, n_nonfinite)
-    if not math.isfinite(mu):
-        return MomentEstimate(value=math.inf, std_error=math.inf, p=p,
-                              n_paths=n_paths, n_divergent=n_divergent)
-    se_mu = 0.0
-    if n > 1:
-        try:
-            var = (n * s2 * _ONE - s1 * s1) / (n * (n - 1) * _ONE * _ONE)
-        except OverflowError:
-            var = math.inf
-        se_mu = math.sqrt(var / n)
-    if mu > 0.0:
+class _Sums(NamedTuple):
+    """One slot's result over some paths, merged by adding each field: the
+    paths dropped as divergent (every other path is kept) and, per sample
+    column, the rows of `_exact_sums` (non-finite counts, sums of y, y^2)."""
+
+    n_divergent: int
+    bad: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+
+
+def _estimate(p: float, n_paths: int, sums: _Sums) -> MomentEstimate:
+    """The MomentEstimate of the samples s kept of n_paths, from the
+    one-column record of y = s^(2p) (see `estimate_from_samples`): 0 +- 0
+    with no sample or a zero mean, inf +- inf with an infinite mean."""
+    n = n_paths - sums.n_divergent
+    [n_nonfinite], [s1], [s2] = sums.bad, sums.s1, sums.s2
+    mu = _mean(s1, n, n_nonfinite) if n else 0.0
+    value = std_error = math.inf if mu == math.inf else 0.0
+    if 0.0 < mu < math.inf:
+        se_mu = 0.0
+        if n > 1:
+            try:
+                var = (n * s2 * _ONE - s1 * s1) / (n * (n - 1) * _ONE * _ONE)
+            except OverflowError:
+                var = math.inf
+            se_mu = math.sqrt(var / n)
         value = mu ** (1.0 / (2.0 * p))
         std_error = se_mu * value / (2.0 * p * mu)
-    else:
-        value, std_error = 0.0, 0.0
     return MomentEstimate(value=value, std_error=std_error, p=p,
-                          n_paths=n_paths, n_divergent=n_divergent)
+                          n_paths=n_paths, n_divergent=sums.n_divergent)
 
 
 def _check_p(p: float) -> None:
@@ -366,14 +360,10 @@ def resolve_threads(requested: Optional[int] = None) -> int:
     """Worker-process count: the argument if given, else the number of cores
     this process may run on. No environment variable changes it."""
     if requested is not None:
-        n = int(requested)
-    elif hasattr(os, "sched_getaffinity"):
-        n = len(os.sched_getaffinity(0))
-    else:
-        n = os.cpu_count() or 1
-    if n < 1:
-        raise UsageError(f"thread count must be >= 1, got {n}")
-    return n
+        return check_count(requested, "thread count")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # Inside a pool worker: the chunk runner of the `_map_chunks` call that forked
@@ -598,9 +588,9 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
 def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
             n_paths: int, threads: Optional[int], h_fine: float, n_fine: int,
             tracks, slots):
-    """Per slot, [n_kept, n_divergent, non-finite counts..., exact sums...]
-    over all paths: each chunk returns these lists, the chunks' lists are
-    added elementwise, and no sample outlives its chunk.
+    """Per slot, its `_Sums` record over all paths: each chunk returns one
+    record per slot, the chunks' records are added field by field, and no
+    sample outlives its chunk.
 
     `tracks` are as in `_coupled_steps`. A slot is (ks, reads, statistic,
     power): at each fine index k of the ascending `ks`, `statistic(*states)`
@@ -612,18 +602,18 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
     track, and every kept sample s was read from finite states only.
 
     A chunk's worker keeps the records that are due as a list of (slot,
-    n_kept, n_divergent, y), y = s ** power of every path with one row per
-    sample column, 0 for a dropped path (a zero adds nothing to either
-    sum). One `_exact_sums` call on the list's rows together empties it
-    when the next record would take it past TILE rows, and at the chunk's
-    end; a wider record alone is summed TILE rows at a time.
+    n_divergent, y), y = s ** power of every path with one row per sample
+    column, 0 for a dropped path (a zero adds nothing to either sum); a
+    sample must not have its sign bit set (see `_exact_sums`). One
+    `_exact_sums` call on the list's rows together empties it when the
+    next record would take it past TILE rows, and at the chunk's end; a
+    wider record alone is summed TILE rows at a time.
 
-    The master seed, the path count and the worker count
-    (`resolve_threads(threads)`) are checked before `_map_chunks` is called.
+    The master seed and the worker count (`resolve_threads(threads)`) are
+    checked here, and the path count by the caller, before `_map_chunks` is
+    called.
     """
     check_master_seed(master_seed)
-    if n_paths < 1:
-        raise UsageError(f"n_paths must be >= 1, got {n_paths}")
     threads = resolve_threads(threads)
     due = {}
     for j, (ks, _, _, _) in enumerate(slots):
@@ -632,16 +622,15 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
 
     def worker(paths):
         kept = [None] * len(slots)
-        records = []  # (slot, n_kept, n_divergent, y rows), not yet summed
+        records = []  # (slot, n_divergent, y rows), not yet summed
 
         def flush():
             """`_exact_sums` of the records' rows at once, kept per slot."""
-            sums = _exact_sums(np.concatenate([y for *_, y in records]))
-            R = len(sums) // 3
-            parts = [iter(sums[i:i + R]) for i in range(0, 3 * R, R)]
-            for j, n, n_divergent, y in records:
-                kept[j] = [n, n_divergent, *(v for part in parts
-                                             for v in islice(part, len(y)))]
+            total = _exact_sums(np.concatenate([y for *_, y in records]))
+            lo = 0
+            for j, n_divergent, y in records:
+                kept[j] = _Sums(n_divergent, *total[:, lo:lo + len(y)])
+                lo += len(y)
             records.clear()
 
         for k, Zs in _coupled_steps(problem, scheme_cfg, master_seed, paths,
@@ -659,23 +648,30 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
                     alive = np.isfinite(states[0]).all(axis=1)
                     for Z in states[1:]:
                         alive &= np.isfinite(Z).all(axis=1)
-                    n = int(np.count_nonzero(alive))
-                    if n < len(paths):
+                    n_divergent = len(paths) - int(np.count_nonzero(alive))
+                    if n_divergent:
                         s[~alive] = 0.0
                     y = s.reshape(len(paths), -1).T ** power
                 rows = sum([len(r[-1]) for r in records]) + len(y)
                 if records and rows > TILE:
                     flush()
-                records.append((j, n, len(paths) - n, y))
+                records.append((j, n_divergent, y))
         flush()
         return kept
 
-    return [[sum(column) for column in zip(*slot)]
+    return [_Sums(*map(sum, zip(*slot)))
             for slot in zip(*_map_chunks(worker, n_paths, threads))]
 
 
 def _gap(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _row_norms(X - Y)
+
+
+def _parts(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The positive and the negative parts of X - Y, side by side: 2d
+    columns, each entry positive or +0.0 (np.maximum can return -0.0)."""
+    D = np.concatenate([X - Y, Y - X], axis=1)
+    return np.where(D > 0.0, D, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +692,7 @@ def evolve_terminal(problem: SdeProblem, scheme_cfg: SchemeConfig, h: float,
     """
     if not 0.0 < h < math.inf:
         raise UsageError(f"h must be positive and finite, got {h}")
-    if n_steps < 0:
-        raise UsageError(f"n_steps must be >= 0, got {n_steps}")
+    n_steps = check_count(n_steps, "n_steps", 0)
     if isinstance(noise, NoiseGrid):
         if noise.n_fine != n_steps:
             raise UsageError(
@@ -735,6 +730,7 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     and counted as divergent.
     """
     _check_p(p)
+    n_paths = check_count(n_paths, "n_paths")
     hs = _step_list(h_list)
     if h_ref > min(hs):
         raise UsageError(f"h_ref={h_ref} must not exceed the smallest h={min(hs)}")
@@ -746,7 +742,7 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     tracks = [(x0, 1, h_ref)] + [(x0, f, h) for h, f in zip(hs, factors)]
     slots = [(range(0, n_fine + 1, f), (0, i), _gap, 2.0 * p)
              for i, f in enumerate(factors, 1)]
-    estimates = [_estimate(p, n_paths, *sums)
+    estimates = [_estimate(p, n_paths, sums)
                  for sums in _reduce(problem, scheme_cfg, master_seed, n_paths,
                                      threads, h_ref, n_fine, tracks, slots)]
     return ErrorCurve(model=problem.name, scheme=scheme_cfg.variant, p=p, T=T,
@@ -767,14 +763,14 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     per entry); `statistic(*Zs)` maps their state batches to per-path
     magnitudes.
     """
-    if n_records < 1:
-        raise UsageError(f"n_records must be >= 1, got {n_records}")
+    n_records = check_count(n_records, "n_records")
+    n_paths = check_count(n_paths, "n_paths")
     _check_p(p)
     n_steps = _exact_multiple(T, h, "T", "h")
     rec = sorted({round(j * n_steps / n_records) for j in range(n_records + 1)})
     slots = [((k,), range(len(starts)), statistic, 2.0 * p) for k in rec]
     times = np.asarray([k * h for k in rec])
-    return times, [_estimate(p, n_paths, *sums)
+    return times, [_estimate(p, n_paths, sums)
                    for sums in _reduce(problem, scheme_cfg, master_seed,
                                        n_paths, threads, h, n_steps,
                                        [(x0, 1, h) for x0 in starts], slots)]
@@ -833,23 +829,25 @@ def one_step_order_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     are counted in the estimate's n_divergent; with none left the weak error
     is 0, like the estimate). A mean beyond float range is inf.
     """
-    if substeps < 2:
-        raise UsageError(f"substeps must be >= 2, got {substeps}")
+    substeps = check_count(substeps, "substeps", 2)
+    n_paths = check_count(n_paths, "n_paths")
     hs = _step_list(h_list)
     x = _start_state(problem, x, "x")
     results = []
     for h in hs:
         h_fine = h / substeps
-        # the RMS of |fine - coarse|, and the exact sums of the differences
-        strong, (n, _, *weak) = _reduce(
+        # the RMS of |fine - coarse|, and the exact sums of the positive
+        # and negative parts of fine - coarse, whose difference is the sum
+        strong, weak = _reduce(
             problem, scheme_cfg, master_seed, n_paths, threads, h_fine,
             substeps, [(x, 1, h_fine), (x, substeps, h)],
             [((substeps,), (0, 1), _gap, 2.0),
-             ((substeps,), (0, 1), np.subtract, 1.0)])
+             ((substeps,), (0, 1), _parts, 1.0)])
         d = problem.d  # the mean over the survivors; with none, zero
-        mean = [_mean(total, max(n, 1), bad)
-                for bad, total in zip(weak[:d], weak[d:2 * d])]
-        results.append((h, _estimate(1.0, n_paths, *strong),
+        n = max(n_paths - weak.n_divergent, 1)
+        mean = [_mean(total, n, bad) for total, bad in zip(
+            weak.s1[:d] - weak.s1[d:], weak.bad[:d] + weak.bad[d:])]
+        results.append((h, _estimate(1.0, n_paths, strong),
                         math.hypot(*mean)))
     return results
 
@@ -867,8 +865,8 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     Returns a list of (h, MomentEstimate); a path whose X or Y is not finite
     after the substeps is dropped and counted in n_divergent.
     """
-    if substeps < 1:
-        raise UsageError(f"substeps must be >= 1, got {substeps}")
+    substeps = check_count(substeps, "substeps")
+    n_paths = check_count(n_paths, "n_paths")
     _check_p(p)
     hs = _step_list(h_list)
     x0, y0 = _start_state(problem, x0), _start_state(problem, y0, "y0")
@@ -881,5 +879,5 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
             substeps, [(x0, 1, h_fine), (y0, 1, h_fine)],
             [((substeps,), (0, 1), lambda X, Y: _row_norms((X - Y) - gap0),
               2.0 * p)])
-        results.append((h, _estimate(p, n_paths, *sums)))
+        results.append((h, _estimate(p, n_paths, sums)))
     return results

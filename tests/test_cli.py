@@ -528,7 +528,7 @@ def test_negative_seed_exits_2_without_output(tmp_path, capsys):
                "--h", "2^-2", "--paths", "8", "--x0", "1", "--seed", "-1",
                "--output", str(out)])
     assert rc == 2
-    assert "master seed must be a non-negative integer" in capsys.readouterr().err
+    assert "master seed must be an integer >= 0" in capsys.readouterr().err
     assert not out.exists()
     assert not out.with_suffix(".json").exists()
 

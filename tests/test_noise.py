@@ -103,10 +103,15 @@ def test_dyadic_chain_composition(exps, seed):
 
 def test_coarsen_non_divisor_rejected():
     grid = make_noise_grid(3, 2, m=1, h_fine=0.125, n_fine=8)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="does not divide"):
         coarsen(grid, 3)
-    with pytest.raises(UsageError):
-        coarsen(grid, 0)
+    # a factor that is not a positive integer is refused by its own rule,
+    # not by a ZeroDivisionError, a reshape or the divisibility message
+    for factor in (0, -2, 2.5, True):
+        for coarse in (lambda f: coarsen(grid, f),
+                       lambda f: pairwise_block_sum(grid.increments, f)):
+            with pytest.raises(UsageError, match="factor must be an integer"):
+                coarse(factor)
 
 
 def test_pairwise_block_sum_axis_one():
@@ -124,6 +129,11 @@ def test_make_noise_grid_validation():
         make_noise_grid(0, 0, m=1, h_fine=0.1, n_fine=0)
     with pytest.raises(UsageError):
         make_noise_grid(0, -1, m=1, h_fine=0.1, n_fine=4)
+    for count in (2.5, True):
+        with pytest.raises(UsageError, match="n_fine must be an integer"):
+            make_noise_grid(0, 0, m=1, h_fine=0.1, n_fine=count)
+        with pytest.raises(UsageError, match="path_index must be an integer"):
+            make_noise_grid(0, count, m=1, h_fine=0.1, n_fine=4)
 
 
 def test_grid_records_its_coordinates():

@@ -718,6 +718,12 @@ def test_step_ceiling_values():
         step_ceiling("be", 0.0, 1.0)
     with pytest.raises(UsageError):
         step_ceiling("be", 1.0, -1.0)
+    # a NaN ceiling would admit every step
+    for args in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                 (1.0, math.inf), (1.0, 1.0, math.nan), (1.0, 1.0, 0.0),
+                 (1.0, 1.0, -1.0)):
+        with pytest.raises(UsageError):
+            step_ceiling("be", *args)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,8 @@ def test_evolve_terminal_validation(gl):
         evolve_terminal(gl, BE, 0.0, 2, np.zeros((2, 1)), 1.0)
     with pytest.raises(UsageError):
         evolve_terminal(gl, BE, 0.5, -1, np.zeros((0, 1)), 1.0)
+    with pytest.raises(UsageError, match="n_steps must be an integer"):
+        evolve_terminal(gl, BE, 0.5, True, np.zeros((1, 1)), 1.0)
     with pytest.raises(UsageError):
         evolve_terminal(gl, BE, 0.5, 2, np.zeros((3, 1)), 1.0)  # wrong length
     grid = make_noise_grid(master_seed=9, path_index=0, m=1,
@@ -169,6 +171,9 @@ def test_estimate_from_samples_degenerate_cases():
         estimate_from_samples([-1.0], p=1.0)
     with pytest.raises(UsageError):
         estimate_from_samples([1.0, math.nan], p=1.0)
+    for n_divergent in (-1, 2.5, True):
+        with pytest.raises(UsageError, match="n_divergent must be an integer"):
+            estimate_from_samples([1.0], p=1.0, n_divergent=n_divergent)
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,25 +186,24 @@ def test_estimate_is_exactly_permutation_invariant(samples, p, seed):
     assert estimate_from_samples(samples, p) == estimate_from_samples(shuffled, p)
 
 
-# values across float range: zeros, subnormals, either sign, 1e-300 to 1e300,
-# and values whose squares overflow or underflow
+# nonnegative values across float range: zeros, subnormals, 1e-300 to
+# 1e300, and values whose squares overflow or underflow (the accumulator
+# takes no sign bit, -0.0 included)
 _FLOATS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1e-300, 1e-160, 1e154, 1e300, 1.7976931348623157e308,
-                     -1.7976931348623157e308]),
-    st.floats(-1e3, 1e3))
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-160,
+                     1e154, 1e300, 1.7976931348623157e308]),
+    st.floats(0.0, 1e3))
 
 
 def _split_sums(values, cuts):
-    """The elementwise sum of `_exact_sums` over the pieces `cuts` makes
-    of the samples `values` (a (B, c) list is c columns of B samples, which
-    `_exact_sums` takes as c rows)."""
+    """The sum of `_exact_sums` over the pieces `cuts` makes of the samples
+    `values` (a (B, c) list is c columns of B samples, which `_exact_sums`
+    takes as c rows), as a (3, c) array."""
     y = np.asarray(values, dtype=float).T
     bounds = [0, *sorted(cuts), y.shape[-1]]
-    pieces = [simulate._exact_sums(y[..., lo:hi])
-              for lo, hi in zip(bounds, bounds[1:])]
-    return [sum(column) for column in zip(*pieces)]
+    return sum(simulate._exact_sums(y[..., lo:hi])
+               for lo, hi in zip(bounds, bounds[1:]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -210,7 +214,7 @@ def test_exact_sums_are_the_rational_sums_under_any_split(values, data):
     beyond float range), which is math.fsum's bit for bit wherever fsum
     does not overflow in an intermediate sum."""
     cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=7))
-    bad, s1, s2 = _split_sums(values, cuts)
+    [bad], [s1], [s2] = _split_sums(values, cuts)
     exact = sum(map(Fraction, values), Fraction(0))
     assert bad == 0
     assert Fraction(s1, simulate._ONE) == exact
@@ -237,21 +241,32 @@ def test_exact_sums_per_column(values, cuts):
     whole = _split_sums(values, [c for c in cuts if c <= len(values)])
     for j in range(3):
         column = simulate._exact_sums(np.asarray([v[j] for v in values]))
-        assert whole[j::3] == column
+        assert whole[:, j:j + 1].tolist() == column.tolist()
 
 
 def test_exact_sums_count_non_finite_values():
     """Per row: the non-finite entries are counted, and the sums run over
     the finite ones."""
-    y = np.array([[1.0, math.nan, -math.inf], [math.inf, 2.0, 3.0]])
-    bad_a, bad_b, *sums = simulate._exact_sums(y)
-    assert (bad_a, bad_b) == (2, 1)
-    assert [Fraction(t, simulate._ONE) for t in sums] == [1, 5, 1, 13]
+    y = np.array([[1.0, math.nan, math.inf], [math.inf, 2.0, 3.0]])
+    bad, s1, s2 = simulate._exact_sums(y)
+    assert bad.tolist() == [2, 1]
+    assert [Fraction(t, simulate._ONE) for t in [*s1, *s2]] == [1, 5, 1, 13]
+
+
+@pytest.mark.parametrize("signed", [-0.0, -1.0, -math.inf])
+def test_exact_sums_refuse_a_sign_bit(signed):
+    """The accumulator takes no signed input: an entry with its sign bit
+    set, -0.0 included, is refused in any row, not summed."""
+    y = np.ones((3, 5))
+    y[2, 4] = signed
+    with pytest.raises(ValueError, match="sign bit"):
+        simulate._exact_sums(y)
 
 
 def _oracle_sums(rows):
     """Per row: its non-finite count and the exact sums of its finite
-    entries and of their squares, in units of 2^-_UNIT_BITS."""
+    entries and of their squares, in units of 2^-_UNIT_BITS, as the three
+    lists `_exact_sums(rows).tolist()` gives."""
     out = [[], [], []]
     for row in np.atleast_2d(rows).tolist():
         finite = [Fraction(v) for v in row if math.isfinite(v)]
@@ -261,7 +276,7 @@ def _oracle_sums(rows):
             scaled = total * simulate._ONE
             assert scaled.denominator == 1
             sums.append(scaled.numerator)
-    return out[0] + out[1] + out[2]
+    return out
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
@@ -274,15 +289,13 @@ def test_exact_sums_of_full_mantissas(n, scale, spread):
     16 consecutive exponents (so every bin of a fold block is full); rows
     of 1025 and 2049 are cut into rows of at most 1024. Sums and sums of
     squares equal the rational ones, at the bottom of the normal range, at
-    1, and near the top (where y^2 is beyond float range), for either
-    sign."""
+    1, and near the top (where y^2 is beyond float range)."""
     rng = np.random.default_rng(n)
     mantissas = (2 ** 53 - 1) - rng.integers(0, 2 ** 20, n)
     mantissas[::3] = 2 ** 53 - 1
     y = np.ldexp(mantissas.astype(float), scale - 53 + np.arange(n) % spread)
     assert len(set(np.frexp(y)[1].tolist())) == spread
-    for values in (y, -y):
-        assert simulate._exact_sums(values) == _oracle_sums(values[None])
+    assert simulate._exact_sums(y).tolist() == _oracle_sums(y[None])
 
 
 def test_estimate_from_samples_of_a_long_row_is_exact():
@@ -296,9 +309,9 @@ def test_estimate_from_samples_of_a_long_row_is_exact():
     s = np.ldexp(mantissas.astype(float), rng.integers(-553, 447, n))
     s[::97] = 0.0
     sums = _oracle_sums(s ** 2.0)
-    assert simulate._exact_sums(s ** 2.0) == sums
-    assert (estimate_from_samples(s, 1.0)
-            == simulate._estimate(1.0, n, n, 0, *sums))
+    assert simulate._exact_sums(s ** 2.0).tolist() == sums
+    assert estimate_from_samples(s, 1.0) == simulate._estimate(
+        1.0, n, simulate._Sums(0, *np.array(sums, dtype=object)))
 
 
 @pytest.mark.parametrize("fill", ["ones", "random"])
@@ -328,18 +341,17 @@ def test_the_fold_is_exact_for_any_bins(fill):
 
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(_FLOATS, min_size=1, max_size=40),
-       signs=st.lists(st.booleans(), min_size=45, max_size=45),
+       zeros=st.lists(st.booleans(), min_size=43, max_size=43),
        rows=st.integers(1, 3 * simulate.TILE))
-def test_exact_sums_of_mixed_signs_and_subnormals_per_row(values, signs,
-                                                          rows):
-    """Rows of mixed signs, zeros, subnormals and values whose squares
-    leave float range, as many rows as a tile holds and more, are each
-    summed exactly."""
-    pool = values + [5e-324, -5e-324, 2.0 ** -1060, 0.0, -0.0]
-    y = np.array([[(-v if s else v) for v, s in zip(pool, signs)]
+def test_exact_sums_of_zeros_and_subnormals_per_row(values, zeros, rows):
+    """Rows of zeros, subnormals and values whose squares leave float
+    range, as many rows as a tile holds and more, are each summed
+    exactly."""
+    pool = values + [5e-324, 2.0 ** -1060, 0.0]
+    y = np.array([[(0.0 if z else v) for v, z in zip(pool, zeros)]
                   for _ in range(rows)])
-    y *= np.resize([1.0, -1.0, 2.0 ** -60], rows)[:, None]
-    assert simulate._exact_sums(y) == _oracle_sums(y)
+    y *= np.resize([1.0, 0.5, 2.0 ** -60], rows)[:, None]
+    assert simulate._exact_sums(y).tolist() == _oracle_sums(y)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -348,11 +360,11 @@ def test_exact_sums_of_a_full_tile_and_one_row_more(extra):
     with dead paths (zeros), non-finite entries and a wide exponent range,
     gives every row's exact sums."""
     rng = np.random.default_rng(extra)
-    y = (rng.standard_normal((simulate.TILE + extra, 1024))
+    y = (rng.exponential(size=(simulate.TILE + extra, 1024))
          * np.exp(rng.uniform(-600.0, 600.0, (simulate.TILE + extra, 1024))))
     y[:, ::37] = 0.0
-    y[1, 5], y[2, 7], y[-1, 11] = math.inf, -math.inf, math.nan
-    assert simulate._exact_sums(y) == _oracle_sums(y)
+    y[1, 5], y[2, 7], y[-1, 11] = math.inf, math.inf, math.nan
+    assert simulate._exact_sums(y).tolist() == _oracle_sums(y)
 
 
 @pytest.mark.parametrize("samples, p, finite_value", [
@@ -400,8 +412,9 @@ def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.setenv("SDE_LONGTIME_THREADS", "2")
     assert resolve_threads(8) == 8  # no environment variable beats the argument
     assert resolve_threads(1) == 1
-    with pytest.raises(UsageError):
-        resolve_threads(0)
+    for bad in (0, 2.7, True, "2"):  # none is truncated or read as 1
+        with pytest.raises(UsageError, match="thread count must be an integer"):
+            resolve_threads(bad)
 
 
 def test_default_worker_count_is_the_usable_cores(monkeypatch):
@@ -671,7 +684,7 @@ def test_a_bad_master_seed_is_refused_before_any_chunk(gl, seed, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(simulate, "path_generator", chunk)
-    with pytest.raises(UsageError, match="master seed must be a non-negative"):
+    with pytest.raises(UsageError, match="master seed must be an integer >= 0"):
         moment_trace(gl, BE, T=0.5, h=0.25, n_paths=1030, master_seed=seed,
                      threads=2)
 
@@ -808,8 +821,7 @@ def test_strong_error_engine_matches_stepwise_replication(gl):
                 d = xr - xc
                 sup = max(sup, float(np.sqrt(np.dot(d, d))))
         sups.append(sup)
-    assert curve.estimates[0] == estimate_from_samples(sups, p=1.0,
-                                                       n_paths=n_paths)
+    assert curve.estimates[0] == estimate_from_samples(sups, p=1.0)
     assert (curve.model, curve.scheme, curve.hs) == (gl.name, "be", (h,))
 
 
@@ -940,9 +952,10 @@ def test_results_independent_of_chunk_and_block_size(chunk, block, monkeypatch,
 
 
 def test_a_chunk_returns_sums_not_samples(gl, monkeypatch):
-    """Per slot a chunk returns its counts and exact sums, a fixed number of
-    Python ints of bounded size, so what it returns, and what the run holds
-    once the chunks are done, does not grow with its paths."""
+    """Per slot a chunk returns one `_Sums` record, its divergent count and
+    exact sums, a fixed number of Python ints of bounded size, so what it
+    returns, and what the run holds once the chunks are done, does not grow
+    with its paths."""
     returned = {}
 
     def spy(worker, n_paths, threads):
@@ -959,8 +972,10 @@ def test_a_chunk_returns_sums_not_samples(gl, monkeypatch):
     # y^2 < 2^2048, so a sum of fewer than 2^64 of them has no more bits
     limit = simulate._UNIT_BITS + 2048 + 64
     for a, b in zip(small, big):
-        assert len(a) == len(b) == 5
-        assert all(type(v) is int and v.bit_length() <= limit for v in a + b)
+        assert type(a) is type(b) is simulate._Sums
+        ints = [v for r in (a, b) for v in (r.n_divergent, *r.bad, *r.s1, *r.s2)]
+        assert len(ints) == 8
+        assert all(type(v) is int and v.bit_length() <= limit for v in ints)
 
 
 def _accumulator_spy(monkeypatch):
@@ -978,10 +993,10 @@ def _accumulator_spy(monkeypatch):
 
 def test_tile_boundaries_are_invisible(gl, monkeypatch):
     """A moment trace of 21 records (not a multiple of TILE) and the
-    one-step probe on Allen-Cahn, whose signed slot takes d = 3 rows, give
-    the same bits with one record per tile (the tile grows for the 3-row
-    slot) as with TILE records, and the accumulator never sees more than
-    TILE rows."""
+    one-step probe on Allen-Cahn, whose slot of the positive and negative
+    parts takes 2 d = 6 rows, give the same bits with one record per tile
+    (summed a row at a time) as with TILE records, and the accumulator
+    never sees more than TILE rows."""
     ac = build_allen_cahn(K=4)
 
     def runs():
@@ -1066,8 +1081,8 @@ def _norm(x):
     return _row_norms(x[None])[0]
 
 
-def _oracle_estimates(samples, n_div, n_paths):
-    return [estimate_from_samples(s, p=1.0, n_paths=n_paths, n_divergent=n)
+def _oracle_estimates(samples, n_div):
+    return [estimate_from_samples(s, p=1.0, n_divergent=n)
             for s, n in zip(samples, n_div)]
 
 
@@ -1088,7 +1103,7 @@ def _oracle_strong(problem, cfg, T, hs, h_ref, n_paths, seed, x0):
                                           for n, z in enumerate(coarse)))
             else:
                 n_div[level] += 1
-    return _oracle_estimates(samples, n_div, n_paths)
+    return _oracle_estimates(samples, n_div)
 
 
 def _oracle_trace(problem, cfg, h, n_steps, records, n_paths, seed, starts,
@@ -1109,7 +1124,7 @@ def _oracle_trace(problem, cfg, h, n_steps, records, n_paths, seed, starts,
                 samples[j].append(statistic(*Zs))
             else:
                 n_div[j] += 1
-    return _oracle_estimates(samples, n_div, n_paths)
+    return _oracle_estimates(samples, n_div)
 
 
 # the ladders as factors over h_ref: dyadic, with a skipped level, and
@@ -1230,7 +1245,7 @@ def _oracle_one_step(problem, cfg, hs, x, n_paths, seed, substeps):
         except OverflowError:
             mean = [math.inf]
         results.append((h, estimate_from_samples(
-            [_norm(d) for d in diffs], p=1.0, n_paths=n_paths,
+            [_norm(d) for d in diffs], p=1.0,
             n_divergent=n_paths - len(diffs)), math.hypot(*mean)))
     return results
 
@@ -1244,8 +1259,7 @@ def _oracle_remainder(problem, cfg, hs, x0, y0, n_paths, seed, substeps):
             problem, cfg, h, substeps, n_paths, seed, [x0, y0])
             if _finite(x, y)]
         results.append((h, estimate_from_samples(
-            samples, p=1.0, n_paths=n_paths,
-            n_divergent=n_paths - len(samples))))
+            samples, p=1.0, n_divergent=n_paths - len(samples))))
     return results
 
 
@@ -1337,26 +1351,31 @@ def test_terminal_protocols_count_diverged_paths():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("run", [
-    lambda gl: moment_trace(gl, BE, T=1.0, h=0.25, n_paths=0),
-    lambda gl: contraction_experiment(gl, BE, T=1.0, h=0.25, n_paths=0),
-    lambda gl: one_step_order_experiment(gl, BE, [0.25], 1.0, n_paths=0),
-    lambda gl: remainder_scaling_experiment(gl, BE, 1.0, 0.5, [0.25], n_paths=0),
+    lambda gl, n: moment_trace(gl, BE, T=1.0, h=0.25, n_paths=n),
+    lambda gl, n: contraction_experiment(gl, BE, T=1.0, h=0.25, n_paths=n),
+    lambda gl, n: one_step_order_experiment(gl, BE, [0.25], 1.0, n_paths=n),
+    lambda gl, n: remainder_scaling_experiment(gl, BE, 1.0, 0.5, [0.25],
+                                               n_paths=n),
 ], ids=["moments", "contraction", "one-step", "remainder"])
 def test_protocols_require_paths(gl, run):
-    with pytest.raises(UsageError):
-        run(gl)
+    """No path, a fraction of one, or True (which would run one path and
+    report n_paths=True) is refused."""
+    for n_paths in (0, 2.5, True):
+        with pytest.raises(UsageError, match="n_paths must be an integer"):
+            run(gl, n_paths)
 
 
 @pytest.mark.parametrize("run", [
-    lambda gl: moment_trace(gl, BE, T=1.0, h=0.25, n_paths=4, n_records=0),
-    lambda gl: contraction_experiment(gl, BE, T=1.0, h=0.25, n_paths=4,
-                                      n_records=0),
-    lambda gl: remainder_scaling_experiment(gl, BE, 1.0, 0.5, [0.25],
-                                            n_paths=4, substeps=0),
+    lambda gl, n: moment_trace(gl, BE, T=1.0, h=0.25, n_paths=4, n_records=n),
+    lambda gl, n: contraction_experiment(gl, BE, T=1.0, h=0.25, n_paths=4,
+                                         n_records=n),
+    lambda gl, n: remainder_scaling_experiment(gl, BE, 1.0, 0.5, [0.25],
+                                               n_paths=4, substeps=n),
 ], ids=["moments", "contraction", "remainder"])
 def test_protocols_refuse_empty_records_and_substeps(gl, run):
-    with pytest.raises(UsageError):
-        run(gl)
+    for count in (0, 2.5, True):
+        with pytest.raises(UsageError, match="must be an integer >= 1"):
+            run(gl, count)
 
 
 def test_moment_trace_record_structure(gl):
@@ -1465,9 +1484,10 @@ def test_one_step_probe_weak_below_strong(gl):
     for _, strong, weak in results:
         assert 0.0 < weak <= strong.value * (1.0 + 1e-12)
         assert strong.n_divergent == 0
-    with pytest.raises(UsageError):
-        one_step_order_experiment(gl, BE, h_list=[0.25], x=1.0, n_paths=4,
-                                  substeps=1)
+    for substeps in (1, 2.5, True):
+        with pytest.raises(UsageError, match="substeps must be an integer"):
+            one_step_order_experiment(gl, BE, h_list=[0.25], x=1.0,
+                                      n_paths=4, substeps=substeps)
 
 
 def test_one_step_weak_error_at_the_edges_of_float_range():
@@ -1483,6 +1503,34 @@ def test_one_step_weak_error_at_the_edges_of_float_range():
     [(_, strong, weak)] = one_step_order_experiment(
         still, EM, [0.5], 20000.0, n_paths=10, substeps=4, threads=1)
     assert (strong.n_divergent, strong.value, weak) == (10, 0.0, 0.0)
+
+
+def test_one_step_probe_keeps_its_recorded_bits(gl):
+    """The one-step probe on Allen-Cahn K = 4 (d = 3, differences of either
+    sign in every component) and on explicit Euler from 5 on GL, where 2 of
+    200 paths diverge at h = 1/2 and the mean is near 2^581, keeps the bits
+    recorded when its slot still summed the signed differences; and a -0.0
+    sample adds nothing, as +0.0."""
+    def bits(results):
+        return [(s.value.hex(), s.std_error.hex(), s.n_divergent, w.hex())
+                for _, s, w in results]
+
+    assert bits(one_step_order_experiment(
+        build_allen_cahn(K=4), BE, [2.0 ** -3, 2.0 ** -4], 1.0, n_paths=64,
+        master_seed=5, substeps=4, threads=1)) == [
+        ("0x1.b968fe20ae461p-3", "0x1.f9cc2c65017ffp-7", 0,
+         "0x1.473b26a5dbfb8p-3"),
+        ("0x1.028a0080e3850p-3", "0x1.206fb9c0d482dp-7", 0,
+         "0x1.70eb9819fc8dbp-4")]
+    assert bits(one_step_order_experiment(
+        gl, EM, [0.5, 0.25], 5.0, n_paths=200, master_seed=1, substeps=8,
+        threads=1)) == [
+        ("inf", "inf", 2, "0x1.5e97ee0dc3293p+581"),
+        ("0x1.c007e36453b17p+4", "0x1.4589a9f7d318bp-3", 0,
+         "0x1.be984dc49549fp+4")]
+    est = estimate_from_samples([-0.0, 0.0, 1.0], 0.5)
+    assert (est.value.hex(), est.std_error.hex(), est.n_paths) == (
+        "0x1.5555555555555p-2", "0x1.5555555555555p-2", 3)
 
 
 def _one_step(variant):
@@ -1522,7 +1570,7 @@ def test_one_step_engine_matches_stepwise_replication(gl, variant, step):
         mean = math.fsum(diffs[:, 0].tolist()) / n_paths
         assert h == h_expected
         norms = [float(np.sqrt(np.dot(d, d))) for d in diffs]
-        assert strong == estimate_from_samples(norms, p=1.0, n_paths=n_paths)
+        assert strong == estimate_from_samples(norms, p=1.0)
         assert weak == math.sqrt(mean * mean)
 
 
