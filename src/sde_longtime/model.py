@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
+from .noise import check_count, check_master_seed
 
 __all__ = [
     "MonotoneConstants",
@@ -71,6 +72,10 @@ class MonotoneConstants:
     beta1: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("alpha1", "p_star", "kappa", "c1", "beta1"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
         if not (self.alpha1 > 0.0):
             raise UsageError(f"alpha1 must be positive, got {self.alpha1}")
         if not (self.p_star >= 1.0):
@@ -217,8 +222,11 @@ class SampleSpec:
     def __post_init__(self):
         if not (self.hi > self.lo):
             raise UsageError(f"empty sampling box [{self.lo}, {self.hi}]")
-        if self.n_pairs < 2:
-            raise UsageError(f"n_pairs must be >= 2, got {self.n_pairs}")
+        if not math.isfinite(self.hi - self.lo):
+            raise UsageError(f"sampling box [{self.lo}, {self.hi}] must have "
+                             "a finite width")
+        check_count(self.n_pairs, "n_pairs", 2)
+        check_master_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,13 @@ def step_ceiling(variant: str, p: float, alpha1: float, h0: float = 1.0) -> floa
     return h1
 
 
+def check_step(cfg: SchemeConfig, h: float) -> None:
+    """Refuse a step size the scheme cannot take: projected Euler's radius
+    h^(-1/(2(kappa+1))) is defined for h in (0, 1] only."""
+    if cfg.variant == "pe" and not 0.0 < h <= 1.0:
+        raise UsageError(f"projection requires h in (0, 1], got {h}")
+
+
 # ---------------------------------------------------------------------------
 # shared low-level pieces
 # ---------------------------------------------------------------------------
@@ -270,12 +277,6 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
 # projection
 # ---------------------------------------------------------------------------
 
-def _projection_radius(h: float, kappa: float) -> float:
-    if not (0.0 < h <= 1.0):
-        raise UsageError(f"projection requires h in (0, 1], got {h}")
-    return h ** (-1.0 / (2.0 * (kappa + 1.0)))
-
-
 def project_batch(Z: np.ndarray, R: float) -> np.ndarray:
     """Rowwise radial projection of a batch (B, d) onto the ball of radius R:
     the identity inside, x R/|x| outside; 1-Lipschitz, and it fixes the
@@ -295,10 +296,12 @@ def step_batch(problem: SdeProblem, cfg: SchemeConfig, Z: np.ndarray,
     backward Euler solves z - h f(z) = Z + g(Z) dW; projected Euler is the
     explicit step from the projected states, returning the raw Euler output
     that the next step projects again."""
+    check_step(cfg, h)
     if cfg.variant == "be":
         return solve_implicit_batch(problem, Z + problem.diffusion_apply(Z, dW),
                                     h, step_index=step_index)
     if cfg.variant == "pe":
-        Z = project_batch(Z, _projection_radius(h, problem.constants.kappa))
+        kappa = problem.constants.kappa
+        Z = project_batch(Z, h ** (-1.0 / (2.0 * (kappa + 1.0))))
     with np.errstate(over="ignore", invalid="ignore"):
         return Z + h * drift_rows(problem, Z) + problem.diffusion_apply(Z, dW)

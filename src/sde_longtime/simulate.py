@@ -23,13 +23,13 @@ path. The chunk size is an even share of the paths per worker, clamped to
 changes any result, because every row is its own path's stream, and a chunk
 returns no samples but, per slot, one record (`_Sums`) of counts and the
 exact sums of its samples and their squares (`_exact_sums`, TILE rows per
-call), which merge by integer addition, field by field. So results are
-bit-identical whether a run uses one worker or many, and the memory a run
-holds grows with its chunk, not its ensemble. Several workers are the
-calling process plus forked processes, each running whole chunks; where
-the platform cannot fork, the chunks run serially in the calling process.
-A solver failure is likewise the same at any worker count: the earliest by
-(step, track, path) of the run.
+call), added field by field into the run's one record per slot as the
+chunks finish, in path order. So results are bit-identical at any worker
+count, and the memory a run holds grows with its chunk, not its ensemble.
+Several workers are the calling process plus forked processes, each
+running whole chunks; where the platform cannot fork, the chunks run
+serially in the calling process. A solver failure is likewise the same at
+any worker count: the earliest by (step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent by one rule in all five protocols, down to
@@ -43,6 +43,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ from .errors import SolverFailure, UsageError
 from .model import SdeProblem
 from .noise import (NoiseGrid, check_count, check_master_seed,
                     pairwise_block_sum, path_generator, path_keys)
-from .schemes import SchemeConfig, _row_norms, step_batch
+from .schemes import SchemeConfig, _row_norms, check_step, step_batch
 
 __all__ = [
     "MomentEstimate", "ErrorCurve", "estimate_from_samples", "evolve_terminal",
@@ -396,8 +397,9 @@ def _chunk_spans(n_paths: int, threads: int):
 
 def _map_chunks(worker, n_paths: int, threads: int):
     """Run `worker(paths)` over the path chunks, `paths` the range of one
-    chunk's path indices; results in path order. `threads` is a worker
-    count from `resolve_threads`.
+    chunk's path indices, and add up its results (lists of `_Sums`) field by
+    field as they finish, in path order, so a run holds one record per
+    estimate. `threads` is a worker count from `resolve_threads`.
 
     Several chunks and more than one worker share the chunks among
     P = min(threads, chunks) processes: this one, which runs chunks 0, P,
@@ -419,24 +421,28 @@ def _map_chunks(worker, n_paths: int, threads: int):
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
             processes = 1
-    if processes == 1:
-        results = [_run_chunk(s, worker) for s in spans]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(processes - 1,
-                                   multiprocessing.get_context("fork"),
-                                   _install_chunk_runner, (worker,))
-        try:
+    pool = total = failure = None
+    try:
+        if processes > 1:  # with one process, every chunk runs here
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(processes - 1,
+                                       multiprocessing.get_context("fork"),
+                                       _install_chunk_runner, (worker,))
             forked = pool.map(_run_chunk, [s for i, s in enumerate(spans)
                                            if i % processes])
-            results = [next(forked) if i % processes else _run_chunk(s, worker)
-                       for i, s in enumerate(spans)]
-        finally:
+        for i, s in enumerate(spans):
+            result = next(forked) if i % processes else _run_chunk(s, worker)
+            if isinstance(result, SolverFailure):
+                failure = min(failure or result, result, key=lambda e: e.rank)
+            else:
+                total = result if total is None else [
+                    _Sums(*map(add, a, b)) for a, b in zip(total, result)]
+    finally:
+        if pool:
             pool.shutdown(cancel_futures=True)
-    failures = [r for r in results if isinstance(r, SolverFailure)]
-    if failures:
-        raise min(failures, key=lambda exc: exc.rank)
-    return results
+    if failure:
+        raise failure
+    return total
 
 
 def _time_blocks(n_steps: int, unit: int):
@@ -589,8 +595,8 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
             n_paths: int, threads: Optional[int], h_fine: float, n_fine: int,
             tracks, slots):
     """Per slot, its `_Sums` record over all paths: each chunk returns one
-    record per slot, the chunks' records are added field by field, and no
-    sample outlives its chunk.
+    record per slot, `_map_chunks` adds them into one record per slot as the
+    chunks finish, and no sample outlives its chunk.
 
     `tracks` are as in `_coupled_steps`. A slot is (ks, reads, statistic,
     power): at each fine index k of the ascending `ks`, `statistic(*states)`
@@ -609,11 +615,13 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
     next record would take it past TILE rows, and at the chunk's end; a
     wider record alone is summed TILE rows at a time.
 
-    The master seed and the worker count (`resolve_threads(threads)`) are
-    checked here, and the path count by the caller, before `_map_chunks` is
-    called.
+    The master seed, each track's step (`check_step`) and the worker count
+    (`resolve_threads(threads)`) are checked here, and the path count by the
+    caller, before `_map_chunks` is called.
     """
     check_master_seed(master_seed)
+    for _, _, h in tracks:
+        check_step(scheme_cfg, h)
     threads = resolve_threads(threads)
     due = {}
     for j, (ks, _, _, _) in enumerate(slots):
@@ -659,8 +667,7 @@ def _reduce(problem: SdeProblem, scheme_cfg: SchemeConfig, master_seed: int,
         flush()
         return kept
 
-    return [_Sums(*map(sum, zip(*slot)))
-            for slot in zip(*_map_chunks(worker, n_paths, threads))]
+    return _map_chunks(worker, n_paths, threads)
 
 
 def _gap(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

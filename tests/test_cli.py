@@ -497,6 +497,25 @@ def test_custom_model_that_fails_to_load_exits_2(tmp_path, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["convergence", "--T", "1", "--h-list", "2^-2,2^-3", "--h-ref", "2^-4",
+     "--paths", "8"],
+    ["check-assumptions"],
+], ids=["convergence", "check-assumptions"])
+def test_custom_model_with_an_infinite_constant_exits_2_before_any_chunk(
+        args, tmp_path, monkeypatch, capsys):
+    """p* = inf has no admissible moment range (floor(inf) overflows): the
+    model fails to load, so no path runs and no file is written, instead of
+    a traceback with exit 1, the code of a failed check."""
+    mod = tmp_path / "inf_model.py"
+    mod.write_text(_CUSTOM.replace("p_star=2.0", "p_star=float('inf')"))
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    out = tmp_path / "r.csv"
+    assert main(args + ["--model", f"custom:{mod}", "--output", str(out)]) == 2
+    assert "p_star must be finite" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 _MISSHAPEN_CUSTOM = """
 import numpy as np
 from sde_longtime import MonotoneConstants, SdeProblem
@@ -589,6 +608,22 @@ def test_a_run_too_short_for_its_check_is_refused_before_any_chunk(
     out = tmp_path / "r.csv"
     assert main(args + ["--paths", "8", "--output", str(out)]) == 2
     assert reason in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["moments", "--T", "16", "--h", "2"],
+    ["convergence", "--T", "8", "--h-list", "2,1", "--h-ref", "1/2"],
+])
+def test_a_projected_step_above_one_exits_2_before_any_chunk(
+        args, tmp_path, monkeypatch, capsys):
+    """Projected Euler takes no step above 1, which is known from the
+    options: no path runs and no file is written."""
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    out = tmp_path / "r.csv"
+    assert main(args + ["--scheme", "pe", "--paths", "8",
+                        "--output", str(out)]) == 2
+    assert "projection requires h in (0, 1]" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".json").exists()
 
 

@@ -1,5 +1,7 @@
 """Built-in problems and the sampled certification of structural conditions."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -344,6 +346,29 @@ def test_constants_validation():
         MonotoneConstants(alpha1=0.25, p_star=1.25, kappa=0.0, c1=1.0)
     with pytest.raises(UsageError):
         MonotoneConstants(alpha1=0.25, p_star=1.25, kappa=3.0, c1=-1.0)
+    # a non-finite constant, beta1 included when given
+    valid = dict(alpha1=0.25, p_star=1.25, kappa=3.0, c1=1.0, beta1=0.5)
+    for name in valid:
+        for value in (math.inf, math.nan):
+            with pytest.raises(UsageError, match=f"^{name} must be finite"):
+                MonotoneConstants(**dict(valid, **{name: value}))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_pairs": 2.5}, "n_pairs must be an integer"),
+    ({"n_pairs": 1}, "n_pairs must be an integer >= 2"),
+    ({"n_pairs": True}, "n_pairs must be an integer"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
+    ({"seed": 1.5}, "seed must be an integer >= 0"),
+    ({"hi": math.inf}, "must have a finite width"),
+    ({"lo": -1e308, "hi": 1e308}, "must have a finite width"),
+    ({"lo": 1.0, "hi": 1.0}, "empty sampling box"),
+])
+def test_sample_spec_checks_its_fields_when_built(fields, message):
+    """A bad field is a usage error when the spec is built, not a TypeError,
+    ValueError or numpy OverflowError once a check samples."""
+    with pytest.raises(UsageError, match=message):
+        SampleSpec(**fields)
 
 
 def test_sample_spec_is_deterministic():

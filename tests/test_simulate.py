@@ -8,6 +8,7 @@ import os
 import pickle
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 from concurrent.futures.process import BrokenProcessPool
 
@@ -31,6 +32,7 @@ from sde_longtime.schemes import _row_norms
 
 BE = SchemeConfig(variant="be")
 EM = SchemeConfig(variant="em")
+PE = SchemeConfig(variant="pe")
 
 
 @pytest.fixture(scope="module")
@@ -745,6 +747,32 @@ def test_probes_refuse_bad_steps_before_any_chunk(gl, name, h_list,
         _PROBES[name](gl, h_list, 1.0)
 
 
+# every protocol with a projected Euler track whose step exceeds 1
+_PE_ABOVE_ONE = {
+    "strong": lambda gl: strong_error_experiment(
+        gl, PE, T=4.0, h_list=[2.0, 1.0], h_ref=0.5, n_paths=4, threads=1),
+    "moments": lambda gl: moment_trace(
+        gl, PE, T=16.0, h=2.0, n_paths=4, threads=1),
+    "contraction": lambda gl: contraction_experiment(
+        gl, PE, T=16.0, h=2.0, n_paths=4, y0=0.0, threads=1),
+    "one-step": lambda gl: one_step_order_experiment(
+        gl, PE, [2.0], 1.0, n_paths=4, threads=1),
+    "remainder": lambda gl: remainder_scaling_experiment(
+        gl, PE, 1.0, 0.5, [4.0], n_paths=4, substeps=2, threads=1),
+}
+
+
+@pytest.mark.parametrize("name", list(_PE_ABOVE_ONE))
+def test_a_projected_step_above_one_is_refused_before_any_chunk(
+        gl, name, monkeypatch):
+    """Projected Euler's radius h^(-1/(2(kappa+1))) needs h <= 1: a track
+    with a larger step is a usage error before the pool forks, not from the
+    first step of the first chunk."""
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    with pytest.raises(UsageError, match=r"projection requires h in \(0, 1\]"):
+        _PE_ABOVE_ONE[name](gl)
+
+
 _WITH_P = {
     "strong": lambda gl, p: strong_error_experiment(
         gl, BE, T=0.5, h_list=[0.25], h_ref=0.125, n_paths=4, p=p, threads=1),
@@ -953,29 +981,58 @@ def test_results_independent_of_chunk_and_block_size(chunk, block, monkeypatch,
 
 def test_a_chunk_returns_sums_not_samples(gl, monkeypatch):
     """Per slot a chunk returns one `_Sums` record, its divergent count and
-    exact sums, a fixed number of Python ints of bounded size, so what it
-    returns, and what the run holds once the chunks are done, does not grow
-    with its paths."""
-    returned = {}
+    exact sums, a fixed number of Python ints of bounded size, and the run's
+    total, folded from the chunks' records, has the same form: neither what
+    a chunk returns nor what the run holds grows with its paths."""
+    chunks, totals = {}, {}
 
-    def spy(worker, n_paths, threads):
-        returned[n_paths] = real(worker, n_paths, threads)
-        return returned[n_paths]
+    def chunk_spy(paths, worker=None):
+        chunks[len(paths)] = real_chunk(paths, worker)
+        return chunks[len(paths)]
 
-    real = simulate._map_chunks
-    monkeypatch.setattr(simulate, "_map_chunks", spy)
-    for n_paths in (16, 1024):
+    def map_spy(worker, n_paths, threads):
+        totals[n_paths] = real_map(worker, n_paths, threads)
+        return totals[n_paths]
+
+    real_chunk, real_map = simulate._run_chunk, simulate._map_chunks
+    monkeypatch.setattr(simulate, "_run_chunk", chunk_spy)
+    monkeypatch.setattr(simulate, "_map_chunks", map_spy)
+    for n_paths in (16, 1024):  # one chunk each at one worker
         moment_trace(gl, EM, T=4.0, h=0.25, n_paths=n_paths, x0=2.0,
                      n_records=8, threads=1)
-    [small], [big] = returned[16], returned[1024]
-    assert len(small) == len(big) == 9  # one entry per record
     # y^2 < 2^2048, so a sum of fewer than 2^64 of them has no more bits
     limit = simulate._UNIT_BITS + 2048 + 64
-    for a, b in zip(small, big):
-        assert type(a) is type(b) is simulate._Sums
-        ints = [v for r in (a, b) for v in (r.n_divergent, *r.bad, *r.s1, *r.s2)]
-        assert len(ints) == 8
-        assert all(type(v) is int and v.bit_length() <= limit for v in ints)
+    for small, big in ((chunks[16], chunks[1024]),
+                       (totals[16], totals[1024])):
+        assert len(small) == len(big) == 9  # one entry per record
+        for a, b in zip(small, big):
+            assert type(a) is type(b) is simulate._Sums
+            ints = [v for r in (a, b)
+                    for v in (r.n_divergent, *r.bad, *r.s1, *r.s2)]
+            assert len(ints) == 8
+            assert all(type(v) is int and v.bit_length() <= limit
+                       for v in ints)
+
+
+def test_a_run_holds_one_record_per_slot(gl, monkeypatch):
+    """The chunks' records are added up as the chunks finish, so a run
+    holds one record per slot however many chunks it has: a 101-record
+    moment trace over 32 chunks peaks at most a quarter above the same
+    trace over 8 chunks (holding every chunk's records until the last
+    chunk had run took 3.7 times the memory)."""
+    monkeypatch.setattr(simulate, "CHUNK_PATHS", 16)
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            moment_trace(gl, EM, T=25.0, h=0.25, n_paths=n_paths, x0=2.0,
+                         threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # caches and first-call allocations
+    assert peak(1024) <= 1.25 * peak(256)
 
 
 def _accumulator_spy(monkeypatch):
