@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import MonotoneConstants, theorem_admissible_p_max
+from .noise import check_positive
 from .schemes import RESIDUAL_TOL, SchemeOrders
 from .simulate import ErrorCurve
 
@@ -100,6 +101,14 @@ class ConvergenceReport:
                 for key, value in asdict(self).items()}
 
 
+def check_report_bounds(band: float, r2_min: float) -> None:
+    """Refuse a report's bounds unless `band` is positive and finite and
+    0 <= r2_min <= 1; the CLI checks its options by this rule too."""
+    check_positive(band, "band")
+    if not 0.0 <= r2_min <= 1.0:
+        raise UsageError(f"r2_min must be in [0, 1], got {r2_min!r}")
+
+
 def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
                             band: float = 0.1, r2_min: float = 0.98,
                             constants: Optional[MonotoneConstants] = None
@@ -113,8 +122,9 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
     fails: the scheme diverged there. Otherwise passing means the fitted
     slope lies within `band` of the predicted order and r^2 >= r2_min.
     With fewer than two points left there is no fit: the report fails,
-    with a note and no slope, intercept or r^2.
+    with a note and no slope, intercept or r^2. Bad bounds are refused.
     """
+    check_report_bounds(band, r2_min)
     notes = []
     kept_h, kept_e, kept_se, excluded = [], [], [], []
     floor = 10.0 * RESIDUAL_TOL

@@ -41,12 +41,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .analysis import (decay_slope, make_convergence_report, stationarity_gap)
+from .analysis import (check_report_bounds, decay_slope,
+                       make_convergence_report, stationarity_gap)
 from .errors import SolverFailure, UsageError
 from .model import (SdeProblem, build_allen_cahn, build_ginzburg_landau,
                     check_contractive_monotone, check_poly_lipschitz,
                     max_feasible_pstar, theorem_admissible_p_max)
-from .noise import check_count, check_master_seed
+from .noise import check_count, check_master_seed, check_positive
 from .schemes import VARIANTS, SchemeConfig, scheme_orders, step_ceiling
 from .simulate import (contraction_experiment, moment_trace,
                        strong_error_experiment)
@@ -168,12 +169,13 @@ _OPTIONS = {
         {_step(s) for s in text.split(",")}, reverse=True)),
     "paths": lambda text: check_count(int(text), "paths"),
     "threads": lambda text: check_count(int(text), "threads"),
-    "p": float, "output": str,
+    "p": lambda text: check_positive(float(text), "p"), "output": str,
     "seed": lambda text: check_master_seed(int(text)),
     "enforce_step_ceiling": lambda text: _BOOLEANS[text.lower()],
     "x0": _states, "y0": _states,
     "eta": float, "sigma": float, "theta": float, "K": int,
-    "band": float, "r2_min": float,
+    "band": lambda text: check_positive(float(text), "band"),
+    "r2_min": float,
 }
 
 # Flag arguments beyond a plain text value: choices, help strings, and the
@@ -258,12 +260,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig) -> None:
     """The rules that neither build_problem nor the experiments check
     before they run."""
-    if not 0.0 < cfg.p < math.inf:
-        raise UsageError(f"p must be positive, got {cfg.p}")
-    if not 0.0 < cfg.band < math.inf:
-        raise UsageError(f"band must be positive and finite, got {cfg.band}")
-    if not 0.0 <= cfg.r2_min <= 1.0:
-        raise UsageError(f"r2_min must be in [0, 1], got {cfg.r2_min}")
+    check_report_bounds(cfg.band, cfg.r2_min)
     missing = [key for key in _REQUIRED[cfg.command] if not getattr(cfg, key)]
     if missing:
         raise UsageError(f"{cfg.command} needs " + " and ".join(

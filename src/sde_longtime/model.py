@@ -15,10 +15,11 @@ theory rests on:
 from which the growth bound |f(x)|^2 <= c2 |x|^(2 kappa) + c3 follows with
 c2 = 2 c1 (kappa + 1) / kappa and c3 = 2 |f(0)|^2 + 2 c1 (kappa - 1) / kappa.
 
-The checkers certify the claimed constants on a seeded sample of state pairs;
-they are falsifiers, not proofs, but the sampling is scale-stratified so that
-the near-origin regime -- where the monotone margin of the built-in problems
-is tightest -- is always probed.
+The checkers certify the claimed constants on a seeded sample of state pairs,
+or the constants given in their place, which MonotoneConstants checks like
+any claim (`_claimed`). They are falsifiers, not proofs, but the sampling is
+scale-stratified so that the near-origin regime -- where the monotone margin
+of the built-in problems is tightest -- is always probed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .noise import check_count, check_master_seed
+from .noise import check_count, check_master_seed, check_positive
 
 __all__ = [
     "MonotoneConstants",
@@ -98,8 +99,7 @@ def _probe(problem_name: str, d: int, m: int, probes) -> None:
     sequence of (name, callable or None, arguments, expected shape), once,
     each argument given as a shape being zeros of that shape; UsageError on
     a wrong output shape, which numpy would otherwise broadcast silently."""
-    if d < 1 or m < 1:
-        raise UsageError(f"dimensions must be >= 1, got d={d}, m={m}")
+    check_count(d, "d"), check_count(m, "m")
     for name, fn, args, expected in probes:
         if fn is None:
             continue
@@ -278,17 +278,16 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     Requires theta > 0 and a := eta + sigma^2/2 < 0 (dissipative regime).
     The certified constants put a quarter of the dissipation |a| into alpha1
     and the rest against the diffusion term, giving
-    p* = 1/2 + 3|a| / (4 sigma^2) for sigma != 0; for sigma = 0 the monotone
+    p* = min(PSTAR_CAP, 1/2 + 3|a| / (4 sigma^2)) for sigma != 0 (the cap
+    from sigma^2 below about 0.0118 |a|); for sigma = 0 the monotone
     condition is p*-independent, so alpha1 = |a| and p* sits at PSTAR_CAP.
     kappa = 3 (the drift is cubic, so |f(x)|^2 grows like |x|^6) with c1
     certified on the default sample. The implicit step's cubic has a
     closed-form root (`_cubic_root`), the problem's resolvent_batch.
     """
-    if not all(math.isfinite(v) for v in (eta, sigma, theta)):
-        raise UsageError(f"eta, sigma and theta must be finite, got "
-                         f"{eta}, {sigma}, {theta}")
-    if theta <= 0.0:
-        raise UsageError(f"theta must be positive, got {theta}")
+    if not (math.isfinite(eta) and math.isfinite(sigma)):
+        raise UsageError(f"eta and sigma must be finite, got {eta}, {sigma}")
+    theta = check_positive(theta, "theta")
     a = eta + 0.5 * sigma * sigma
     if a >= 0.0:
         raise UsageError(
@@ -308,13 +307,14 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
         return _cubic_root(B, h, a, theta)
 
     if sigma != 0.0:
-        alpha1 = 0.25 * (-a)
-        p_star = 0.5 + 0.75 * (-a) / (sigma * sigma)
+        # the capped p*, with no division by a sigma^2 that underflowed
+        alpha1, beta1 = 0.25 * (-a), sigma * sigma
+        p_star = (PSTAR_CAP if 0.75 * (-a) >= (PSTAR_CAP - 0.5) * beta1
+                  else 0.5 + 0.75 * (-a) / beta1)
         if p_star < 1.0:
             raise UsageError(
                 f"diffusion too strong relative to dissipation: certified p* = "
                 f"{p_star:.4f} < 1")
-        beta1 = sigma * sigma
     else:
         alpha1 = -a
         p_star = PSTAR_CAP
@@ -351,9 +351,7 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
     only about 2/3, the solve starts from two Jacobi sweeps of GL's
     closed-form root (resolvent_batch).
     """
-    if int(K) != K or K < 2:
-        raise UsageError(f"K must be an integer >= 2, got {K}")
-    K = int(K)
+    K = check_count(K, "K", 2)
     d = K - 1
     A = K * K * (np.diag(np.full(d, -2.0))
                  + np.diag(np.ones(d - 1), 1)
@@ -440,18 +438,21 @@ def _pair_differences(rows, d: int, spec: SampleSpec):
     return X, Y, dX, nsq, dF
 
 
-def _monotone_margin(problem: SdeProblem, alpha1: Optional[float],
-                     spec: SampleSpec):
-    """The sampled per-pair slopes (a, b) of the monotone margin, and alpha1
-    (the problem's claimed constant by default).
+def _claimed(problem: SdeProblem, **given) -> MonotoneConstants:
+    """The problem's claimed constants with the given ones (None keeps the
+    claim) in their place, checked by MonotoneConstants like any claim."""
+    return replace(problem.constants, **{
+        name: float(value) for name, value in given.items()
+        if value is not None})
+
+
+def _monotone_margin(problem: SdeProblem, spec: SampleSpec):
+    """The sampled per-pair slopes (a, b) of the monotone margin.
 
     Per pair, a = <x-y, f(x)-f(y)> / |x-y|^2 and
     b = ||g(x)-g(y)||_F^2 / |x-y|^2 >= 0, so the margin at p* is
     max over pairs of a + (2p*-1)/2 b + alpha1, affine in p* pair by pair.
     """
-    alpha1 = problem.constants.alpha1 if alpha1 is None else float(alpha1)
-    if alpha1 <= 0.0:
-        raise UsageError(f"alpha1 must be positive, got {alpha1}")
     X, Y, dX, nsq, dF = _pair_differences(
         lambda Z: drift_rows(problem, Z), problem.d, spec)
     a = np.einsum("ij,ij->i", dX, dF) / nsq
@@ -460,7 +461,7 @@ def _monotone_margin(problem: SdeProblem, alpha1: Optional[float],
     dG = (_diffusion_columns(problem, X)
           - _diffusion_columns(problem, Y)).reshape(X.shape[0], -1)
     b = np.einsum("ij,ij->i", dG, dG) / nsq
-    return a, b, alpha1
+    return a, b
 
 
 def check_contractive_monotone(problem: SdeProblem,
@@ -476,11 +477,9 @@ def check_contractive_monotone(problem: SdeProblem,
 
     and the check passes iff it is <= 0.
     """
-    p_star = problem.constants.p_star if p_star is None else float(p_star)
-    if p_star < 0.5:
-        raise UsageError(f"p_star must be >= 1/2, got {p_star}")
-    a, b, alpha1 = _monotone_margin(problem, alpha1, spec)
-    worst = float(np.max(a + 0.5 * (2.0 * p_star - 1.0) * b + alpha1))
+    c = _claimed(problem, p_star=p_star, alpha1=alpha1)
+    a, b = _monotone_margin(problem, spec)
+    worst = float(np.max(a + 0.5 * (2.0 * c.p_star - 1.0) * b + c.alpha1))
     return AssumptionReport(condition="contractive_monotone", n_pairs=len(a),
                             worst_margin=worst, passed=worst <= 0.0)
 
@@ -496,7 +495,8 @@ def max_feasible_pstar(problem: SdeProblem,
     0.0 when a pair with b = 0 fails at every p*, or when that least bound is
     below 1; PSTAR_CAP when it is above the cap or no pair has b > 0.
     """
-    a, b, alpha1 = _monotone_margin(problem, alpha1, spec)
+    alpha1 = _claimed(problem, alpha1=alpha1).alpha1
+    a, b = _monotone_margin(problem, spec)
     flat = b == 0.0
     if np.any(a[flat] + alpha1 > 0.0):
         return 0.0
@@ -520,10 +520,7 @@ def check_poly_lipschitz(problem: SdeProblem,
     growth constants c2 = 2 c1 (kappa+1)/kappa and
     c3 = 2 |f(0)|^2 + 2 c1 (kappa-1)/kappa.
     """
-    constants = replace(
-        problem.constants,
-        kappa=problem.constants.kappa if kappa is None else float(kappa),
-        c1=problem.constants.c1 if c1 is None else float(c1))
+    constants = _claimed(problem, kappa=kappa, c1=c1)
     fsq, nsq, growth = _lipschitz_pairs(
         lambda Z: drift_rows(problem, Z), problem.d, constants.kappa, spec)
     worst = float(np.max(fsq / nsq - constants.c1 * growth))

@@ -10,8 +10,8 @@ produced in one call or streamed in blocks.
 stream. The engine instead computes the Philox keys of a whole path chunk in
 one vectorized pass (`path_keys`, SeedSequence's hash mixing on uint32
 arrays) and runs one generator per chunk, restoring each path's key or saved
-state into it before that path draws; the rows are bit for bit the reference
-streams.
+state into it before that path draws (`simulate._noise_blocks`); the rows are
+bit for bit the reference streams.
 
 Coarsening sums consecutive fine increments with a fixed pairwise
 (balanced-tree) order. The tree of a factor g 2^j is the tree of g halved j
@@ -23,6 +23,7 @@ halves each such level from the one below (`simulate._coarse_noise`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,15 @@ def check_count(value, name: str, least: int = 1) -> int:
             value, bool) and value >= least:
         return int(value)
     raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(value, name: str) -> float:
+    """`value` as a positive finite float, or a usage error: a bool or a
+    non-real is refused whatever its value, as are NaN and the infinities."""
+    if isinstance(value, numbers.Real) and not isinstance(
+            value, bool) and 0.0 < value < math.inf:
+        return float(value)
+    raise UsageError(f"{name} must be positive and finite, got {value!r}")
 
 
 def check_master_seed(master_seed) -> int:
@@ -152,12 +162,11 @@ def make_noise_grid(master_seed: int, path_index: int, m: int,
     m : int
         Number of driving Brownian components.
     h_fine : float
-        Fine step size, must be positive.
+        Fine step size, must be positive and finite (`check_positive`).
     n_fine : int
         Number of fine steps, must be positive.
     """
-    if h_fine <= 0.0 or not math.isfinite(h_fine):
-        raise UsageError(f"h_fine must be positive and finite, got {h_fine}")
+    h_fine = check_positive(h_fine, "h_fine")
     n_fine, m = check_count(n_fine, "n_fine"), check_count(m, "m")
     path_index = check_count(path_index, "path_index", 0)
     check_master_seed(master_seed)

@@ -14,7 +14,8 @@ only step map: a single path is a batch of one, stepped and checked by
 `simulate.evolve_terminal`. The implicit solve is one damped Newton for
 every problem; a problem's optional hooks (see `SdeProblem`) may propose
 its roots or solve its Newton systems, and the solve still certifies
-every row it returns.
+every row it returns. The solve, the projection and the engine's
+statistics share one overflow-safe norm of a state (`_row_norms`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .model import SdeProblem, drift_rows
+from .noise import check_positive
 
 __all__ = [
     "SchemeConfig",
@@ -95,10 +97,8 @@ def step_ceiling(variant: str, p: float, alpha1: float, h0: float = 1.0) -> floa
     analysis-only offset of alpha1, so this is its conservative limit).
     """
     SchemeConfig(variant)
-    if not (0.0 < p < np.inf and 0.0 < alpha1 < np.inf and h0 > 0.0):
-        raise UsageError("p and alpha1 must be positive and finite, and h0 "
-                         f"positive, got p={p}, alpha1={alpha1}, h0={h0}")
-    h1 = min(1.0 / (p * alpha1), h0)
+    p, alpha1 = check_positive(p, "p"), check_positive(alpha1, "alpha1")
+    h1 = min(1.0 / (p * alpha1), check_positive(h0, "h0"))
     if variant == "pe":
         return min(h1, 1.0 / (2.0 * p * alpha1))
     return h1
@@ -116,18 +116,16 @@ def check_step(cfg: SchemeConfig, h: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _row_norms(Z: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", Z, Z))
-
-
-def _scaled_norms(Z: np.ndarray) -> np.ndarray:
-    """`_row_norms`, with each row whose plain norm overflows divided by its
-    largest entry first, so that a finite row's norm is finite unless it
-    exceeds the largest float; a row with an infinite entry keeps inf."""
-    n = _row_norms(Z)
+    """The Euclidean norm of each row of Z, the package's one norm of a
+    state: a row whose plain norm overflows is divided by its largest entry
+    first, so that a finite row's norm is finite unless it exceeds the
+    largest float; a row with an infinite entry keeps inf."""
+    n = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     big = np.isinf(n)
     if big.any():
         s = np.minimum(np.abs(Z[big]).max(axis=1), np.finfo(float).max)
-        n[big] = s * _row_norms(Z[big] / s[:, None])
+        W = Z[big] / s[:, None]
+        n[big] = s * np.sqrt(np.einsum("ij,ij->i", W, W))
     return n
 
 
@@ -171,7 +169,7 @@ def _rounding_bound(b: np.ndarray, z: np.ndarray, F: np.ndarray) -> np.ndarray:
     rounding of the row's own terms, with h f(z) = z - b - F (no drift
     call)."""
     return np.maximum(RESIDUAL_TOL, 2.0 ** -50 * (
-        _scaled_norms(b) + _scaled_norms(z) + _scaled_norms(z - b - F)))
+        _row_norms(b) + _row_norms(z) + _row_norms(z - b - F)))
 
 
 def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
@@ -221,7 +219,7 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
         if not np.isfinite(za).all():
             za = np.where(np.isfinite(za).all(axis=1)[:, None], za, ba)
     Fa = za - h * drift_rows(problem, za) - ba
-    rna = _scaled_norms(Fa)
+    rna = _row_norms(Fa)
     done = rna <= RESIDUAL_TOL
     for it in range(MAX_ITER + 1):
         if done.any():
@@ -241,7 +239,7 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
         dz = _newton_steps(problem, za, h, Fa)
         z_new = za - dz
         F_new = z_new - h * drift_rows(problem, z_new) - ba
-        rn_new = _scaled_norms(F_new)
+        rn_new = _row_norms(F_new)
         # halve the step of the rows it would make worse, recomputing only them
         worse = np.flatnonzero(~(rn_new <= rna))
         alpha = np.ones(worse.size)
@@ -249,7 +247,7 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
             alpha *= 0.5
             zw = za[worse] - alpha[:, None] * dz[worse]
             Fw = zw - h * drift_rows(problem, zw) - ba[worse]
-            z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _scaled_norms(Fw)
+            z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _row_norms(Fw)
             more = ~(rn_new[worse] <= rna[worse]) & (alpha > 1e-8)
             worse, alpha = worse[more], alpha[more]
         done = rn_new <= RESIDUAL_TOL
@@ -281,7 +279,7 @@ def project_batch(Z: np.ndarray, R: float) -> np.ndarray:
     """Rowwise radial projection of a batch (B, d) onto the ball of radius R:
     the identity inside, x R/|x| outside; 1-Lipschitz, and it fixes the
     origin, as the projected scheme's stability argument needs."""
-    nrm = _scaled_norms(Z)
+    nrm = _row_norms(Z)
     scale = np.where(nrm > R, R / np.where(nrm > 0.0, nrm, 1.0), 1.0)
     return Z * scale[:, None]
 

@@ -16,20 +16,21 @@ or a function of the terminal states (one-step and remainder probes).
 
 Ensembles are processed in path chunks, each path drawing from its own
 (master_seed, path_index) substream, with noise generated in bounded time
-blocks. A chunk runs one generator, into which each path's key or saved
-state is restored before the path draws, so a chunk holds no generator per
-path. The chunk size is an even share of the paths per worker, clamped to
-[CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a constant. Neither
-changes any result, because every row is its own path's stream, and a chunk
-returns no samples but, per slot, one record (`_Sums`) of counts and the
-exact sums of its samples and their squares (`_exact_sums`, TILE rows per
-call), added field by field into the run's one record per slot as the
-chunks finish, in path order. So results are bit-identical at any worker
-count, and the memory a run holds grows with its chunk, not its ensemble.
-Several workers are the calling process plus forked processes, each
-running whole chunks; where the platform cannot fork, the chunks run
-serially in the calling process. A solver failure is likewise the same at
-any worker count: the earliest by (step, track, path) of the run.
+blocks (`_noise_blocks`). A chunk runs one generator, into which each
+path's key or saved state is restored before the path draws, so a chunk
+holds no generator per path. The chunk size is an even share of the paths
+per worker, clamped to [CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a
+constant. Neither changes any result, because every row is its own path's
+stream, and a chunk returns no samples but, per slot, one record (`_Sums`)
+of counts and the exact sums of its samples and their squares
+(`_exact_sums`, TILE rows per call), added field by field into the run's
+one record per slot as the chunks finish, in path order. So results are
+bit-identical at any worker count, and the memory a run holds grows with
+its chunk, not its ensemble. Several workers are the calling process plus
+forked processes, each running whole chunks; where the platform cannot
+fork, the chunks run serially in the calling process. A solver failure is
+likewise the same at any worker count: the earliest by (step, track, path)
+of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent by one rule in all five protocols, down to
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .model import SdeProblem
-from .noise import (NoiseGrid, check_count, check_master_seed,
+from .noise import (NoiseGrid, check_count, check_master_seed, check_positive,
                     pairwise_block_sum, path_generator, path_keys)
 from .schemes import SchemeConfig, _row_norms, check_step, step_batch
 
@@ -126,7 +127,7 @@ def estimate_from_samples(samples, p: float, *,
     estimate rather than an exception, as does an infinite sample; a
     negative or NaN sample is refused.
     """
-    _check_p(p)
+    p = check_positive(p, "p")
     s = np.asarray(samples, dtype=float).ravel()
     if not np.all(s >= 0.0):
         raise UsageError("samples must be nonnegative magnitudes")
@@ -352,11 +353,6 @@ def _estimate(p: float, n_paths: int, sums: _Sums) -> MomentEstimate:
                           n_paths=n_paths, n_divergent=sums.n_divergent)
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 < p < math.inf:
-        raise UsageError(f"p must be positive, got {p}")
-
-
 def resolve_threads(requested: Optional[int] = None) -> int:
     """Worker-process count: the argument if given, else the number of cores
     this process may run on. No environment variable changes it."""
@@ -445,41 +441,36 @@ def _map_chunks(worker, n_paths: int, threads: int):
     return total
 
 
-def _time_blocks(n_steps: int, unit: int):
-    """Block spans covering [0, n_steps), each a multiple of `unit`."""
-    per = max(1, BLOCK_STEPS // unit) * unit
-    return [(lo, min(lo + per, n_steps)) for lo in range(0, n_steps, per)]
+def _noise_blocks(master_seed: int, paths: range, m: int, h_fine: float,
+                  n_fine: int, unit: int):
+    """The increments of the chunk `paths` over n_fine fine steps of size
+    h_fine, as blocks (t0, W) in time order: W (B, n_t, m) holds steps t0 ..
+    t0 + n_t - 1, and every block but the last spans the largest multiple
+    of `unit` within BLOCK_STEPS (at least one `unit`).
 
-
-def _path_states(master_seed: int, paths: range):
-    """One generator for the chunk `paths`, and an iterator over each path's
-    start state in it.
-
-    The generator is `path_generator`'s for the first path; every path's
-    start state is that fresh state (counter 0, empty buffer) with the
-    path's own key, which is exactly how `path_generator` starts it. The
-    states are made one at a time, as the paths draw."""
+    One generator, `path_generator`'s for the first path, draws every row:
+    each path's state is restored into it before the path draws, so row b
+    is exactly the slice of path b's one-shot stream. A path starts from
+    that fresh state (counter 0, empty buffer) with its own key, as
+    `path_generator` starts it; start states are made as the paths draw,
+    and the state a path leaves off in is saved only for a later block."""
     gen = path_generator(master_seed, paths.start)
-    fresh = gen.bit_generator.state
-    return gen, (dict(fresh, state=dict(fresh["state"], key=key))
-                 for key in path_keys(master_seed, paths).tolist())
-
-
-def _noise_block(gen, states, shape, sqrt_h: float, carry: bool):
-    """Increments of shape (B, n_t, m), drawn path by path so each row is
-    exactly the slice of that path's one-shot stream: row b is drawn from the
-    b-th of `states` restored into `gen`. Returns the block and, with `carry`
-    (a later block follows), the states the paths left off in, else None."""
-    W = np.empty(shape)
-    bits = gen.bit_generator
-    ends = [] if carry else None
-    for row, state in zip(W, states):
-        bits.state = state
-        gen.standard_normal(out=row)
-        if carry:
-            ends.append(bits.state)
-    W *= sqrt_h
-    return W, ends
+    bits, sqrt_h = gen.bit_generator, math.sqrt(h_fine)
+    fresh = bits.state
+    states = (dict(fresh, state=dict(fresh["state"], key=key))
+              for key in path_keys(master_seed, paths).tolist())
+    per = max(1, BLOCK_STEPS // unit) * unit
+    for t0 in range(0, n_fine, per):
+        W = np.empty((len(paths), min(per, n_fine - t0), m))
+        carry, ends = t0 + per < n_fine, []
+        for row, state in zip(W, states):
+            bits.state = state
+            gen.standard_normal(out=row)
+            if carry:
+                ends.append(bits.state)
+        states = ends
+        W *= sqrt_h
+        yield t0, W
 
 
 def _coarse_noise(W: np.ndarray, factors) -> dict:
@@ -514,9 +505,10 @@ def _start_state(problem: SdeProblem, x0, name: str = "x0") -> np.ndarray:
 
 
 def _exact_multiple(a: float, b: float, a_name: str, b_name: str) -> int:
-    """a / b as a positive integer, checked in exact rational arithmetic."""
-    ok = b > 0.0 and math.isfinite(a) and math.isfinite(b)
-    q = Fraction(a) / Fraction(b) if ok else Fraction(0)
+    """a / b as a positive integer, checked in exact rational arithmetic,
+    of a positive and finite b (`check_positive`)."""
+    b = check_positive(b, b_name)
+    q = Fraction(a) / Fraction(b) if math.isfinite(a) else Fraction(0)
     if q.denominator != 1 or q < 1:
         raise UsageError(
             f"{a_name}={a} is not an integer multiple of {b_name}={b}")
@@ -526,10 +518,9 @@ def _exact_multiple(a: float, b: float, a_name: str, b_name: str) -> int:
 def _step_list(h_list) -> list:
     """The distinct steps of h_list, largest first, refusing an empty list
     and any step that is not positive and finite."""
-    hs = sorted(set(float(h) for h in h_list), reverse=True)
-    if not hs or not all(0.0 < h < math.inf for h in hs):
-        raise UsageError("h_list must be nonempty, with every h positive and "
-                         f"finite, got {list(h_list)}")
+    hs = sorted({check_positive(h, "h") for h in h_list}, reverse=True)
+    if not hs:
+        raise UsageError("h_list must be nonempty")
     return hs
 
 
@@ -565,15 +556,11 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
     Zs = [np.tile(x0, (len(paths), 1)) for x0, _, _ in tracks]
     yield 0, Zs
     factors = {f for _, f, _ in tracks}
-    sqrt_h = math.sqrt(h_fine)
-    gen, states = _path_states(master_seed, paths)
     try:
-        for t0, t1 in _time_blocks(n_fine, math.lcm(*factors)):
-            W, states = _noise_block(gen, states,
-                                     (len(paths), t1 - t0, problem.m),
-                                     sqrt_h, carry=t1 < n_fine)
+        for t0, W in _noise_blocks(master_seed, paths, problem.m, h_fine,
+                                   n_fine, math.lcm(*factors)):
             Wf = _coarse_noise(W, factors)
-            for k in range(t0 + 1, t1 + 1):
+            for k in range(t0 + 1, t0 + W.shape[1] + 1):
                 for i, (_, f, h) in enumerate(tracks):
                     if k % f == 0:
                         n = k // f - 1
@@ -697,8 +684,7 @@ def evolve_terminal(problem: SdeProblem, scheme_cfg: SchemeConfig, h: float,
     divergence tag of the explicit scheme; the implicit solver raises
     SolverFailure instead of returning garbage.
     """
-    if not 0.0 < h < math.inf:
-        raise UsageError(f"h must be positive and finite, got {h}")
+    h = check_positive(h, "h")
     n_steps = check_count(n_steps, "n_steps", 0)
     if isinstance(noise, NoiseGrid):
         if noise.n_fine != n_steps:
@@ -736,7 +722,7 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     bounds control; paths are dropped from the first non-finite state onward
     and counted as divergent.
     """
-    _check_p(p)
+    p = check_positive(p, "p")
     n_paths = check_count(n_paths, "n_paths")
     hs = _step_list(h_list)
     if h_ref > min(hs):
@@ -772,7 +758,7 @@ def _trace_experiment(problem, scheme_cfg, T, h, n_paths, p, master_seed,
     """
     n_records = check_count(n_records, "n_records")
     n_paths = check_count(n_paths, "n_paths")
-    _check_p(p)
+    p = check_positive(p, "p")
     n_steps = _exact_multiple(T, h, "T", "h")
     rec = sorted({round(j * n_steps / n_records) for j in range(n_records + 1)})
     slots = [((k,), range(len(starts)), statistic, 2.0 * p) for k in rec]
@@ -874,7 +860,7 @@ def remainder_scaling_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     """
     substeps = check_count(substeps, "substeps")
     n_paths = check_count(n_paths, "n_paths")
-    _check_p(p)
+    p = check_positive(p, "p")
     hs = _step_list(h_list)
     x0, y0 = _start_state(problem, x0), _start_state(problem, y0, "y0")
     gap0 = x0 - y0

@@ -166,6 +166,18 @@ def test_report_fails_outside_band_or_noisy():
     assert not noisy.passed  # slope fine with a huge band, r^2 is not
 
 
+def test_report_refuses_bounds_no_report_can_use():
+    """A NaN, non-positive or infinite band, or an r2_min outside [0, 1],
+    is a usage error, not a failed report with a fitted slope."""
+    hs = [0.25, 0.125, 0.0625]
+    curve = _curve(hs, [0.2 * h ** 0.5 for h in hs])
+    for bounds in ([{"band": v} for v in (math.nan, 0.0, -1.0, math.inf)]
+                   + [{"r2_min": v} for v in (math.nan, -0.1, 1.5)]):
+        name = next(iter(bounds))
+        with pytest.raises(UsageError, match=f"^{name} must be"):
+            make_convergence_report(curve, scheme_orders("be"), **bounds)
+
+
 def test_report_excludes_solver_floor_points():
     hs = [0.25, 0.125, 0.0625, 0.03125]
     values = [0.2 * h ** 0.5 for h in hs[:3]] + [5e-12]

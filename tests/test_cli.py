@@ -339,6 +339,17 @@ def test_a_projected_run_from_a_huge_start_keeps_its_records(tmp_path):
     assert rows[0][1:] == rows[1][1:]
 
 
+def test_a_moments_run_from_a_huge_start_writes_its_norm(tmp_path):
+    """At p = 1/2 the t = 0 record from 1e200, a state whose plain norm
+    overflows, is 1e200 +- 0, as from 1e100 it is 1e100."""
+    out = tmp_path / "m.csv"
+    main(["moments", "--model", "gl", "--scheme", "be", "--T", "2", "--h",
+          "1/4", "--paths", "4", "--threads", "1", "--x0", "1e200", "--p",
+          "0.5", "--output", str(out)])
+    assert out.read_text().splitlines()[3] == (
+        "moments,gl,be,0.5,0.25,0.0,1e+200,0.0,4,0")
+
+
 def test_a_divergent_moments_run_writes_its_recorded_bytes(tmp_path):
     """Explicit Euler from 2 at h = 1/4 loses 10 of 600 paths; its CSV
     and JSON are pinned by their sha256. The estimates are functions of
@@ -443,6 +454,16 @@ def test_check_assumptions_run(tmp_path):
     assert side["claimed"]["p_star"] == 1.25
     assert side["p_max_theorem"] == pytest.approx(0.2)
     assert side["max_feasible_pstar"] == pytest.approx(1.25, abs=0.01)
+
+
+def test_check_assumptions_at_a_sigma_whose_square_underflows(tmp_path):
+    """sigma = 1e-200 squares to 0: the claimed p* is PSTAR_CAP, with no
+    ZeroDivisionError, and the run certifies it."""
+    out = tmp_path / "a.csv"
+    assert main(["check-assumptions", "--model", "gl", "--sigma", "1e-200",
+                 "--output", str(out)]) == 0
+    side = json.loads(out.with_suffix(".json").read_text())["assumptions"]
+    assert side["claimed"]["p_star"] == side["max_feasible_pstar"] == 64.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from sde_longtime import (MonotoneConstants, SampleSpec, SdeProblem,
                           UsageError, build_allen_cahn, build_ginzburg_landau,
                           check_contractive_monotone, check_poly_lipschitz,
                           max_feasible_pstar, theorem_admissible_p_max)
-from sde_longtime.model import _diffusion_columns, _pair_differences, drift_rows
+from sde_longtime.model import (PSTAR_CAP, _diffusion_columns,
+                                _pair_differences, drift_rows)
 
 
 def _linear_problem(rate=1.0, noise=0.1):
@@ -54,12 +55,23 @@ def test_gl_rejects_non_dissipative_parameters():
         build_ginzburg_landau(eta=-0.4, sigma=1.0)
     with pytest.raises(UsageError):
         build_ginzburg_landau(theta=0.0)
+    with pytest.raises(UsageError, match="^theta must be positive and finite"):
+        build_ginzburg_landau(theta=True)
 
 
 def test_gl_zero_noise_constants():
     gl = build_ginzburg_landau(eta=-1.0, sigma=0.0, theta=1.0)
     assert gl.constants.alpha1 == pytest.approx(1.0)
     assert gl.constants.p_star == 64.0
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e-100])
+def test_gl_pstar_is_capped_without_dividing_by_sigma_squared(sigma):
+    """p* = min(PSTAR_CAP, 1/2 + 3|a| / (4 sigma^2)): sigma^2 underflows
+    to 0 at 1e-200 and is subnormal at 1e-160, and at 1e-100 the formula
+    alone claims 1.1e200."""
+    assert build_ginzburg_landau(sigma=sigma).constants.p_star == PSTAR_CAP
+    assert build_ginzburg_landau(sigma=1.0).constants.p_star == 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +137,8 @@ def test_allen_cahn_claimed_constants():
 def test_allen_cahn_requires_reasonable_K():
     with pytest.raises(UsageError):
         build_allen_cahn(K=1)
+    with pytest.raises(UsageError, match="K must be an integer >= 2"):
+        build_allen_cahn(K=4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +212,26 @@ def test_the_monotone_check_passes_at_the_max_feasible_pstar(name, share):
 def test_max_feasible_pstar_caps_without_noise_spread():
     gl0 = build_ginzburg_landau(eta=-1.0, sigma=0.0)
     assert max_feasible_pstar(gl0, alpha1=0.5) == 64.0
+
+
+# each constant a checker takes in place of the claim, by the checkers
+# that take it
+_OVERRIDES = {"p_star": (check_contractive_monotone,),
+              "alpha1": (check_contractive_monotone, max_feasible_pstar),
+              "kappa": (check_poly_lipschitz,), "c1": (check_poly_lipschitz,)}
+
+
+def test_checkers_refuse_a_given_constant_that_no_claim_may_take():
+    """A given constant is checked as a claim by MonotoneConstants: a NaN
+    or infinite p* or alpha1 gave a NaN or infinite margin, or p* = 0, and
+    p* = 0.7 ran although every claim has p* >= 1."""
+    gl = build_ginzburg_landau()
+    for name, checkers in _OVERRIDES.items():
+        bad = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+        for value in bad + ([0.7] if name == "p_star" else []):
+            for checker in checkers:
+                with pytest.raises(UsageError, match=f"^{name} must be"):
+                    checker(gl, **{name: value})
 
 
 def test_max_feasible_pstar_zero_when_even_one_fails():
@@ -335,6 +369,14 @@ def test_problem_rejects_wrong_output_shapes(field):
         else:
             SdeProblem.from_pointwise(
                 **_PAIR, **dict(pointwise, **{field: _MISSHAPEN[field]}))
+
+
+def test_problem_dimensions_are_counts():
+    """d = 1.0 is refused by the count rule, not by numpy's TypeError."""
+    for dims in ({"d": 1.0}, {"m": 1.0}, {"d": 0}):
+        with pytest.raises(UsageError, match="must be an integer >= 1"):
+            SdeProblem(**dict(_PAIR, **dims), drift_batch=lambda X: -X,
+                       diffusion_apply=lambda X, dW: 0.1 * dW)
 
 
 def test_constants_validation():

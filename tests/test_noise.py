@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from sde_longtime import (NoiseGrid, UsageError, coarsen, make_noise_grid,
                           pairwise_block_sum, path_generator,
-                          path_seed_sequence)
+                          path_seed_sequence, simulate)
 from sde_longtime.noise import path_keys
-from sde_longtime.simulate import _noise_block, _path_states
+from sde_longtime.simulate import _noise_blocks
 
 
 def _tree_sum(rows):
@@ -169,16 +169,14 @@ def test_path_keys_refuse_a_bad_master_seed():
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("seed, paths", [
     (7, range(0, 6)), (2 ** 130 + 1, range(2 ** 32 - 3, 2 ** 32 + 2))])
-def test_chunk_blocks_are_the_path_generator_streams(m, seed, paths):
+def test_chunk_blocks_are_the_path_generator_streams(m, seed, paths,
+                                                     monkeypatch):
     """One generator per chunk, with each path's key and then its saved
     state restored into it, draws exactly the rows `path_generator` draws
     for every path, across two blocks."""
-    gen, states = _path_states(seed, paths)
-    first, states = _noise_block(gen, states, (len(paths), 5, m), 0.5,
-                                 carry=True)
-    second, ends = _noise_block(gen, states, (len(paths), 3, m), 0.5,
-                                carry=False)
-    assert ends is None
+    monkeypatch.setattr(simulate, "BLOCK_STEPS", 5)
+    (t0, first), (t1, second) = _noise_blocks(seed, paths, m, 0.25, 8, 1)
+    assert (t0, t1) == (0, 5)
     expect = np.stack([path_generator(seed, i).standard_normal((8, m))
                        for i in paths]) * 0.5
     npt.assert_array_equal(np.concatenate([first, second], axis=1), expect)

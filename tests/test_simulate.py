@@ -784,7 +784,7 @@ _WITH_P = {
 }
 
 
-@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf, True])
 @pytest.mark.parametrize("name", list(_WITH_P))
 def test_a_bad_p_is_refused_before_any_chunk(gl, name, p, monkeypatch):
     monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
@@ -928,6 +928,10 @@ def test_strong_error_grid_validation(gl):
                                 n_paths=2)
     with pytest.raises(UsageError):
         strong_error_experiment(gl, BE, T=1.0, h_list=[], h_ref=0.125, n_paths=2)
+    for h_ref in (0.0, -0.125, math.nan):  # by the positive-real rule
+        with pytest.raises(UsageError, match="^h_ref must be positive"):
+            strong_error_experiment(gl, BE, T=1.0, h_list=[0.25], h_ref=h_ref,
+                                    n_paths=2)
     with pytest.raises(UsageError):
         strong_error_experiment(gl, BE, T=1.0, h_list=[0.25], h_ref=0.125,
                                 n_paths=0)
@@ -1507,6 +1511,14 @@ def test_contraction_gap_shrinks_and_starts_exact(gl):
     assert ests[0].value == 1.0  # |x0 - y0| before any steps
     assert ests[-1].value < 0.05 * ests[0].value  # two flows nearly merged
     assert all(e.n_divergent == 0 for e in ests)
+
+
+def test_a_gap_whose_plain_norm_overflows_starts_exact(gl):
+    """From 1e200 and -1e200 the gap's plain norm overflows; at p = 1/2
+    the estimate at t = 0 is still the gap, 2e200, not inf."""
+    _, ests = contraction_experiment(gl, BE, T=1.0, h=0.25, n_paths=4, p=0.5,
+                                     x0=1e200, y0=-1e200, threads=1)
+    assert (ests[0].value, ests[0].std_error) == (2e200, 0.0)
 
 
 def test_contraction_requires_distinct_starts(gl):
