@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import UsageError
 from .model import MonotoneConstants, theorem_admissible_p_max
-from .noise import check_positive
-from .schemes import RESIDUAL_TOL, SchemeOrders
+from .noise import check_positive, check_real
+from .schemes import RESIDUAL_TOL, scheme_orders
 from .simulate import ErrorCurve
 
 __all__ = [
@@ -103,17 +103,18 @@ class ConvergenceReport:
 
 def check_report_bounds(band: float, r2_min: float) -> None:
     """Refuse a report's bounds unless `band` is positive and finite and
-    0 <= r2_min <= 1; the CLI checks its options by this rule too."""
+    r2_min is a real in [0, 1]; the CLI checks its options by this rule too."""
     check_positive(band, "band")
-    if not 0.0 <= r2_min <= 1.0:
+    if not 0.0 <= check_real(r2_min, "r2_min") <= 1.0:
         raise UsageError(f"r2_min must be in [0, 1], got {r2_min!r}")
 
 
-def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
-                            band: float = 0.1, r2_min: float = 0.98,
+def make_convergence_report(curve: ErrorCurve, band: float = 0.1,
+                            r2_min: float = 0.98,
                             constants: Optional[MonotoneConstants] = None
                             ) -> ConvergenceReport:
-    """Fit the curve and compare against the scheme's predicted global order.
+    """Fit the curve and compare against the predicted global order of its
+    scheme (`scheme_orders(curve.scheme)`).
 
     Points whose error is at or below 10x the implicit solve's residual
     tolerance (`schemes.RESIDUAL_TOL`) are excluded from the fit (they
@@ -125,6 +126,7 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
     with a note and no slope, intercept or r^2. Bad bounds are refused.
     """
     check_report_bounds(band, r2_min)
+    predicted = scheme_orders(curve.scheme).global_order
     notes = []
     kept_h, kept_e, kept_se, excluded = [], [], [], []
     floor = 10.0 * RESIDUAL_TOL
@@ -150,7 +152,7 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
         notes.append("fewer than 2 error points above the solver floor; "
                      "no order fitted")
     passed = (fit is not None and not diverged
-              and abs(fit.slope - orders.global_order) <= band
+              and abs(fit.slope - predicted) <= band
               and fit.r_squared >= r2_min)
     p_max = theorem_admissible_p_max(constants) if constants is not None else None
     within = (curve.p <= p_max) if p_max is not None else None
@@ -162,7 +164,7 @@ def make_convergence_report(curve: ErrorCurve, orders: SchemeOrders,
         model=curve.model, scheme=curve.scheme, p=curve.p, T=curve.T,
         h_ref=curve.h_ref, hs=tuple(kept_h), errors=tuple(kept_e),
         std_errors=tuple(kept_se), excluded_hs=tuple(excluded),
-        predicted_order=orders.global_order,
+        predicted_order=predicted,
         slope=fit and fit.slope, intercept=fit and fit.intercept,
         r_squared=fit and fit.r_squared, band=band,
         r2_min=r2_min, passed=passed, p_max_theorem=p_max,

@@ -32,7 +32,6 @@ import argparse
 import csv
 import importlib.util
 import json
-import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -47,8 +46,8 @@ from .errors import SolverFailure, UsageError
 from .model import (SdeProblem, build_allen_cahn, build_ginzburg_landau,
                     check_contractive_monotone, check_poly_lipschitz,
                     max_feasible_pstar, theorem_admissible_p_max)
-from .noise import check_count, check_master_seed, check_positive
-from .schemes import VARIANTS, SchemeConfig, scheme_orders, step_ceiling
+from .noise import check_count, check_master_seed, check_positive, check_real
+from .schemes import VARIANTS, SchemeConfig, step_ceiling
 from .simulate import (contraction_experiment, moment_trace,
                        strong_error_experiment)
 
@@ -142,10 +141,7 @@ class ExperimentConfig:
 
 
 def _states(text: str) -> tuple:
-    states = tuple(float(v) for v in text.split(","))
-    if not all(map(math.isfinite, states)):
-        raise UsageError("not a finite state")
-    return states
+    return tuple(check_real(float(v), "state") for v in text.split(","))
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -261,6 +257,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     """The rules that neither build_problem nor the experiments check
     before they run."""
     check_report_bounds(cfg.band, cfg.r2_min)
+    out = _output_path(cfg)
+    if out.is_dir():
+        raise UsageError(f"cannot write {out}: it is a directory")
     missing = [key for key in _REQUIRED[cfg.command] if not getattr(cfg, key)]
     if missing:
         raise UsageError(f"{cfg.command} needs " + " and ".join(
@@ -335,21 +334,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_outputs(cfg: ExperimentConfig, rows, sidecar: dict) -> Path:
-    out = cfg.output or f"{cfg.command.replace('-', '_')}_{cfg.model}_{cfg.scheme}.csv"
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# sde-longtime {__version__}\n")
-        fh.write(f"# {_config_echo(cfg)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in COLUMNS])
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _output_path(cfg: ExperimentConfig) -> Path:
+    return Path(cfg.output or f"{cfg.command.replace('-', '_')}_{cfg.model}_"
+                f"{cfg.scheme}.csv")
+
+
+def _write_outputs(cfg: ExperimentConfig, rows, sidecar: dict) -> None:
+    """The CSV and its JSON sidecar; UsageError if either cannot be written."""
+    path = _output_path(cfg)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# sde-longtime {__version__}\n")
+            fh.write(f"# {_config_echo(cfg)}\n")
+            writer = csv.writer(fh)
+            writer.writerow(COLUMNS)
+            for row in rows:
+                writer.writerow([_fmt(row.get(c)) for c in COLUMNS])
+        with open(path.with_suffix(".json"), "w") as fh:
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _enforce_ceiling(cfg: ExperimentConfig, problem: SdeProblem, hs,
@@ -385,8 +391,7 @@ def run(cfg: ExperimentConfig) -> int:
             n_paths=cfg.n_paths, p=cfg.p, master_seed=cfg.master_seed,
             x0=cfg.x0, threads=cfg.threads)
         report = make_convergence_report(
-            curve, scheme_orders(cfg.scheme), band=cfg.band, r2_min=cfg.r2_min,
-            constants=problem.constants)
+            curve, band=cfg.band, r2_min=cfg.r2_min, constants=problem.constants)
         rows = [dict(base, kind="convergence", h=h, value=e.value,
                      std_error=e.std_error, n_paths=e.n_paths,
                      n_divergent=e.n_divergent)

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .noise import check_count, check_master_seed, check_positive
+from .noise import check_count, check_master_seed, check_positive, check_real
 
 __all__ = [
     "MonotoneConstants",
@@ -74,9 +74,8 @@ class MonotoneConstants:
 
     def __post_init__(self):
         for name in ("alpha1", "p_star", "kappa", "c1", "beta1"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value}")
+            if getattr(self, name) is not None:
+                check_real(getattr(self, name), name)
         if not (self.alpha1 > 0.0):
             raise UsageError(f"alpha1 must be positive, got {self.alpha1}")
         if not (self.p_star >= 1.0):
@@ -195,14 +194,6 @@ class SdeProblem:
         f0 = drift_rows(self, np.zeros((1, self.d)))[0]
         return float(np.dot(f0, f0))
 
-    @property
-    def c2(self) -> float:
-        return self.constants.c2
-
-    @property
-    def c3(self) -> float:
-        return self.constants.c3(self.f0_norm_sq)
-
 
 @dataclass(frozen=True)
 class SampleSpec:
@@ -220,6 +211,7 @@ class SampleSpec:
     seed: int = DEFAULT_SAMPLE_SEED
 
     def __post_init__(self):
+        check_real(self.lo, "lo"), check_real(self.hi, "hi")
         if not (self.hi > self.lo):
             raise UsageError(f"empty sampling box [{self.lo}, {self.hi}]")
         if not math.isfinite(self.hi - self.lo):
@@ -285,8 +277,7 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     certified on the default sample. The implicit step's cubic has a
     closed-form root (`_cubic_root`), the problem's resolvent_batch.
     """
-    if not (math.isfinite(eta) and math.isfinite(sigma)):
-        raise UsageError(f"eta and sigma must be finite, got {eta}, {sigma}")
+    eta, sigma = check_real(eta, "eta"), check_real(sigma, "sigma")
     theta = check_positive(theta, "theta")
     a = eta + 0.5 * sigma * sigma
     if a >= 0.0:
@@ -442,8 +433,7 @@ def _claimed(problem: SdeProblem, **given) -> MonotoneConstants:
     """The problem's claimed constants with the given ones (None keeps the
     claim) in their place, checked by MonotoneConstants like any claim."""
     return replace(problem.constants, **{
-        name: float(value) for name, value in given.items()
-        if value is not None})
+        name: value for name, value in given.items() if value is not None})
 
 
 def _monotone_margin(problem: SdeProblem, spec: SampleSpec):

@@ -70,6 +70,15 @@ def check_positive(value, name: str) -> float:
     raise UsageError(f"{name} must be positive and finite, got {value!r}")
 
 
+def check_real(value, name: str) -> float:
+    """`value` as a finite float, or a usage error: a bool or a non-real is
+    refused whatever its value, as are NaN and the infinities."""
+    if isinstance(value, numbers.Real) and not isinstance(
+            value, bool) and math.isfinite(value):
+        return float(value)
+    raise UsageError(f"{name} must be finite and real, got {value!r}")
+
+
 def check_master_seed(master_seed) -> int:
     """`master_seed` as a non-negative int, or a usage error."""
     return check_count(master_seed, "master seed", 0)

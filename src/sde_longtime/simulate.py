@@ -52,7 +52,7 @@ import numpy as np
 from .errors import SolverFailure, UsageError
 from .model import SdeProblem
 from .noise import (NoiseGrid, check_count, check_master_seed, check_positive,
-                    pairwise_block_sum, path_generator, path_keys)
+                    check_real, pairwise_block_sum, path_generator, path_keys)
 from .schemes import SchemeConfig, _row_norms, check_step, step_batch
 
 __all__ = [
@@ -490,25 +490,25 @@ def _coarse_noise(W: np.ndarray, factors) -> dict:
 
 
 def _start_state(problem: SdeProblem, x0, name: str = "x0") -> np.ndarray:
-    """x0 as a finite state of shape (d,); a single value (a scalar or any
-    size-1 array) fills every component. Every protocol checks its start
-    states before any chunk runs."""
-    x0 = np.asarray(x0, dtype=float)
+    """x0 as a state of shape (d,) whose every entry passes `check_real`; a
+    single value (a scalar or any size-1 array) fills every component. Every
+    protocol checks its start states before any chunk runs."""
+    entries = np.asarray(x0, dtype=object)
+    x0 = np.array([check_real(v, name) for v in entries.flat],
+                  dtype=float).reshape(entries.shape)
     if x0.size == 1:
         x0 = np.full(problem.d, x0.item())
     if x0.shape != (problem.d,):
         raise UsageError(f"{name} shape {x0.shape} does not match problem "
                          f"dimension ({problem.d},)")
-    if not np.all(np.isfinite(x0)):
-        raise UsageError(f"{name} must be finite, got {x0}")
     return x0
 
 
 def _exact_multiple(a: float, b: float, a_name: str, b_name: str) -> int:
     """a / b as a positive integer, checked in exact rational arithmetic,
-    of a positive and finite b (`check_positive`)."""
-    b = check_positive(b, b_name)
-    q = Fraction(a) / Fraction(b) if math.isfinite(a) else Fraction(0)
+    of a and b positive and finite (`check_positive`)."""
+    a, b = check_positive(a, a_name), check_positive(b, b_name)
+    q = Fraction(a) / Fraction(b)
     if q.denominator != 1 or q < 1:
         raise UsageError(
             f"{a_name}={a} is not an integer multiple of {b_name}={b}")
@@ -724,7 +724,7 @@ def strong_error_experiment(problem: SdeProblem, scheme_cfg: SchemeConfig,
     """
     p = check_positive(p, "p")
     n_paths = check_count(n_paths, "n_paths")
-    hs = _step_list(h_list)
+    hs, h_ref = _step_list(h_list), check_positive(h_ref, "h_ref")
     if h_ref > min(hs):
         raise UsageError(f"h_ref={h_ref} must not exceed the smallest h={min(hs)}")
     factors = [_exact_multiple(h, h_ref, "h", "h_ref") for h in hs]

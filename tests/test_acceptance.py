@@ -50,8 +50,7 @@ def _gl_curve_report(scheme_cfg):
     curve = strong_error_experiment(GL, scheme_cfg, T=16.0, h_list=GL_LADDER,
                                     h_ref=2.0 ** -12, n_paths=2000, p=1.0,
                                     master_seed=42, x0=1.0)
-    return make_convergence_report(curve, scheme_orders(scheme_cfg.variant),
-                                   band=0.10, r2_min=0.98)
+    return make_convergence_report(curve, band=0.10, r2_min=0.98)
 
 
 def test_criterion_1_gl_backward_euler_curve(criterion):
@@ -81,8 +80,8 @@ def test_criterion_3_lattice_curves_both_schemes(criterion):
         curve = strong_error_experiment(AC, cfg, T=30.0, h_list=AC_LADDER,
                                         h_ref=15.0 / 2.0 ** 12, n_paths=500,
                                         p=1.0, master_seed=42, x0=1.0)
-        reports[name] = make_convergence_report(curve, scheme_orders(name),
-                                                band=0.15, r2_min=0.95)
+        reports[name] = make_convergence_report(curve, band=0.15,
+                                                r2_min=0.95)
     dt = time.perf_counter() - t0
     rb, rp = reports["be"], reports["pe"]
     criterion(3, "stiff lattice model, strong rate for both schemes",

@@ -7,8 +7,7 @@ import pytest
 
 from sde_longtime import (ErrorCurve, MomentEstimate, UsageError, decay_slope,
                           build_ginzburg_landau, fit_order,
-                          make_convergence_report, scheme_orders,
-                          stationarity_gap)
+                          make_convergence_report, stationarity_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,7 @@ def _curve(hs, values, p=1.0, ses=None):
 def test_report_passes_on_clean_half_order_curve():
     hs = [2.0 ** -k for k in range(3, 8)]
     curve = _curve(hs, [0.2 * h ** 0.52 for h in hs])
-    rep = make_convergence_report(curve, scheme_orders("be"))
+    rep = make_convergence_report(curve)
     assert rep.passed
     assert rep.predicted_order == 0.5
     assert rep.slope == pytest.approx(0.52, abs=1e-12)
@@ -158,11 +157,10 @@ def test_report_passes_on_clean_half_order_curve():
 def test_report_fails_outside_band_or_noisy():
     hs = [0.25, 0.125, 0.0625]
     off_rate = make_convergence_report(_curve(hs, [0.2 * h for h in hs]),
-                                       scheme_orders("be"), band=0.1)
+                                       band=0.1)
     assert not off_rate.passed  # slope 1 against predicted 1/2
     noisy = make_convergence_report(
-        _curve(hs, [0.11, 0.04, 0.05]), scheme_orders("be"),
-        band=2.0, r2_min=0.999)
+        _curve(hs, [0.11, 0.04, 0.05]), band=2.0, r2_min=0.999)
     assert not noisy.passed  # slope fine with a huge band, r^2 is not
 
 
@@ -175,13 +173,13 @@ def test_report_refuses_bounds_no_report_can_use():
                    + [{"r2_min": v} for v in (math.nan, -0.1, 1.5)]):
         name = next(iter(bounds))
         with pytest.raises(UsageError, match=f"^{name} must be"):
-            make_convergence_report(curve, scheme_orders("be"), **bounds)
+            make_convergence_report(curve, **bounds)
 
 
 def test_report_excludes_solver_floor_points():
     hs = [0.25, 0.125, 0.0625, 0.03125]
     values = [0.2 * h ** 0.5 for h in hs[:3]] + [5e-12]
-    rep = make_convergence_report(_curve(hs, values), scheme_orders("be"))
+    rep = make_convergence_report(_curve(hs, values))
     assert rep.excluded_hs == (0.03125,)
     assert rep.hs == tuple(hs[:3])
     assert any("solver floor" in note for note in rep.notes)
@@ -194,7 +192,7 @@ def test_report_excludes_an_infinite_error_and_fails():
     other levels fit the predicted order exactly."""
     hs = [0.25, 0.125, 0.0625, 0.03125]
     values = [math.inf] + [0.2 * h ** 0.5 for h in hs[1:]]
-    rep = make_convergence_report(_curve(hs, values), scheme_orders("be"))
+    rep = make_convergence_report(_curve(hs, values))
     assert (rep.hs, rep.excluded_hs) == (tuple(hs[1:]), (0.25,))
     assert rep.notes == ("excluded h=0.25: error inf beyond float range",)
     assert rep.slope == pytest.approx(0.5, abs=1e-12)
@@ -205,7 +203,7 @@ def test_report_needs_two_points_above_floor():
     """With one point left above the solver floor there is no order to fit:
     the report fails, says why, and carries no fit."""
     curve = _curve([0.25, 0.125], [0.1, 1e-13])
-    rep = make_convergence_report(curve, scheme_orders("be"))
+    rep = make_convergence_report(curve)
     assert rep.passed is False
     assert (rep.slope, rep.intercept, rep.r_squared) == (None, None, None)
     assert (rep.hs, rep.excluded_hs) == ((0.25,), (0.125,))
@@ -220,11 +218,11 @@ def test_report_flags_moment_order_beyond_guarantee():
     # p* = 5/4 and kappa = 3: the guaranteed moment half-orders stop at
     # floor(p*)/(2 kappa - 1) = 1/5, so p = 1 sits far beyond the theorem
     rep = make_convergence_report(_curve(hs, values, p=1.0),
-                                  scheme_orders("be"), constants=gl.constants)
+                                  constants=gl.constants)
     assert rep.p_max_theorem == pytest.approx(0.2, abs=1e-12)
     assert rep.p_within_theorem is False
     assert any("exceeds the theorem-admissible maximum" in n for n in rep.notes)
     inside = make_convergence_report(_curve(hs, values, p=0.1),
-                                     scheme_orders("be"), constants=gl.constants)
+                                     constants=gl.constants)
     assert inside.p_within_theorem is True
     assert inside.notes == ()

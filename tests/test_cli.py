@@ -632,6 +632,32 @@ def test_a_run_too_short_for_its_check_is_refused_before_any_chunk(
     assert not out.exists() and not out.with_suffix(".json").exists()
 
 
+_MOMENTS_RUN = ["moments", "--model", "gl", "--scheme", "be", "--T", "2",
+                "--h", "1/4", "--paths", "8", "--threads", "1"]
+
+
+def test_an_output_directory_exits_2_before_any_chunk(
+        tmp_path, monkeypatch, capsys):
+    """An --output that names a directory cannot be written: a usage error
+    known from the options, so no path runs."""
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    assert main(_MOMENTS_RUN + ["--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path}: it is a directory\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """A write that fails (here, below a file) is a usage error with one
+    error line, not a traceback with exit 1, the code of a failed check."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "m.csv"
+    assert main(_MOMENTS_RUN + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", [
     ["moments", "--T", "16", "--h", "2"],
     ["convergence", "--T", "8", "--h-list", "2,1", "--h-ref", "1/2"],

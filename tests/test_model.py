@@ -57,6 +57,11 @@ def test_gl_rejects_non_dissipative_parameters():
         build_ginzburg_landau(theta=0.0)
     with pytest.raises(UsageError, match="^theta must be positive and finite"):
         build_ginzburg_landau(theta=True)
+    for name in ("eta", "sigma"):  # by the finite-real rule
+        for value in (math.nan, "-1.5", True):
+            with pytest.raises(UsageError,
+                               match=f"^{name} must be finite and real"):
+                build_ginzburg_landau(**{name: value})
 
 
 def test_gl_zero_noise_constants():
@@ -227,7 +232,7 @@ def test_checkers_refuse_a_given_constant_that_no_claim_may_take():
     p* = 0.7 ran although every claim has p* >= 1."""
     gl = build_ginzburg_landau()
     for name, checkers in _OVERRIDES.items():
-        bad = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+        bad = [math.nan, math.inf, -math.inf, 0.0, -1.0, "2", True]
         for value in bad + ([0.7] if name == "p_star" else []):
             for checker in checkers:
                 with pytest.raises(UsageError, match=f"^{name} must be"):
@@ -282,8 +287,8 @@ def test_poly_lipschitz_passes_at_certified_c1():
     gl = build_ginzburg_landau()
     rep = check_poly_lipschitz(gl)
     assert rep.passed
-    assert rep.c2 == pytest.approx(gl.c2)
-    assert rep.c3 == pytest.approx(gl.c3)
+    assert rep.c2 == pytest.approx(gl.constants.c2)
+    assert rep.c3 == pytest.approx(gl.constants.c3(gl.f0_norm_sq))
 
 
 def test_poly_lipschitz_fails_with_small_c1():
@@ -314,7 +319,7 @@ def test_growth_bound_holds_on_samples():
     gl = build_ginzburg_landau()
     rng = np.random.default_rng(7)
     xs = rng.uniform(-10, 10, size=(2000, 1))
-    c2, c3 = gl.c2, gl.c3
+    c2, c3 = gl.constants.c2, gl.constants.c3(gl.f0_norm_sq)
     for x in xs:
         fx = drift_rows(gl, x[None])[0]
         nx = float(np.dot(x, x))
@@ -388,10 +393,10 @@ def test_constants_validation():
         MonotoneConstants(alpha1=0.25, p_star=1.25, kappa=0.0, c1=1.0)
     with pytest.raises(UsageError):
         MonotoneConstants(alpha1=0.25, p_star=1.25, kappa=3.0, c1=-1.0)
-    # a non-finite constant, beta1 included when given
+    # a non-finite or non-real constant, beta1 included when given
     valid = dict(alpha1=0.25, p_star=1.25, kappa=3.0, c1=1.0, beta1=0.5)
     for name in valid:
-        for value in (math.inf, math.nan):
+        for value in (math.inf, math.nan, True, "1"):
             with pytest.raises(UsageError, match=f"^{name} must be finite"):
                 MonotoneConstants(**dict(valid, **{name: value}))
 
@@ -402,9 +407,10 @@ def test_constants_validation():
     ({"n_pairs": True}, "n_pairs must be an integer"),
     ({"seed": -1}, "seed must be an integer >= 0"),
     ({"seed": 1.5}, "seed must be an integer >= 0"),
-    ({"hi": math.inf}, "must have a finite width"),
+    ({"hi": math.inf}, "hi must be finite and real"),
     ({"lo": -1e308, "hi": 1e308}, "must have a finite width"),
     ({"lo": 1.0, "hi": 1.0}, "empty sampling box"),
+    ({"lo": "a"}, "lo must be finite and real"),
 ])
 def test_sample_spec_checks_its_fields_when_built(fields, message):
     """A bad field is a usage error when the spec is built, not a TypeError,

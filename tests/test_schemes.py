@@ -909,7 +909,7 @@ def test_projected_drift_obeys_step_budget(gl, x, k):
     y = project_batch(np.array([[x]]),
                       h ** (-1.0 / (2.0 * (gl.constants.kappa + 1.0))))[0]
     fy = float(drift_rows(gl, y[None])[0, 0])
-    assert fy * fy <= gl.c2 / h + gl.c3
+    assert fy * fy <= gl.constants.c2 / h + gl.constants.c3(gl.f0_norm_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -708,8 +708,9 @@ _MISSHAPEN_START = {
 
 @pytest.mark.parametrize("name", list(_MISSHAPEN_START))
 def test_start_states_are_checked_before_any_fork(gl, name, monkeypatch):
-    """A two-component start state for the scalar problem is refused before
-    the worker pool exists, not from inside a chunk."""
+    """A two-component start state for the scalar problem, or an entry that
+    is not a finite non-bool real, is refused before the worker pool
+    exists, not from inside a chunk."""
     asked = []
 
     def pool(*args, **kwargs):
@@ -719,6 +720,9 @@ def test_start_states_are_checked_before_any_fork(gl, name, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     with pytest.raises(UsageError, match=r"shape \(2,\) does not match"):
         _MISSHAPEN_START[name](gl, [1.0, 2.0])
+    for x0 in ("3", True, [math.nan]):
+        with pytest.raises(UsageError, match="^x0? must be finite and real"):
+            _MISSHAPEN_START[name](gl, x0)
     assert asked == []
 
 
@@ -928,9 +932,13 @@ def test_strong_error_grid_validation(gl):
                                 n_paths=2)
     with pytest.raises(UsageError):
         strong_error_experiment(gl, BE, T=1.0, h_list=[], h_ref=0.125, n_paths=2)
-    for h_ref in (0.0, -0.125, math.nan):  # by the positive-real rule
+    for h_ref in (0.0, -0.125, math.nan, "x"):  # by the positive-real rule
         with pytest.raises(UsageError, match="^h_ref must be positive"):
             strong_error_experiment(gl, BE, T=1.0, h_list=[0.25], h_ref=h_ref,
+                                    n_paths=2)
+    for T in (True, "2", -1.0):  # so is the horizon
+        with pytest.raises(UsageError, match="^T must be positive"):
+            strong_error_experiment(gl, BE, T=T, h_list=[0.25], h_ref=0.125,
                                     n_paths=2)
     with pytest.raises(UsageError):
         strong_error_experiment(gl, BE, T=1.0, h_list=[0.25], h_ref=0.125,
