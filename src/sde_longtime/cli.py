@@ -56,31 +56,21 @@ __all__ = ["ExperimentConfig", "parse_rational", "parse_config", "run", "main"]
 COLUMNS = ("kind", "model", "scheme", "p", "h", "t", "value", "std_error",
            "n_paths", "n_divergent")
 
-COMMANDS = ("convergence", "moments", "contractivity", "check-assumptions")
-
-# Figure-style presets; flag and config-file values override preset entries.
-PRESETS = {
-    "gl-fig1": {
-        "model": "gl", "scheme": "be", "T": "16",
-        "h_list": "2^-3,2^-4,2^-5,2^-6,2^-7", "h_ref": "2^-12",
-        "paths": "10000", "p": "1", "x0": "1",
-    },
-    "gl-fig2": {
-        "model": "gl", "scheme": "pe", "T": "16",
-        "h_list": "2^-3,2^-4,2^-5,2^-6,2^-7", "h_ref": "2^-12",
-        "paths": "10000", "p": "1", "x0": "1",
-    },
-    "ac-fig3": {
-        "model": "allen-cahn", "scheme": "be", "T": "30", "K": "4",
-        "h_list": "15/2^6,15/2^7,15/2^8,15/2^9,15/2^10", "h_ref": "15/2^12",
-        "paths": "5000", "p": "1", "x0": "1",
-    },
-    "ac-fig4": {
-        "model": "allen-cahn", "scheme": "pe", "T": "30", "K": "4",
-        "h_list": "15/2^6,15/2^7,15/2^8,15/2^9,15/2^10", "h_ref": "15/2^12",
-        "paths": "5000", "p": "1", "x0": "1",
-    },
+# The paper's two step ladders: the cubic scalar model and the stiff lattice.
+_LADDERS = {
+    "gl": {"model": "gl", "T": "16", "h_list": "2^-3,2^-4,2^-5,2^-6,2^-7",
+           "h_ref": "2^-12", "paths": "10000", "p": "1", "x0": "1"},
+    "ac": {"model": "allen-cahn", "K": "4", "T": "30",
+           "h_list": "15/2^6,15/2^7,15/2^8,15/2^9,15/2^10",
+           "h_ref": "15/2^12", "paths": "5000", "p": "1", "x0": "1"},
 }
+
+# Figure-style presets, each ladder with backward and projected Euler; flag
+# and config-file values override preset entries.
+PRESETS = {"gl-fig1": dict(_LADDERS["gl"], scheme="be"),
+           "gl-fig2": dict(_LADDERS["gl"], scheme="pe"),
+           "ac-fig3": dict(_LADDERS["ac"], scheme="be"),
+           "ac-fig4": dict(_LADDERS["ac"], scheme="pe")}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -178,14 +168,14 @@ _OPTIONS = {
 # one flag that takes no value.
 _FLAG_ARGUMENTS = {
     "preset": dict(choices=sorted(PRESETS)),
-    "model": dict(help="gl | allen-cahn | custom:<file.py>"),
+    "model": dict(help=" | ".join([*_MODELS, "custom:<file.py>"])),
     "scheme": dict(choices=VARIANTS),
     "h_list": dict(help="comma-separated exact rationals"),
     "enforce_step_ceiling": dict(action="store_const", const="true"),
 }
 _FIELDS = {"paths": "n_paths", "seed": "master_seed"}
 
-# The options each command cannot run without.
+# Each command and the options it cannot run without.
 _REQUIRED = {"convergence": ("T", "h_list", "h_ref"), "moments": ("T", "h"),
              "contractivity": ("T", "h"), "check-assumptions": ()}
 
@@ -225,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Long-time strong approximation experiments for dissipative SDEs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _REQUIRED:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="key=value file; flags override it")
         for key in _OPTIONS:
@@ -257,9 +247,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     """The rules that neither build_problem nor the experiments check
     before they run."""
     check_report_bounds(cfg.band, cfg.r2_min)
-    out = _output_path(cfg)
-    if out.is_dir():
-        raise UsageError(f"cannot write {out}: it is a directory")
+    for out in _output_paths(cfg):
+        if out.is_dir():
+            raise UsageError(f"cannot write {out}: it is a directory")
     missing = [key for key in _REQUIRED[cfg.command] if not getattr(cfg, key)]
     if missing:
         raise UsageError(f"{cfg.command} needs " + " and ".join(
@@ -334,14 +324,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _output_path(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.output or f"{cfg.command.replace('-', '_')}_{cfg.model}_"
+def _output_paths(cfg: ExperimentConfig) -> tuple:
+    """The CSV and its JSON sidecar; a custom model is named by its file stem."""
+    model = Path(cfg.model.removeprefix("custom:")).stem
+    path = Path(cfg.output or f"{cfg.command.replace('-', '_')}_{model}_"
                 f"{cfg.scheme}.csv")
+    return path, path.with_suffix(".json")
 
 
 def _write_outputs(cfg: ExperimentConfig, rows, sidecar: dict) -> None:
-    """The CSV and its JSON sidecar; UsageError if either cannot be written."""
-    path = _output_path(cfg)
+    """The CSV and its JSON sidecar; UsageError if either cannot be written,
+    and a CSV whose sidecar cannot be written is removed."""
+    path, sidecar_path = _output_paths(cfg)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
@@ -351,9 +345,13 @@ def _write_outputs(cfg: ExperimentConfig, rows, sidecar: dict) -> None:
             writer.writerow(COLUMNS)
             for row in rows:
                 writer.writerow([_fmt(row.get(c)) for c in COLUMNS])
-        with open(path.with_suffix(".json"), "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(sidecar_path, "w") as fh:
+                json.dump(sidecar, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError:
+            path.unlink()
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 

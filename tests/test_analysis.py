@@ -1,6 +1,7 @@
 """Rate fitting, decay slopes, stationarity diagnostics, convergence verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_fit_order_two_points_is_exact_ratio():
     # slope = log2(0.2/0.05) / log2(0.5/0.125) = 2/2 = 1
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    # flat errors: slope 0 and, as in linregress, an undefined r^2, without
+    # a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = fit_order([0.5, 0.25], [1.0, 1.0])
+    assert flat.slope == 0.0 and math.isnan(flat.r_squared)
 
 
 def test_fit_order_recovers_half_order_from_rounded_table():
@@ -126,6 +133,9 @@ def test_stationarity_gap_validation():
         stationarity_gap(np.arange(7.0), np.ones(7))
     with pytest.raises(UsageError):
         stationarity_gap(np.arange(8.0), np.ones(9))
+    # eight points, but none in the third quarter [T/2, 3T/4)
+    with pytest.raises(UsageError, match="^trace too short"):
+        stationarity_gap([0.0] * 7 + [1.0], [1.0] * 8)
 
 
 # ---------------------------------------------------------------------------

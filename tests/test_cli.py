@@ -482,7 +482,7 @@ PROBLEM = SdeProblem.from_pointwise(
 """
 
 
-def test_custom_model_file(tmp_path):
+def test_custom_model_file(tmp_path, capsys):
     mod = tmp_path / "ou_model.py"
     mod.write_text(_CUSTOM)
     out = tmp_path / "a.csv"
@@ -497,6 +497,28 @@ def test_custom_model_file(tmp_path):
                  "--output", str(out)]) == 2
     assert main(["check-assumptions", "--model", "custom:/nope/missing.py",
                  "--output", str(out)]) == 2
+    # importlib finds no loader for a file that is not a .py module
+    text = tmp_path / "ou_model.txt"
+    text.write_text(_CUSTOM)
+    capsys.readouterr()
+    assert main(["check-assumptions", "--model", f"custom:{text}",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load custom model from {text}\n")
+
+
+def test_a_custom_model_names_the_default_output_by_its_file_stem(
+        tmp_path, monkeypatch):
+    """The default name is <command>_<model>_<scheme>.csv in the working
+    directory, with the custom model file's stem as <model>."""
+    (tmp_path / "models").mkdir()
+    mod = tmp_path / "models" / "ou.py"
+    mod.write_text(_CUSTOM)
+    (tmp_path / "runs").mkdir()
+    monkeypatch.chdir(tmp_path / "runs")
+    assert main(["check-assumptions", "--model", f"custom:{mod}"]) == 0
+    assert sorted(os.listdir(tmp_path / "runs")) == [
+        "check_assumptions_ou_be.csv", "check_assumptions_ou_be.json"]
 
 
 _UNLOADABLE = {
@@ -645,6 +667,38 @@ def test_an_output_directory_exits_2_before_any_chunk(
     assert capsys.readouterr().err == (
         f"error: cannot write {tmp_path}: it is a directory\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_a_sidecar_directory_exits_2_before_any_chunk(
+        tmp_path, monkeypatch, capsys):
+    """The JSON sidecar's path is checked with the CSV's: a directory there
+    is refused before any path runs, and no CSV is left behind."""
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    (tmp_path / "r.json").mkdir()
+    out = tmp_path / "r.csv"
+    assert main(_MOMENTS_RUN + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'r.json'}: it is a directory\n")
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
+def test_a_sidecar_that_cannot_be_written_removes_its_csv(
+        tmp_path, monkeypatch, capsys):
+    """A sidecar that becomes unwritable during the run (here, a directory
+    made at its path) is a usage error that leaves no CSV without it."""
+    out = tmp_path / "r.csv"
+    trace = cli.moment_trace
+
+    def trace_then_block(*args, **kwargs):
+        out.with_suffix(".json").mkdir()
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "moment_trace", trace_then_block)
+    assert main(_MOMENTS_RUN + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["r.json"]
 
 
 def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
@@ -813,3 +867,10 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    # and through the module's own entry point
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sde_longtime.cli", "--version"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (0, f"{__version__}\n")

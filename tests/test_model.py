@@ -55,6 +55,10 @@ def test_gl_rejects_non_dissipative_parameters():
         build_ginzburg_landau(eta=-0.4, sigma=1.0)
     with pytest.raises(UsageError):
         build_ginzburg_landau(theta=0.0)
+    # dissipative (a = -1/4), but the noise leaves p* = 1/2 + 3|a|/(4 sigma^2)
+    # below 1
+    with pytest.raises(UsageError, match=r"certified p\* = 0\.6250 < 1$"):
+        build_ginzburg_landau(eta=-1.0, sigma=math.sqrt(1.5))
     with pytest.raises(UsageError, match="^theta must be positive and finite"):
         build_ginzburg_landau(theta=True)
     for name in ("eta", "sigma"):  # by the finite-real rule
@@ -217,6 +221,11 @@ def test_the_monotone_check_passes_at_the_max_feasible_pstar(name, share):
 def test_max_feasible_pstar_caps_without_noise_spread():
     gl0 = build_ginzburg_landau(eta=-1.0, sigma=0.0)
     assert max_feasible_pstar(gl0, alpha1=0.5) == 64.0
+    # without noise every pair has b = 0, so no p* offsets an alpha1 above
+    # the drift's own contraction rate, here |eta| = 3/2
+    quiet = build_ginzburg_landau(sigma=0.0)
+    assert max_feasible_pstar(quiet, alpha1=1.0) == 64.0
+    assert max_feasible_pstar(quiet, alpha1=2.0) == 0.0
 
 
 # each constant a checker takes in place of the claim, by the checkers
