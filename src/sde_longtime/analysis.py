@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,10 +95,6 @@ class ConvergenceReport:
     p_max_theorem: Optional[float] = None
     p_within_theorem: Optional[bool] = None
     notes: tuple = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in asdict(self).items()}
 
 
 def check_report_bounds(band: float, r2_min: float) -> None:

@@ -247,7 +247,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     """The rules that neither build_problem nor the experiments check
     before they run."""
     check_report_bounds(cfg.band, cfg.r2_min)
-    for out in _output_paths(cfg):
+    paths = _output_paths(cfg)
+    if paths[0] == paths[1]:
+        raise UsageError(f"cannot write {paths[0]}: it names its own sidecar")
+    for out in paths:
         if out.is_dir():
             raise UsageError(f"cannot write {out}: it is a directory")
     missing = [key for key in _REQUIRED[cfg.command] if not getattr(cfg, key)]
@@ -316,14 +319,6 @@ def _config_echo(cfg: ExperimentConfig) -> str:
     return " ".join(parts)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _output_paths(cfg: ExperimentConfig) -> tuple:
     """The CSV and its JSON sidecar; a custom model is named by its file stem."""
     model = Path(cfg.model.removeprefix("custom:")).stem
@@ -332,22 +327,23 @@ def _output_paths(cfg: ExperimentConfig) -> tuple:
     return path, path.with_suffix(".json")
 
 
-def _write_outputs(cfg: ExperimentConfig, rows, sidecar: dict) -> None:
-    """The CSV and its JSON sidecar; UsageError if either cannot be written,
-    and a CSV whose sidecar cannot be written is removed."""
+def _write_outputs(cfg: ExperimentConfig, rows, entry: dict) -> None:
+    """The CSV and its JSON sidecar, which holds `entry`, the config echo
+    and the version; UsageError if either cannot be written, and a CSV
+    whose sidecar cannot be written is removed."""
     path, sidecar_path = _output_paths(cfg)
+    echo = _config_echo(cfg)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            fh.write(f"# sde-longtime {__version__}\n")
-            fh.write(f"# {_config_echo(cfg)}\n")
+            fh.write(f"# sde-longtime {__version__}\n# {echo}\n")
             writer = csv.writer(fh)
             writer.writerow(COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row.get(c)) for c in COLUMNS])
+            writer.writerows([row.get(c) for c in COLUMNS] for row in rows)
         try:
             with open(sidecar_path, "w") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
+                json.dump(dict(entry, config=echo, version=__version__), fh,
+                          indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError:
             path.unlink()
@@ -378,8 +374,7 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     scheme_cfg = SchemeConfig(variant=cfg.scheme)
     problem = build_problem(cfg)
-    base = {"model": problem.name, "scheme": cfg.scheme, "p": cfg.p}
-    echo = {"config": _config_echo(cfg), "version": __version__}
+    base = {"model": problem.name, "scheme": cfg.scheme}
 
     if cfg.command == "convergence":
         _enforce_ceiling(cfg, problem, cfg.h_list, cfg.h_ref)
@@ -390,14 +385,10 @@ def run(cfg: ExperimentConfig) -> int:
             x0=cfg.x0, threads=cfg.threads)
         report = make_convergence_report(
             curve, band=cfg.band, r2_min=cfg.r2_min, constants=problem.constants)
-        rows = [dict(base, kind="convergence", h=h, value=e.value,
-                     std_error=e.std_error, n_paths=e.n_paths,
-                     n_divergent=e.n_divergent)
+        rows = [dict(base, kind="convergence", h=h, **asdict(e))
                 for h, e in zip(curve.hs, curve.estimates)]
-        _write_outputs(cfg, rows, dict(echo, report=report.to_dict()))
-        return 0 if report.passed else 1
-
-    if cfg.command in ("moments", "contractivity"):
+        entry, passed = {"report": asdict(report)}, report.passed
+    elif cfg.command in ("moments", "contractivity"):
         h = float(cfg.h)
         _enforce_ceiling(cfg, problem, [cfg.h])
         kind = cfg.command
@@ -409,9 +400,7 @@ def run(cfg: ExperimentConfig) -> int:
         else:
             times, ests = contraction_experiment(
                 problem, scheme_cfg, y0=cfg.y0, **trace)
-        rows = [dict(base, kind=kind, h=h, t=float(t), value=e.value,
-                     std_error=e.std_error, n_paths=e.n_paths,
-                     n_divergent=e.n_divergent)
+        rows = [dict(base, kind=kind, h=h, t=float(t), **asdict(e))
                 for t, e in zip(times, ests)]
         values = [e.value for e in ests]
         summary = {
@@ -436,32 +425,29 @@ def run(cfg: ExperimentConfig) -> int:
             summary["decay_slope_2p"] = slope2p
             summary["threshold"] = threshold
         summary["passed"] = bool(passed)
-        _write_outputs(cfg, rows, dict(echo, **{kind: summary}))
-        return 0 if passed else 1
+        entry = {kind: summary}
+    else:  # check-assumptions
+        mono = check_contractive_monotone(problem)
+        poly = check_poly_lipschitz(problem)
+        pmax = max_feasible_pstar(problem)
+        rows = [dict(base, kind=f"assumption-{kind}",
+                     p=problem.constants.p_star, value=value, n_paths=n_pairs)
+                for kind, value, n_pairs in (
+                    ("contractive_monotone", mono.worst_margin, mono.n_pairs),
+                    ("polynomial_lipschitz", poly.worst_margin, poly.n_pairs),
+                    ("max_feasible_pstar", pmax, mono.n_pairs))]
+        passed = mono.passed and poly.passed
+        entry = {"assumptions": {
+            **{r.condition: {k: v for k, v in asdict(r).items()
+                             if k != "condition" and v is not None}
+               for r in (mono, poly)},
+            "max_feasible_pstar": pmax,
+            "claimed": asdict(problem.constants),
+            "p_max_theorem": theorem_admissible_p_max(problem.constants),
+            "passed": passed,
+        }}
 
-    # check-assumptions
-    mono = check_contractive_monotone(problem)
-    poly = check_poly_lipschitz(problem)
-    pmax = max_feasible_pstar(problem)
-    rows = [dict(base, kind=f"assumption-{kind}", p=problem.constants.p_star,
-                 value=value, n_paths=n_pairs)
-            for kind, value, n_pairs in (
-                ("contractive_monotone", mono.worst_margin, mono.n_pairs),
-                ("polynomial_lipschitz", poly.worst_margin, poly.n_pairs),
-                ("max_feasible_pstar", pmax, mono.n_pairs))]
-    passed = mono.passed and poly.passed
-    sidecar = dict(echo, assumptions={
-        "contractive_monotone": {"worst_margin": mono.worst_margin,
-                                 "passed": mono.passed, "n_pairs": mono.n_pairs},
-        "polynomial_lipschitz": {"worst_margin": poly.worst_margin,
-                                 "passed": poly.passed, "n_pairs": poly.n_pairs,
-                                 "c2": poly.c2, "c3": poly.c3},
-        "max_feasible_pstar": pmax,
-        "claimed": asdict(problem.constants),
-        "p_max_theorem": theorem_admissible_p_max(problem.constants),
-        "passed": passed,
-    })
-    _write_outputs(cfg, rows, sidecar)
+    _write_outputs(cfg, rows, entry)
     return 0 if passed else 1
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -160,8 +161,8 @@ def test_report_passes_on_clean_half_order_curve():
     assert rep.excluded_hs == ()
     assert rep.notes == ()
     assert rep.p_max_theorem is None and rep.p_within_theorem is None
-    d = rep.to_dict()
-    assert d["passed"] is True and d["hs"] == hs
+    d = asdict(rep)
+    assert d["passed"] is True and d["hs"] == tuple(hs)
 
 
 def test_report_fails_outside_band_or_noisy():

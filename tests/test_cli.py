@@ -385,6 +385,36 @@ def test_a_backward_euler_ladder_writes_its_recorded_bytes(tmp_path):
         "d03582d3ac91c881209b254a6080294e411a92193a999e4d38dee41de5a4d182"]
 
 
+def test_a_contraction_trace_writes_its_recorded_bytes(tmp_path):
+    """A GL backward-Euler contraction trace whose every estimate is
+    finite: its rows and its summary sidecar (values, standard errors,
+    decay slope) are pinned by their sha256."""
+    out = tmp_path / "c.csv"
+    rc = main(["contractivity", "--model", "gl", "--scheme", "be", "--T", "8",
+               "--h", "1/4", "--x0", "1", "--y0", "0", "--paths", "64",
+               "--seed", "2", "--threads", "1", "--output", str(out)])
+    assert rc == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, out.with_suffix(".json"))]
+    assert digests == [
+        "1380c94385be333aecff456d26ece6293263f18392490b7d9e5152d4ba773249",
+        "7a7a9e306eae2ba063983503e62489961c3f67640ec15b39ee57ec26f57bde32"]
+
+
+def test_an_assumption_check_writes_its_recorded_bytes(tmp_path):
+    """The GL assumption check: its three rows and its sidecar (each
+    check's report, the claimed constants, p* and the theorem's p range)
+    are pinned by their sha256."""
+    out = tmp_path / "a.csv"
+    assert main(["check-assumptions", "--model", "gl",
+                 "--output", str(out)]) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, out.with_suffix(".json"))]
+    assert digests == [
+        "5c16a7497f4c8c3c9c22f6a7ba06d524cda9678c6030f9746f217f50482780c7",
+        "a328a219029b8eeed300fa38cccd67514bd0872daae91d5ca94fc2562976add9"]
+
+
 def test_contractivity_decay_exits_zero(tmp_path):
     out = tmp_path / "c.csv"
     rc = main(["contractivity", "--model", "gl", "--scheme", "be", "--T", "8",
@@ -519,6 +549,26 @@ def test_a_custom_model_names_the_default_output_by_its_file_stem(
     assert main(["check-assumptions", "--model", f"custom:{mod}"]) == 0
     assert sorted(os.listdir(tmp_path / "runs")) == [
         "check_assumptions_ou_be.csv", "check_assumptions_ou_be.json"]
+
+
+def test_a_custom_model_claims_its_constants_as_floats(tmp_path):
+    """Constants given as a Fraction, an int and an np.float64 are kept as
+    the floats they were checked as: the sidecar can hold them, and the
+    CSV's p column reads the claimed p* as a float."""
+    mod = tmp_path / "ou_model.py"
+    mod.write_text("from fractions import Fraction\n" + _CUSTOM.replace(
+        "alpha1=0.9, p_star=2.0, kappa=1.0, c1=1.01",
+        "alpha1=Fraction(1, 2), p_star=3, kappa=1, c1=np.float64(4)"))
+    out = tmp_path / "a.csv"
+    assert main(["check-assumptions", "--model", f"custom:{mod}",
+                 "--output", str(out)]) == 0
+    claimed = json.loads(out.with_suffix(".json").read_text())[
+        "assumptions"]["claimed"]
+    assert claimed == {"alpha1": 0.5, "p_star": 3.0, "kappa": 1.0,
+                       "c1": 4.0, "beta1": None}
+    assert all(type(v) is float for v in claimed.values() if v is not None)
+    row = dict(zip(COLUMNS, out.read_text().splitlines()[3].split(",")))
+    assert row["p"] == "3.0"
 
 
 _UNLOADABLE = {
@@ -710,6 +760,18 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.count("\n") == 1
+
+
+def test_an_output_that_names_its_own_sidecar_exits_2_before_any_chunk(
+        tmp_path, monkeypatch, capsys):
+    """An --output ending in .json names the CSV and its sidecar alike, so
+    the sidecar would overwrite the CSV: refused before any path runs."""
+    monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
+    out = tmp_path / "r.json"
+    assert main(_MOMENTS_RUN + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: it names its own sidecar\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -393,6 +393,31 @@ def test_problem_dimensions_are_counts():
                        diffusion_apply=lambda X, dW: 0.1 * dW)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 64])
+def test_construction_probes_on_two_rows_or_three_at_d_two(d):
+    """Each batch callable is probed on 2 rows, or 3 when d = 2, so that
+    the batch size never equals d, and a dense (B, d, d) Jacobian probe
+    holds at most three d x d matrices (at d = 2999 a probe on d + 1 rows
+    asked for 201 GiB)."""
+    shapes = []
+
+    def recorded(fn):
+        def call(X, *rest):
+            shapes.append(X.shape)
+            return fn(X, *rest)
+        return call
+
+    SdeProblem(
+        name="ou", d=d, m=1, constants=_PAIR["constants"],
+        drift_batch=recorded(lambda X: -X),
+        diffusion_apply=recorded(lambda X, dW: np.repeat(dW, d, axis=1)),
+        drift_jacobian_batch=recorded(lambda X: np.broadcast_to(
+            -np.eye(d), (X.shape[0], d, d))),
+        resolvent_batch=recorded(lambda B, h: B / (1.0 + h)),
+        jacobian_solve_batch=recorded(lambda Z, h, F: F / (1.0 + h)))
+    assert shapes == [(3 if d == 2 else 2, d)] * 5
+
+
 def test_constants_validation():
     with pytest.raises(UsageError):
         MonotoneConstants(alpha1=0.0, p_star=1.25, kappa=3.0, c1=1.0)
