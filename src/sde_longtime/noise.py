@@ -203,12 +203,17 @@ def pairwise_block_sum(arr: np.ndarray, factor: int, axis: int = 0) -> np.ndarra
     blocks = arr.reshape((n // factor, factor) + arr.shape[1:])
 
     def tree(a):
-        # a has the group axis at position 1
+        # a has the group axis at position 1; a group of 2 or more returns
+        # a new array, so the right half's sum is added into the left's
         f = a.shape[1]
         if f == 1:
             return a[:, 0]
         half = f // 2
-        return tree(a[:, :half]) + tree(a[:, half:])
+        if half == 1:
+            return a[:, 0] + tree(a[:, 1:])
+        x = tree(a[:, :half])
+        x += tree(a[:, half:])
+        return x
 
     out = tree(blocks)
     return np.moveaxis(out, 0, axis)

@@ -16,21 +16,22 @@ or a function of the terminal states (one-step and remainder probes).
 
 Ensembles are processed in path chunks, each path drawing from its own
 (master_seed, path_index) substream, with noise generated in bounded time
-blocks (`_noise_blocks`). A chunk runs one generator, into which each
-path's key or saved state is restored before the path draws, so a chunk
-holds no generator per path. The chunk size is an even share of the paths
-per worker, clamped to [CHUNK_PATHS, 2 * CHUNK_PATHS]; the block size is a
-constant. Neither changes any result, because every row is its own path's
-stream, and a chunk returns no samples but, per slot, one record (`_Sums`)
-of counts and the exact sums of its samples and their squares
-(`_exact_sums`, TILE rows per call), added field by field into the run's
-one record per slot as the chunks finish, in path order. So results are
-bit-identical at any worker count, and the memory a run holds grows with
-its chunk, not its ensemble. Several workers are the calling process plus
-forked processes, each running whole chunks; where the platform cannot
-fork, the chunks run serially in the calling process. A solver failure is
-likewise the same at any worker count: the earliest by (step, track, path)
-of the run.
+blocks (`_noise_blocks`) drawn into one buffer per chunk, reused by every
+block, so a chunk's memory does not grow with the horizon. A chunk runs
+one generator, into which each path's key or saved state is restored
+before the path draws, so a chunk holds no generator per path. The chunk
+size is an even share of the paths per worker, clamped to [CHUNK_PATHS,
+2 * CHUNK_PATHS]; the block size is a constant. Neither changes any
+result, because every row is its own path's stream, and a chunk returns
+no samples but, per slot, one record (`_Sums`) of counts and the exact
+sums of its samples and their squares (`_exact_sums`, TILE rows per
+call), added field by field into the run's one record per slot as the
+chunks finish, in path order. So results are bit-identical at any
+worker count, and the memory a run holds grows with its chunk, not its
+ensemble. Several workers are the calling process plus forked processes,
+each running whole chunks; where the platform cannot fork, the chunks run
+serially in the calling process. A solver failure is likewise the same at
+any worker count: the earliest by (step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent by one rule in all five protocols, down to
@@ -68,7 +69,7 @@ __all__ = [
 # only to bound memory while keeping the per-step numpy call overhead
 # amortized over many paths.
 CHUNK_PATHS = 512
-BLOCK_STEPS = 4096
+BLOCK_STEPS = 1024
 # Most rows per call of the exact accumulator: a chunk flushes its records
 # at TILE rows (see `_reduce`), and `_exact_sums` sums a longer input TILE
 # rows at a time. Like the two above, it changes no result.
@@ -446,7 +447,9 @@ def _noise_blocks(master_seed: int, paths: range, m: int, h_fine: float,
     """The increments of the chunk `paths` over n_fine fine steps of size
     h_fine, as blocks (t0, W) in time order: W (B, n_t, m) holds steps t0 ..
     t0 + n_t - 1, and every block but the last spans the largest multiple
-    of `unit` within BLOCK_STEPS (at least one `unit`).
+    of `unit` within BLOCK_STEPS (at least one `unit`). Every block is a
+    leading slice of one buffer, drawn over the block before it, so a
+    block is valid only until the next one is drawn.
 
     One generator, `path_generator`'s for the first path, draws every row:
     each path's state is restored into it before the path draws, so row b
@@ -460,8 +463,9 @@ def _noise_blocks(master_seed: int, paths: range, m: int, h_fine: float,
     states = (dict(fresh, state=dict(fresh["state"], key=key))
               for key in path_keys(master_seed, paths).tolist())
     per = max(1, BLOCK_STEPS // unit) * unit
+    buf = np.empty((len(paths), min(per, n_fine), m))
     for t0 in range(0, n_fine, per):
-        W = np.empty((len(paths), min(per, n_fine - t0), m))
+        W = buf[:, :min(per, n_fine - t0)]
         carry, ends = t0 + per < n_fine, []
         for row, state in zip(W, states):
             bits.state = state
@@ -534,7 +538,8 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
     drive it; each track is (x0, factor, h), a start state from
     `_start_state` and a step of size h taken every `factor` fine steps, on
     the pairwise sums of `factor` fine increments of size h_fine, built
-    level from level per noise block (`_coarse_noise`). Yields
+    level from level per noise block (`_coarse_noise`) and dropped before
+    the next block is drawn. Yields
     (k, states) for the fine indices k = 0..n_fine; at each k > 0 every track
     whose factor divides k has just been stepped, in track order, and
     `states` lists the current state batch of every track. A SolverFailure
@@ -565,6 +570,7 @@ def _coupled_steps(problem: SdeProblem, scheme_cfg: SchemeConfig,
                                            Wf[f][:, n - t0 // f], h,
                                            step_index=n)
                 yield k, Zs
+            del Wf
     except SolverFailure as exc:
         # the solve names a row of this chunk; the caller needs the path
         exc.t, exc.h = n * h, h

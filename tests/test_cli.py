@@ -385,6 +385,38 @@ def test_a_backward_euler_ladder_writes_its_recorded_bytes(tmp_path):
         "d03582d3ac91c881209b254a6080294e411a92193a999e4d38dee41de5a4d182"]
 
 
+def test_a_long_backward_euler_ladder_writes_its_recorded_bytes(tmp_path):
+    """A GL backward-Euler ladder over 4,096 fine steps, which the engine
+    draws in several noise blocks: the block boundaries must not move
+    one bit of a root or an estimate."""
+    out = tmp_path / "c.csv"
+    rc = main(["convergence", "--model", "gl", "--scheme", "be", "--T", "4",
+               "--h-list", "1/8,1/16,1/32", "--h-ref", "1/1024",
+               "--paths", "64", "--seed", "3", "--band", "5",
+               "--r2-min", "0", "--output", str(out)])
+    assert rc == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, out.with_suffix(".json"))]
+    assert digests == [
+        "630fbf5b62c996795394d633bc9ff9f75f951b2eac66fc0d76494a7ffc06d58a",
+        "2ea32513c5797a8e711d6dd43fd89a49883d3001815a397cccb4bad8ba5243ee"]
+
+
+def test_a_long_moments_trace_writes_its_recorded_bytes(tmp_path):
+    """A GL explicit-Euler moment trace over 2,048 fine steps, drawn in
+    several noise blocks, is pinned by the sha256 of its CSV and JSON."""
+    out = tmp_path / "m.csv"
+    rc = main(["moments", "--model", "gl", "--scheme", "em", "--T", "32",
+               "--h", "1/64", "--paths", "64", "--x0", "2", "--seed", "3",
+               "--output", str(out)])
+    assert rc == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, out.with_suffix(".json"))]
+    assert digests == [
+        "cf032f790e0ea05b002d2a6e30afe85cdfe33bae54de31df9af61c411bb4a767",
+        "77dbf79b45196a60c94522de96719d8b48536c88e948243b15d5c7bb592487e1"]
+
+
 def test_a_contraction_trace_writes_its_recorded_bytes(tmp_path):
     """A GL backward-Euler contraction trace whose every estimate is
     finite: its rows and its summary sidecar (values, standard errors,

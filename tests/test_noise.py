@@ -120,6 +120,25 @@ def test_pairwise_block_sum_axis_one():
     npt.assert_array_equal(out, arr.reshape(2, 4, 3).sum(axis=2))
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("factor", [2, 3, 5, 6, 8, 12, 128])
+def test_pairwise_block_sum_leaves_its_input_and_equals_the_tree(factor, axis):
+    """The sum never writes into its input, and each group sum is the plain
+    out-of-place split-at-half tree bit for bit, on terms of widely spread
+    magnitudes so that any other order of additions would show."""
+    rng = np.random.default_rng(factor)
+    shape = [4, 2]
+    shape.insert(axis, 3 * factor)
+    arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    before = arr.copy()
+    out = pairwise_block_sum(arr, factor, axis=axis)
+    npt.assert_array_equal(arr, before)
+    rows = np.moveaxis(arr, axis, 0)
+    expect = np.stack([_tree_sum(rows[k:k + factor])
+                       for k in range(0, len(rows), factor)], axis=axis)
+    npt.assert_array_equal(out, expect)
+
+
 def test_make_noise_grid_validation():
     with pytest.raises(UsageError):
         make_noise_grid(0, 0, m=0, h_fine=0.1, n_fine=4)
@@ -173,10 +192,15 @@ def test_chunk_blocks_are_the_path_generator_streams(m, seed, paths,
                                                      monkeypatch):
     """One generator per chunk, with each path's key and then its saved
     state restored into it, draws exactly the rows `path_generator` draws
-    for every path, across two blocks."""
+    for every path, across three blocks, the last one shorter. Each block
+    is copied as it is drawn, since the next one reuses its buffer."""
     monkeypatch.setattr(simulate, "BLOCK_STEPS", 5)
-    (t0, first), (t1, second) = _noise_blocks(seed, paths, m, 0.25, 8, 1)
-    assert (t0, t1) == (0, 5)
-    expect = np.stack([path_generator(seed, i).standard_normal((8, m))
+    blocks = [(t0, W.copy())
+              for t0, W in _noise_blocks(seed, paths, m, 0.25, 13, 1)]
+    assert [(t0, W.shape) for t0, W in blocks] == [
+        (0, (len(paths), 5, m)), (5, (len(paths), 5, m)),
+        (10, (len(paths), 3, m))]
+    expect = np.stack([path_generator(seed, i).standard_normal((13, m))
                        for i in paths]) * 0.5
-    npt.assert_array_equal(np.concatenate([first, second], axis=1), expect)
+    npt.assert_array_equal(np.concatenate([W for _, W in blocks], axis=1),
+                           expect)

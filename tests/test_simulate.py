@@ -1047,6 +1047,27 @@ def test_a_run_holds_one_record_per_slot(gl, monkeypatch):
     assert peak(1024) <= 1.25 * peak(256)
 
 
+def test_a_chunk_holds_one_noise_block_at_a_time(gl, monkeypatch):
+    """A chunk reuses one noise buffer for every time block, so its memory
+    does not grow with the horizon: a 512-path trace over 8 blocks peaks
+    at most half again above the same trace over one block (holding the
+    next block while the last was still alive took 2.2 times the memory;
+    what remains is mostly the carried generator states)."""
+    monkeypatch.setattr(simulate, "BLOCK_STEPS", 512)
+
+    def peak(n_fine):
+        tracemalloc.start()
+        try:
+            moment_trace(gl, EM, T=n_fine / 64, h=2.0 ** -6, n_paths=512,
+                         threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # caches and first-call allocations
+    assert peak(4096) <= 1.5 * peak(512)
+
+
 def _accumulator_spy(monkeypatch):
     """The shape of every `_exact_sums` call's rows."""
     calls = []
