@@ -29,7 +29,9 @@ platform without fork, runs serially in this process).
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import importlib.util
 import json
 import re
@@ -452,6 +454,11 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # The outputs are closed before `main` returns, so the interpreter's last
+    # collections at exit need not walk every object the process still holds
+    # (registered once, however often `main` runs).
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         cfg = parse_config(argv)
         return run(cfg)

@@ -223,10 +223,13 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     done = rna <= RESIDUAL_TOL
     for it in range(MAX_ITER + 1):
         if done.any():
-            # the rows done leave; the first time, the iterates become z
+            # the rows done leave; the first time, the iterates become z,
+            # and if every row is done no active set is built
             if act is None:
-                act = np.arange(len(b))
                 z = za.copy() if np.may_share_memory(za, b) else za
+                if done.all():
+                    return z
+                act = np.arange(len(b))
             else:
                 z[act[done]] = za[done]
             if done.all():

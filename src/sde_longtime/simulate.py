@@ -25,13 +25,17 @@ size is an even share of the paths per worker, clamped to [CHUNK_PATHS,
 result, because every row is its own path's stream, and a chunk returns
 no samples but, per slot, one record (`_Sums`) of counts and the exact
 sums of its samples and their squares (`_exact_sums`, TILE rows per
-call), added field by field into the run's one record per slot as the
-chunks finish, in path order. So results are bit-identical at any
-worker count, and the memory a run holds grows with its chunk, not its
-ensemble. Several workers are the calling process plus forked processes,
-each running whole chunks; where the platform cannot fork, the chunks run
-serially in the calling process. A solver failure is likewise the same at
-any worker count: the earliest by (step, track, path) of the run.
+call). The records are exact, so adding them field by field in any order
+gives the same bits: results are bit-identical at any worker count, and
+the memory a run holds grows with its chunk, not its ensemble. Several
+workers are the calling process plus processes forked from it
+(`os.fork`), one pipe each; each process runs every P-th chunk, the
+workers send each chunk's records back through their pipes as it
+finishes, and the calling process adds them into one record per slot.
+Where the platform cannot fork, the chunks run serially in the calling
+process. The package starts no
+thread. A solver failure is likewise the same at any worker count: the
+earliest by (step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent by one rule in all five protocols, down to
@@ -43,9 +47,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, attrgetter, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -364,21 +369,11 @@ def resolve_threads(requested: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-# Inside a pool worker: the chunk runner of the `_map_chunks` call that forked
-# it, installed by the pool initializer. Never set in the calling process.
-_chunk_runner = None
-
-
-def _install_chunk_runner(run) -> None:
-    global _chunk_runner
-    _chunk_runner = run
-
-
-def _run_chunk(paths, worker=None):
-    """`worker(paths)`, by default this worker's chunk runner; a
-    SolverFailure is returned rather than raised (see `_map_chunks`)."""
+def _run_chunk(paths, worker):
+    """`worker(paths)`; a SolverFailure is returned rather than raised (see
+    `_map_chunks`)."""
     try:
-        return (worker or _chunk_runner)(paths)
+        return worker(paths)
     except SolverFailure as exc:
         return exc
 
@@ -392,54 +387,210 @@ def _chunk_spans(n_paths: int, threads: int):
     return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
+def _add(total, result):
+    """Two lists of `_Sums` added field by field; None adds nothing."""
+    return result if total is None else [
+        _Sums(*map(add, a, b)) for a, b in zip(total, result)]
+
+
+def _outcome(worker, paths, catch):
+    """`_run_chunk(paths, worker)`, or the exception of type `catch` that it
+    raised."""
+    try:
+        return _run_chunk(paths, worker)
+    except catch as exc:
+        return exc
+
+
+class _Fold:
+    """The outcomes of a run's chunks, taken in any order: their results
+    added field by field, the least SolverFailure by `rank`, and the other
+    exception of the least chunk index, with that index."""
+
+    def __init__(self, chunks: int):
+        self.missing = set(range(chunks))
+        self.total = self.failure = self.error = None
+
+    def take(self, i: int, outcome) -> None:
+        self.missing.discard(i)
+        if isinstance(outcome, SolverFailure):
+            self.failure = min(self.failure or outcome, outcome,
+                               key=attrgetter("rank"))
+        elif isinstance(outcome, BaseException):
+            self.error = min(self.error or (i, outcome), (i, outcome),
+                             key=itemgetter(0))
+        else:
+            self.total = _add(self.total, outcome)
+
+    def needs(self, i: int) -> bool:
+        """Whether chunk i can still change what the run returns or raises:
+        it has not come in, and no chunk before it raised."""
+        return i in self.missing and (self.error is None or i < self.error[0])
+
+    @property
+    def settled(self) -> bool:
+        return not any(map(self.needs, self.missing))
+
+    def result(self):
+        """The added results; else raise the exception, else the failure."""
+        if self.error:
+            raise self.error[1]
+        if self.failure:
+            raise self.failure
+        return self.total
+
+
+def _send(pipe, i: int, outcome) -> None:
+    """Write chunk i's outcome into a worker's pipe: the length of its
+    pickle in eight bytes, then the pickle. An exception that does not
+    pickle, or does not unpickle, goes as a RuntimeError naming its type
+    and message."""
+    try:
+        if isinstance(outcome, BaseException):
+            pickle.loads(pickle.dumps(outcome))
+        data = pickle.dumps((i, outcome))
+    except Exception:
+        data = pickle.dumps((i, RuntimeError(
+            f"a worker raised {type(outcome).__qualname__}: {outcome}")))
+    pipe.write(len(data).to_bytes(8, "little") + data)
+    pipe.flush()
+
+
+def _read(fd: int, n: int) -> bytes:
+    """n bytes from the pipe fd, or fewer if it ends first."""
+    data = b""
+    while len(data) < n and (more := os.read(fd, n - len(data))):
+        data += more
+    return data
+
+
+def _receive(fd: int):
+    """The next (chunk index, outcome) that `_send` wrote into the pipe fd,
+    or None if the pipe ends first."""
+    head = _read(fd, 8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = _read(fd, size)
+        if len(data) == size:
+            return pickle.loads(data)
+    return None
+
+
+def _worker_process(worker, spans, first: int, step: int, fd: int):
+    """The body of a forked worker: chunks first, first + step, ... of
+    `spans` in path order, each one's outcome (`_outcome`) sent into the
+    pipe `fd` (`_send`) as it finishes, up to the first that raised an
+    exception other than a SolverFailure; then `os._exit`, so it never
+    returns into the caller's stack, runs no atexit handler and flushes no
+    inherited stdio buffer. If an outcome cannot be sent, the exit code is
+    1."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for i in range(first, len(spans), step):
+                outcome = _outcome(worker, spans[i], BaseException)
+                _send(pipe, i, outcome)
+                if (isinstance(outcome, BaseException)
+                        and not isinstance(outcome, SolverFailure)):
+                    break
+        code = 0
+    except BaseException:
+        pass
+    finally:
+        os._exit(code)
+
+
+def _take_ready(pipes: dict, fold: _Fold, timeout) -> None:
+    """Take into `fold` the next outcome from each worker pipe in `pipes`
+    (read ends by pid) that is ready now (timeout 0) or, with timeout None,
+    once one is. A pipe that ends is closed and its worker reaped; a worker
+    that ended by a signal or a nonzero exit code raises
+    BrokenProcessPool. `poll`, unlike `select`, takes any fd number."""
+    if not pipes:
+        return
+    from select import POLLIN, poll
+    waiting = poll()
+    for fd in pipes.values():
+        waiting.register(fd, POLLIN)
+    ready = {fd for fd, _ in waiting.poll(timeout)}
+    for pid, fd in list(pipes.items()):
+        if fd not in ready:
+            continue
+        record = _receive(fd)
+        if record:
+            fold.take(*record)
+            continue
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        os.close(pipes.pop(pid))
+        if code:
+            from concurrent.futures.process import BrokenProcessPool
+            end = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise BrokenProcessPool(
+                f"worker process {pid} ended by {end} before its chunks did")
+
+
+def _stop(pipes: dict) -> None:
+    """Kill and reap the workers in `pipes` (read ends by pid), and close
+    their pipes. A worker already reaped is passed over."""
+    if pipes:
+        from signal import SIGKILL
+    for pid, fd in pipes.items():
+        try:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+        os.close(fd)
+
+
 def _map_chunks(worker, n_paths: int, threads: int):
     """Run `worker(paths)` over the path chunks, `paths` the range of one
     chunk's path indices, and add up its results (lists of `_Sums`) field by
-    field as they finish, in path order, so a run holds one record per
-    estimate. `threads` is a worker count from `resolve_threads`.
+    field, so a run holds one record per estimate. The sums are exact, so
+    the order of addition changes no bit. `threads` is a worker count from
+    `resolve_threads`.
 
     Several chunks and more than one worker share the chunks among
-    P = min(threads, chunks) processes: this one, which runs chunks 0, P,
-    2P, ... itself rather than wait idle, and P - 1 forked workers that take
-    the others. Workers inherit `worker`, a closure over a problem whose
-    callables need not pickle, through the fork, so only the path ranges
-    are sent and the per-chunk results pickled back. Without the fork start
-    method the chunks run serially here.
+    P = min(threads, chunks) processes: this one and P - 1 workers forked
+    from it (`os.fork`), each with one pipe. Process w runs chunks w, w + P,
+    w + 2P, ... in path order. A worker sends each chunk's outcome through
+    its pipe as the chunk finishes; this process takes what has arrived
+    after each chunk of its own, and waits for the rest once its own are
+    done. Workers inherit `worker`, a closure over a problem whose callables
+    need not pickle, through the fork, and send back only sums and errors,
+    pickled. Without `os.fork` the chunks run serially here.
 
     A chunk returns its SolverFailure, and once every chunk has run the
     least by `rank` (see `_coupled_steps`) is raised: the earliest failure
-    of the run at any worker count. Any other exception leaves from the
-    first failing chunk in path order; a worker that dies (killed for
-    memory, say) raises BrokenProcessPool rather than leaving the run
-    waiting."""
+    of the run at any worker count. Any other exception is raised instead,
+    from the least chunk index that raised one, as in a serial run, as soon
+    as every chunk before that one is in; no later chunk runs here. In this
+    process an exception that is not an Exception (KeyboardInterrupt, say)
+    leaves at once. A worker that dies (killed for memory, say) raises
+    BrokenProcessPool rather than leaving the run waiting, and a worker
+    still running when this call leaves is killed and reaped."""
     spans = _chunk_spans(n_paths, threads)
-    processes = min(threads, len(spans))
-    if processes > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            processes = 1
-    pool = total = failure = None
+    processes = min(threads, len(spans)) if hasattr(os, "fork") else 1
+    fold = _Fold(len(spans))
+    pipes = {}  # the read end of each running worker's pipe, by pid
     try:
-        if processes > 1:  # with one process, every chunk runs here
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(processes - 1,
-                                       multiprocessing.get_context("fork"),
-                                       _install_chunk_runner, (worker,))
-            forked = pool.map(_run_chunk, [s for i, s in enumerate(spans)
-                                           if i % processes])
-        for i, s in enumerate(spans):
-            result = next(forked) if i % processes else _run_chunk(s, worker)
-            if isinstance(result, SolverFailure):
-                failure = min(failure or result, result, key=lambda e: e.rank)
-            else:
-                total = result if total is None else [
-                    _Sums(*map(add, a, b)) for a, b in zip(total, result)]
+        for w in range(1, processes):
+            fd, out = os.pipe()
+            pid = os.fork()
+            if not pid:
+                _worker_process(worker, spans, w, processes, out)
+            os.close(out)
+            pipes[pid] = fd
+        for i in range(0, len(spans), processes):
+            if not fold.needs(i):
+                break
+            fold.take(i, _outcome(worker, spans[i], Exception))
+            _take_ready(pipes, fold, 0)
+        while not fold.settled:
+            _take_ready(pipes, fold, None)
     finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
-    if failure:
-        raise failure
-    return total
+        _stop(pipes)
+    return fold.result()
 
 
 def _noise_blocks(master_seed: int, paths: range, m: int, h_fine: float,

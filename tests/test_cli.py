@@ -677,14 +677,61 @@ def test_negative_seed_exits_2_without_output(tmp_path, capsys):
     assert not out.with_suffix(".json").exists()
 
 
+def _python(*args, cwd=None):
+    """A fresh interpreter on `args`, importing this package's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, sde_longtime.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, check=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_forked_cli_run_writes_the_serial_bytes_and_imports_no_pool(
+        tmp_path):
+    """`sde_longtime.cli` run as `__main__` in a fresh interpreter, as
+    `python -m` runs it, at two workers (chunks of 515 paths) writes the
+    bytes of the in-process one-worker run, exits with its code and writes
+    nothing to stderr; after `main` returns, neither multiprocessing nor
+    concurrent.futures has been imported. An atexit handler registered
+    before the CLI's runs after it and prints the modules."""
+    args = ["convergence", "--model", "gl", "--scheme", "be", "--T", "1",
+            "--h-list", "1/8,1/16", "--h-ref", "1/64", "--paths", "1030"]
+    serial = tmp_path / "serial.csv"
+    code = main(args + ["--threads", "1", "--output", str(serial)])
+    script = ("import atexit, runpy, sys; atexit.register(lambda: print(sorted("
+              "m for m in sys.modules if m.split('.')[0] in "
+              "('multiprocessing', 'concurrent')))); "
+              "runpy.run_module('sde_longtime.cli', run_name='__main__', "
+              "alter_sys=True)")
+    proc = _python("-c", script, *args, "--threads", "2", "--output",
+                   "forked.csv", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert proc.stdout.splitlines()[-1] == "[]"
+    forked = tmp_path / "forked.csv"
+    assert forked.read_bytes() == serial.read_bytes()
+    assert (forked.with_suffix(".json").read_bytes()
+            == serial.with_suffix(".json").read_bytes())
+
+
+@pytest.mark.parametrize("call, frozen", [("main(['--help'])", "True"),
+                                          ("None", "False")])
+def test_the_cli_freezes_the_heap_at_exit(call, frozen):
+    """Calling `main` registers `gc.freeze` with atexit, so the
+    interpreter's last collections skip what the process still holds;
+    importing the CLI alone does not. Handlers run last in, first out, so
+    one registered before the call sees the freeze."""
+    proc = _python("-c", "import atexit, gc; atexit.register(lambda: print("
+                   "gc.get_freeze_count() > 0)); "
+                   f"from sde_longtime.cli import main; {call}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == frozen
 
 
 @pytest.mark.parametrize("model", ["gl", "allen-cahn"])

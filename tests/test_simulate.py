@@ -1,13 +1,12 @@
 """Coupled-path Monte Carlo engine: determinism, coupling exactness, tagging."""
 
-import concurrent.futures
 import dataclasses
 import math
-import multiprocessing
 import os
 import pickle
 import random
 import signal
+import time
 import tracemalloc
 from fractions import Fraction
 from concurrent.futures.process import BrokenProcessPool
@@ -432,9 +431,15 @@ def test_default_worker_count_is_the_usable_cores(monkeypatch):
 # worker processes
 # ---------------------------------------------------------------------------
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="worker processes need the fork start method")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="worker processes need os.fork")
+
+
+def _assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 # 1030 paths make path chunks of 1024 and 6 paths at one worker, 515 and 515
 # at two, and 512, 512 and 6 at three, so these runs also compare three
@@ -494,7 +499,7 @@ def test_solver_failure_is_the_serial_failure_at_any_worker_count(gl,
                      err.last_iterate.tolist()))
     assert seen[0] == seen[1]
     assert seen[0][1] == 0 and seen[0][2] > 1e-12
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 # dx = -100 arctan(x) dt + 100 dW: at h = 1 the implicit solve needs many
@@ -539,7 +544,7 @@ def test_solver_failure_is_the_earliest_at_any_worker_count(monkeypatch):
     worker runs both in chunk 0 (1024 paths); two run them in different
     chunks (750 + 750), and three too (512 + 512 + 476), where the chunk
     first in path order fails later. Every worker count, and three workers
-    without the fork start method (run serially), must report the earliest
+    without `os.fork` (run serially), must report the earliest
     failure, which replays alone: from the state it carries, at its t
     and h."""
     monkeypatch.setattr(schemes, "MAX_ITER", 10)
@@ -553,9 +558,7 @@ def test_solver_failure_is_the_earliest_at_any_worker_count(monkeypatch):
                 err.last_iterate.tolist(), err.t, err.h, err.state.tolist())
 
     seen = [failure(threads) for threads in (1, 2, 3)]
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    monkeypatch.delattr(os, "fork")
     seen.append(failure(3))
     assert all(s == seen[0] for s in seen), seen
     path, step, residual, _, t, h, state = seen[0]
@@ -613,7 +616,75 @@ def test_error_in_a_forked_worker_reaches_the_caller(error):
     if isinstance(error, SolverFailure):
         assert (got.step_index, got.residual) == (7, 2.5)
         npt.assert_array_equal(got.last_iterate, [1.5])
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+class _HoldsALambda(Exception):
+    """An exception that pickle refuses: it holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+@needs_fork
+def test_an_unpicklable_worker_error_reaches_the_caller_by_name():
+    """An exception that cannot travel back from the forked worker reaches
+    the caller as an error naming its type and message."""
+    def fail():
+        raise _HoldsALambda("drift refused in a worker")
+
+    problem = _acting_off_the_caller(fail)
+    with pytest.raises(RuntimeError) as info:
+        moment_trace(problem, EM, T=0.5, h=0.25, n_paths=1030, threads=2)
+    assert str(info.value) == (
+        "a worker raised _HoldsALambda: drift refused in a worker")
+    _assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [SystemExit(4), KeyboardInterrupt()],
+                         ids=["exit", "interrupt"])
+def test_an_exit_in_a_forked_worker_fails_the_run(error, tmp_path):
+    """A worker chunk that raises SystemExit or KeyboardInterrupt fails the
+    run with that exception, as a serial run would. The worker leaves
+    through `os._exit` and never returns into this test: only this
+    process writes its pid after the call."""
+    def fail():
+        raise error
+
+    problem = _acting_off_the_caller(fail)
+    with pytest.raises(type(error)) as info:
+        moment_trace(problem, EM, T=0.5, h=0.25, n_paths=1030, threads=2)
+    assert info.value.args == error.args
+    pids = tmp_path / "pids"
+    with open(pids, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert pids.read_text().split() == [str(os.getpid())]
+    _assert_no_child()
+
+
+@needs_fork
+def test_a_worker_error_ends_the_run_after_the_chunks_before_it():
+    """At two workers on 40 chunks the caller runs the even ones, each
+    taking a quarter second, and the forked worker fails chunk 1 at once.
+    The error is raised as soon as chunk 0 is in, not after the caller's
+    twenty chunks, and the worker is reaped."""
+    caller, ran = os.getpid(), []
+
+    def worker(paths):
+        if os.getpid() != caller:
+            raise UsageError("chunk refused in a worker")
+        ran.append(paths.start)
+        time.sleep(0.25)
+        return []
+
+    n_paths = 80 * simulate.CHUNK_PATHS
+    assert len(simulate._chunk_spans(n_paths, 2)) == 40
+    with pytest.raises(UsageError, match="chunk refused in a worker"):
+        simulate._map_chunks(worker, n_paths, 2)
+    assert 1 <= len(ran) < 10, ran
+    _assert_no_child()
 
 
 @needs_fork
@@ -632,33 +703,60 @@ def test_a_killed_worker_fails_the_run_instead_of_hanging():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+@needs_fork
+def test_an_interrupted_caller_kills_its_workers():
+    """A KeyboardInterrupt in the calling process, here while it waits for
+    a worker that sleeps for a minute, leaves at once, and the worker is
+    killed and reaped."""
+    problem = _acting_off_the_caller(lambda: time.sleep(60))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    signal.alarm(2)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            moment_trace(problem, EM, T=0.5, h=0.25, n_paths=1030, threads=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _assert_no_child()
 
 
 @needs_fork
 def test_worker_processes_are_bounded_by_the_chunks(gl, monkeypatch):
     """threads=64 on three chunks runs three processes, the caller and two
-    forked workers; one chunk or one worker starts no pool at all, whatever
-    the environment says."""
+    forked workers; one chunk or one worker forks none, whatever the
+    environment says. The first two forks are real and a third would
+    raise, so the run completes with exactly two."""
 
-    class NoPool(Exception):
+    class NoFork(Exception):
         pass
 
-    asked = []
+    forks = []
+    real_fork = os.fork
 
-    def pool(processes, *args, **kwargs):
-        asked.append(processes)
-        raise NoPool
+    def fork():
+        forks.append(len(forks))
+        if len(forks) > 2:
+            raise NoFork
+        return real_fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(os, "fork", fork)
     kw = dict(T=0.25, h=0.25, p=1.0, master_seed=2, x0=1.0, n_records=1)
-    with pytest.raises(NoPool):
-        moment_trace(gl, BE, n_paths=1030, threads=64, **kw)
-    assert asked == [2]
+    moment_trace(gl, BE, n_paths=1030, threads=64, **kw)
+    assert len(forks) == 2
+    _assert_no_child()
     moment_trace(gl, BE, n_paths=512, threads=64, **kw)
     monkeypatch.setenv("SDE_LONGTIME_THREADS", "2")
     moment_trace(gl, BE, n_paths=1030, threads=1, **kw)
-    assert asked == [2]
+    assert len(forks) == 2
 
 
 def test_chunks_share_the_paths_between_the_workers():
@@ -676,15 +774,15 @@ def test_chunks_share_the_paths_between_the_workers():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_a_bad_master_seed_is_refused_before_any_chunk(gl, seed, monkeypatch):
-    """A seed SeedSequence would reject is a usage error raised before the
-    worker pool exists or any chunk runs."""
-    def pool(*args, **kwargs):
-        raise AssertionError("a worker pool was built")
+    """A seed SeedSequence would reject is a usage error raised before any
+    worker is forked or any chunk runs."""
+    def fork():
+        raise AssertionError("a worker was forked")
 
     def chunk(*args, **kwargs):
         raise AssertionError("a chunk ran")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(simulate, "path_generator", chunk)
     with pytest.raises(UsageError, match="master seed must be an integer >= 0"):
         moment_trace(gl, BE, T=0.5, h=0.25, n_paths=1030, master_seed=seed,
@@ -709,15 +807,15 @@ _MISSHAPEN_START = {
 @pytest.mark.parametrize("name", list(_MISSHAPEN_START))
 def test_start_states_are_checked_before_any_fork(gl, name, monkeypatch):
     """A two-component start state for the scalar problem, or an entry that
-    is not a finite non-bool real, is refused before the worker pool
-    exists, not from inside a chunk."""
+    is not a finite non-bool real, is refused before any worker is forked,
+    not from inside a chunk."""
     asked = []
 
-    def pool(*args, **kwargs):
-        asked.append(args)
-        raise AssertionError("a worker pool was built")
+    def fork():
+        asked.append(1)
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(UsageError, match=r"shape \(2,\) does not match"):
         _MISSHAPEN_START[name](gl, [1.0, 2.0])
     for x0 in ("3", True, [math.nan]):
@@ -770,8 +868,8 @@ _PE_ABOVE_ONE = {
 def test_a_projected_step_above_one_is_refused_before_any_chunk(
         gl, name, monkeypatch):
     """Projected Euler's radius h^(-1/(2(kappa+1))) needs h <= 1: a track
-    with a larger step is a usage error before the pool forks, not from the
-    first step of the first chunk."""
+    with a larger step is a usage error before any worker is forked, not
+    from the first step of the first chunk."""
     monkeypatch.setattr(simulate, "_map_chunks", _no_chunk)
     with pytest.raises(UsageError, match=r"projection requires h in \(0, 1\]"):
         _PE_ABOVE_ONE[name](gl)
