@@ -386,15 +386,18 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
     def jacobian_solve_batch(Z, h, F):
         # I - h (A + I - 3 diag(z^2)) is tridiagonal, and symmetric positive
         # definite for every h > 0 because -A >= 8 I, so the Thomas
-        # algorithm needs no pivoting; it runs down the columns of all rows
+        # algorithm needs no pivoting; it runs down the columns of all rows,
+        # and forms c only for the d - 1 columns the back substitution reads
         off = -h * K * K
         D = ((1.0 - h * (1.0 - 2.0 * K * K)) + 3.0 * h * (Z * Z)).T
         F = F.T
-        c, x = np.empty(D.shape), np.empty(D.shape)
-        c[0], x[0] = off / D[0], F[0] / D[0]
+        c, x = np.empty((d - 1, D.shape[1])), np.empty(D.shape)
+        pivot = D[0]
+        x[0] = F[0] / pivot
         for i in range(1, d):
+            c[i - 1] = off / pivot
             pivot = D[i] - off * c[i - 1]
-            c[i], x[i] = off / pivot, (F[i] - off * x[i - 1]) / pivot
+            x[i] = (F[i] - off * x[i - 1]) / pivot
         for i in range(d - 2, -1, -1):
             x[i] -= c[i] * x[i + 1]
         return x.T

@@ -20,6 +20,7 @@ statistics share one overflow-safe norm of a state (`_row_norms`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,7 +123,7 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
     largest float; a row with an infinite entry keeps inf."""
     n = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     big = np.isinf(n)
-    if big.any():
+    if np.count_nonzero(big):
         s = np.minimum(np.abs(Z[big]).max(axis=1), np.finfo(float).max)
         W = Z[big] / s[:, None]
         n[big] = s * np.sqrt(np.einsum("ij,ij->i", W, W))
@@ -181,16 +182,20 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     analytic (or finite-difference) Jacobians; the strong monotonicity of
     z - h f(z) for dissipative drift makes the root unique, and Newton almost
     always converges in a handful of iterations. Finiteness is checked for
-    the whole batch first, of b and then of the proposal, and row by row
-    only when that check fails. The proposal may be any array, b itself
-    included; the solve never writes into it or returns b. A row whose
-    start is already within RESIDUAL_TOL is returned as it is, so an
-    accurate proposal costs one residual check. A row's step is halved
-    while it would raise that row's residual, which keeps the iteration
-    robust at extreme states. After each iteration, a row whose residual
-    it did not strictly lower, and every row after the last of MAX_ITER
-    iterations, is as close as it will get: it is accepted if that
-    residual is finite and within 2^-50 (|b| + |z| + |h f(z)|), the
+    the whole batch first, of b and then of the proposal, by one sum of
+    squares each, and row by row only when that sum is not finite (a
+    non-finite entry, or entries past about 1e154). The proposal may be
+    any array, b itself included; the solve never writes into it or
+    returns b. A row whose start is already within RESIDUAL_TOL is
+    returned as it is, so an accurate proposal costs one residual check:
+    when every row of b is finite and the residuals' sum of squares is
+    within (RESIDUAL_TOL / 2)^2, the batch is certified whole, and row
+    norms are formed only when that certificate fails. A row's step is
+    halved while it would raise that row's residual, which keeps the
+    iteration robust at extreme states. After each iteration, a row whose
+    residual it did not strictly lower, and every row after the last of
+    MAX_ITER iterations, is as close as it will get: it is accepted if
+    that residual is finite and within 2^-50 (|b| + |z| + |h f(z)|), the
     rounding of its own terms, which is above RESIDUAL_TOL once |b| is
     large (these norms overflow only past the largest float). Any other
     row raises SolverFailure, naming the first such row of b
@@ -198,7 +203,9 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     reaches the problem's callables.
 
     Each iteration works only on the active rows, those not yet accepted,
-    and each halving only on the rows it halves. While every row of b is
+    and each halving only on the rows it halves; an iteration in which
+    every active row strictly lowered its residual, before the last, sets
+    up no halving and no acceptance test. While every row of b is
     finite and active, the iterates are the whole batch; the rows are
     gathered only when some row leaves. Because the problem's callables are
     row-independent (see `SdeProblem`), every row goes through the same
@@ -206,9 +213,10 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     depend on which other rows share the batch.
     """
     # act indexes the active rows of b into the output z; while it is None,
-    # every row is active and the iterates are the whole batch
+    # every row is active and the iterates are the whole batch. A sum of
+    # squares is finite only if every entry is
     act, ba, z = None, b, None
-    if not np.isfinite(b).all():
+    if not math.isfinite(np.vdot(b, b)) and not np.isfinite(b).all():
         act = np.flatnonzero(np.isfinite(b).all(axis=1))
         ba, z = b[act], np.full_like(b, np.nan)
     if not len(ba):
@@ -216,51 +224,59 @@ def solve_implicit_batch(problem: SdeProblem, b: np.ndarray, h: float,
     za = ba
     if problem.resolvent_batch is not None:
         za = np.asarray(problem.resolvent_batch(ba, h), dtype=float)
-        if not np.isfinite(za).all():
+        if not math.isfinite(np.vdot(za, za)) and not np.isfinite(za).all():
             za = np.where(np.isfinite(za).all(axis=1)[:, None], za, ba)
     Fa = za - h * drift_rows(problem, za) - ba
+    # a sum of squares within (RESIDUAL_TOL / 2)^2 puts every row's norm
+    # within RESIDUAL_TOL, rounding included: the batch is certified whole
+    if act is None and np.vdot(Fa, Fa) <= (RESIDUAL_TOL / 2) ** 2:
+        return za.copy() if np.may_share_memory(za, b) else za
     rna = _row_norms(Fa)
     done = rna <= RESIDUAL_TOL
     for it in range(MAX_ITER + 1):
-        if done.any():
+        n_done = np.count_nonzero(done)
+        if n_done:
             # the rows done leave; the first time, the iterates become z,
-            # and if every row is done no active set is built
+            # and the rows kept are the first active set
             if act is None:
                 z = za.copy() if np.may_share_memory(za, b) else za
-                if done.all():
-                    return z
-                act = np.arange(len(b))
             else:
                 z[act[done]] = za[done]
-            if done.all():
+            if n_done == len(done):
                 return z
             keep = np.flatnonzero(~done)
-            act, za, Fa, rna, ba = (act[keep], za[keep], Fa[keep], rna[keep],
-                                    ba[keep])
+            act = keep if act is None else act[keep]
+            za, Fa, rna, ba = za[keep], Fa[keep], rna[keep], ba[keep]
         if it == MAX_ITER:
             break
         dz = _newton_steps(problem, za, h, Fa)
         z_new = za - dz
         F_new = z_new - h * drift_rows(problem, z_new) - ba
         rn_new = _row_norms(F_new)
-        # halve the step of the rows it would make worse, recomputing only them
-        worse = np.flatnonzero(~(rn_new <= rna))
-        alpha = np.ones(worse.size)
-        while worse.size:
-            alpha *= 0.5
-            zw = za[worse] - alpha[:, None] * dz[worse]
-            Fw = zw - h * drift_rows(problem, zw) - ba[worse]
-            z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _row_norms(Fw)
-            more = ~(rn_new[worse] <= rna[worse]) & (alpha > 1e-8)
-            worse, alpha = worse[more], alpha[more]
+        # the safeguards change nothing when every row strictly lowered its
+        # residual before the last iteration, so they run only otherwise
+        guard = np.count_nonzero(rn_new < rna) < len(rna) or it == MAX_ITER - 1
+        if guard:
+            # halve the step of the rows it would make worse, recomputing
+            # only them
+            worse = np.flatnonzero(~(rn_new <= rna))
+            alpha = np.ones(worse.size)
+            while worse.size:
+                alpha *= 0.5
+                zw = za[worse] - alpha[:, None] * dz[worse]
+                Fw = zw - h * drift_rows(problem, zw) - ba[worse]
+                z_new[worse], F_new[worse], rn_new[worse] = zw, Fw, _row_norms(Fw)
+                more = ~(rn_new[worse] <= rna[worse]) & (alpha > 1e-8)
+                worse, alpha = worse[more], alpha[more]
         done = rn_new <= RESIDUAL_TOL
-        # a row that stalls, and every row after the last iteration, is
-        # accepted if its residual is finite and within the rounding of its
-        # terms
-        held = ~(rn_new < rna) | (it == MAX_ITER - 1)
-        if held.any():
-            done |= held & np.isfinite(rn_new) & (
-                rn_new <= _rounding_bound(ba, z_new, F_new))
+        if guard:
+            # a row that stalls, and every row after the last iteration, is
+            # accepted if its residual is finite and within the rounding of
+            # its terms
+            held = ~(rn_new < rna) | (it == MAX_ITER - 1)
+            if np.count_nonzero(held):
+                done |= held & np.isfinite(rn_new) & (
+                    rn_new <= _rounding_bound(ba, z_new, F_new))
         za, Fa, rna = z_new, F_new, rn_new
 
     # the first failing row, not the worst: which row is worst depends on

@@ -33,9 +33,9 @@ workers are the calling process plus processes forked from it
 workers send each chunk's records back through their pipes as it
 finishes, and the calling process adds them into one record per slot.
 Where the platform cannot fork, the chunks run serially in the calling
-process. The package starts no
-thread. A solver failure is likewise the same at any worker count: the
-earliest by (step, track, path) of the run.
+process, which also runs the chunks of any worker whose fork failed. The
+package starts no thread. A solver failure is likewise the same at any
+worker count: the earliest by (step, track, path) of the run.
 
 Paths whose state turns non-finite (explicit Euler blowing up on superlinear
 drift) are tagged divergent by one rule in all five protocols, down to
@@ -558,7 +558,10 @@ def _map_chunks(worker, n_paths: int, threads: int):
     after each chunk of its own, and waits for the rest once its own are
     done. Workers inherit `worker`, a closure over a problem whose callables
     need not pickle, through the fork, and send back only sums and errors,
-    pickled. Without `os.fork` the chunks run serially here.
+    pickled. Without `os.fork` the chunks run serially here. A fork that
+    fails (EAGAIN, say) has both ends of its pipe closed and starts no later
+    worker, and this process runs the chunks of every worker not forked
+    too, in path order, so the run gives the same results.
 
     A chunk returns its SolverFailure, and once every chunk has run the
     least by `rank` (see `_coupled_steps`) is raised: the earliest failure
@@ -574,14 +577,23 @@ def _map_chunks(worker, n_paths: int, threads: int):
     fold = _Fold(len(spans))
     pipes = {}  # the read end of each running worker's pipe, by pid
     try:
+        running = processes  # this process and the workers forked
         for w in range(1, processes):
             fd, out = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(out)
+                running = w
+                break
             if not pid:
                 _worker_process(worker, spans, w, processes, out)
             os.close(out)
             pipes[pid] = fd
-        for i in range(0, len(spans), processes):
+        for i in range(len(spans)):
+            if 0 < i % processes < running:
+                continue
             if not fold.needs(i):
                 break
             fold.take(i, _outcome(worker, spans[i], Exception))
@@ -610,7 +622,10 @@ def _noise_blocks(master_seed: int, paths: range, m: int, h_fine: float,
     and the state a path leaves off in is saved only for a later block."""
     gen = path_generator(master_seed, paths.start)
     bits, sqrt_h = gen.bit_generator, math.sqrt(h_fine)
+    # the state setter reads Python ints faster than numpy scalars
     fresh = bits.state
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
     states = (dict(fresh, state=dict(fresh["state"], key=key))
               for key in path_keys(master_seed, paths).tolist())
     per = max(1, BLOCK_STEPS // unit) * unit

@@ -1,5 +1,6 @@
 """One-step integrators: frozen-value oracles, algebraic invariants, failure paths."""
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -14,7 +15,7 @@ from sde_longtime import (MonotoneConstants, SchemeConfig, SdeProblem,
                           SolverFailure, UsageError, build_allen_cahn,
                           build_ginzburg_landau, evolve_terminal,
                           scheme_orders, schemes, step_ceiling)
-from sde_longtime.model import drift_rows
+from sde_longtime.model import _cubic_root, drift_rows
 from sde_longtime.schemes import (VARIANTS, _jacobian_rows, _row_norms,
                                   project_batch, solve_implicit_batch,
                                   step_batch)
@@ -443,14 +444,169 @@ def test_the_large_allen_cahn_batch_iterates_whole_before_any_row_leaves():
     assert rows[:6] == [len(b)] * 6 and rows[-1] < len(b)
 
 
-def test_a_certified_proposal_costs_one_drift_call(gl):
+def _guarded(problem):
+    """`problem` with each of its callables counting its calls by name in
+    the returned Counter (the probe at construction not counted) and
+    raising AssertionError on a non-finite input row."""
+    calls = collections.Counter()
+
+    def guard(name, fn):
+        def call(X, *rest):
+            assert np.isfinite(X).all(), name
+            calls[name] += 1
+            return fn(X, *rest)
+        return call if fn is not None else None
+
+    guarded = dataclasses.replace(problem, **{
+        name: guard(name, getattr(problem, name))
+        for name in ("drift_batch", "resolvent_batch", "drift_jacobian_batch",
+                     "jacobian_solve_batch")})
+    calls.clear()
+    return guarded, calls
+
+
+def _counted_row_norms(monkeypatch):
+    """The row counts of every `schemes._row_norms` call from now on."""
+    rows, row_norms = [], schemes._row_norms
+
+    def counted(Z):
+        rows.append(len(Z))
+        return row_norms(Z)
+
+    monkeypatch.setattr(schemes, "_row_norms", counted)
+    return rows
+
+
+def test_a_certified_proposal_costs_one_drift_call(gl, monkeypatch):
     """A finite GL batch whose closed-form roots are all within tolerance
-    is returned after the one residual check."""
-    problem, rows = _row_counts(gl)
+    is certified whole by its residuals' sum of squares: the closed form
+    itself comes back after one drift call, and no row norm is formed."""
+    problem, calls = _guarded(gl)
+    norms = _counted_row_norms(monkeypatch)
     b = np.random.default_rng(17).uniform(-20.0, 20.0, size=(200, 1))
     z = solve_implicit_batch(problem, b, 0.5)
-    assert rows == [200]
-    assert z.tobytes() == gl.resolvent_batch(b, 0.5).tobytes()
+    assert calls == {"resolvent_batch": 1, "drift_batch": 1}
+    assert norms == []
+    assert z.tobytes() == _cubic_root(b, 0.5, -1.0, 1.0).tobytes()
+
+
+def test_a_near_miss_takes_the_row_route_and_keeps_the_proposal(monkeypatch):
+    """f(x) = -x at h = 1, so the residual of z is 2z - b: the proposal
+    b/2 is exact, except on one row moved by 3.5e-13, whose residual 7e-13
+    is within RESIDUAL_TOL but whose square exceeds (RESIDUAL_TOL / 2)^2.
+    The batch is not certified whole; its row norms are formed once, and
+    every row, that one included, is returned as proposed."""
+    b = np.random.default_rng(23).uniform(-1.0, 1.0, size=(64, 1))
+
+    def resolvent(B, h):
+        Z = B / 2.0
+        Z[B == b[7]] += 3.5e-13
+        return Z
+
+    linear, calls = _guarded(SdeProblem(
+        name="linear", d=1, m=1, drift_batch=lambda X: -X,
+        diffusion_apply=lambda X, dW: 0.0 * dW,
+        constants=MonotoneConstants(alpha1=1.0, p_star=2.0, kappa=1.0, c1=1.0),
+        resolvent_batch=resolvent))
+    proposal = resolvent(b, 1.0)
+    residual = np.abs(2.0 * proposal - b)[:, 0]
+    assert schemes.RESIDUAL_TOL / 2 < residual[7] <= schemes.RESIDUAL_TOL
+    assert np.count_nonzero(residual) == 1
+    norms = _counted_row_norms(monkeypatch)
+    z = solve_implicit_batch(linear, b, 1.0)
+    assert z.tobytes() == proposal.tobytes()
+    assert calls == {"resolvent_batch": 1, "drift_batch": 1}
+    assert norms == [64]
+
+
+@pytest.mark.parametrize("model", ["gl", "allen-cahn"])
+def test_huge_rows_among_non_finite_rows_are_solved_as_alone(model):
+    """Rows near 1e200, whose sum of squares overflows although every
+    entry is finite, mixed with rows holding a NaN or an infinity: each
+    finite row comes out bit for bit as solved alone, and as solved among
+    the finite rows only; the other rows come out NaN. The callables,
+    which refuse a non-finite row, never see one, and no warning is
+    raised."""
+    problem, h = {"gl": (_GL, 0.5), "allen-cahn": (_AC, 15.0 / 2.0 ** 10)}[
+        model]
+    problem, _ = _guarded(problem)
+    shape = np.array([1.0, 0.0, -1.0 / 3.0])[:problem.d]
+    with np.errstate(invalid="ignore"):     # inf * 0 on Allen-Cahn
+        b = np.array([1e200, np.nan, -2e200, np.inf, 0.5, -np.inf, 7e199])[
+            :, None] * shape
+    b[1, 1:] = 2.0      # on Allen-Cahn, a NaN row with finite entries
+    finite = np.isfinite(b).all(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = solve_implicit_batch(problem, b, h)
+        alone = [solve_implicit_batch(problem, b[i:i + 1], h)
+                 for i in np.flatnonzero(finite)]
+        together = solve_implicit_batch(problem, b[finite], h)
+    assert np.concatenate(alone).tobytes() == z[finite].tobytes()
+    assert together.tobytes() == z[finite].tobytes()
+    assert np.isfinite(z[finite]).all() and np.isnan(z[~finite]).all()
+
+
+def test_a_non_finite_proposal_row_starts_from_b(gl, gl_newton):
+    """A proposal with an infinite row: that row is Newton's from b, as
+    without the resolvent, and the other rows are the certified closed
+    form."""
+    b = np.random.default_rng(29).uniform(-20.0, 20.0, size=(16, 1))
+
+    def resolvent(B, h):
+        Z = gl.resolvent_batch(B, h)
+        Z[B == b[5]] = np.inf
+        return Z
+
+    z = solve_implicit_batch(
+        dataclasses.replace(gl, resolvent_batch=resolvent), b, 0.5)
+    rest = np.arange(16) != 5
+    assert (z[5:6].tobytes()
+            == solve_implicit_batch(gl_newton, b[5:6], 0.5).tobytes())
+    assert z[rest].tobytes() == gl.resolvent_batch(b[rest], 0.5).tobytes()
+
+
+# roots, drift-call row counts and a failure recorded before the dot-product
+# certificate and the safeguards taken only when a row stalls
+@pytest.mark.parametrize("model, b, h, rows, roots", [
+    # Newton overshoots on arctan, so both rows halve their steps
+    ("arctan", [50.0, -30.0], 1.0,
+     [2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2],
+     ["0x1.1421c7524fc3ep-1", "-0x1.395496f8247e4p-2"]),
+    # GL from b stalls above RESIDUAL_TOL and is accepted within the
+    # rounding of its terms
+    ("gl-newton", [1e5, 3e4], 0.5, [2] * 24 + [1],
+     ["0x1.d3b4bf0a4b051p+5", "0x1.38fc2d084e369p+5"])])
+def test_halved_and_stalled_rows_keep_their_recorded_roots(gl_newton, model,
+                                                           b, h, rows, roots):
+    problem = {"arctan": _arctan_problem(), "gl-newton": gl_newton}[model]
+    counted, seen = _row_counts(problem)
+    z = solve_implicit_batch(counted, np.array(b)[:, None], h)
+    assert seen == rows
+    assert [v.hex() for v in z[:, 0]] == roots
+
+
+def test_a_row_left_at_the_budget_keeps_its_recorded_root(gl_newton,
+                                                          monkeypatch):
+    """With a budget of 21 iterations, GL from b = 3e4 still lowers its
+    residual at the last one, and is accepted within the rounding of its
+    terms (with a larger budget it stalls at the next)."""
+    monkeypatch.setattr(schemes, "MAX_ITER", 21)
+    z = solve_implicit_batch(gl_newton, np.array([[3e4]]), 0.5)
+    assert z[0, 0].hex() == "0x1.38fc2d084e36ap+5"
+
+
+def test_a_failure_keeps_its_recorded_text(gl_newton, monkeypatch):
+    monkeypatch.setattr(schemes, "MAX_ITER", 2)
+    with pytest.raises(SolverFailure) as exc:
+        solve_implicit_batch(gl_newton, np.array([[1e-3], [30.0], [40.0]]),
+                             0.5)
+    assert str(exc.value) == (
+        "implicit solve did not converge within 2 iterations (residual "
+        "1.180e+03 above its bound 1.101e-12 in the first failing row)")
+    assert exc.value.path_index == 1
+    assert exc.value.residual.hex() == "0x1.26e9897246c25p+10"
+    assert exc.value.last_iterate.tolist() == [13.349958437240232]
 
 
 @pytest.mark.parametrize("model, scale",

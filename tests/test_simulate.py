@@ -1,6 +1,7 @@
 """Coupled-path Monte Carlo engine: determinism, coupling exactness, tagging."""
 
 import dataclasses
+import errno
 import math
 import os
 import pickle
@@ -757,6 +758,44 @@ def test_worker_processes_are_bounded_by_the_chunks(gl, monkeypatch):
     monkeypatch.setenv("SDE_LONGTIME_THREADS", "2")
     moment_trace(gl, BE, n_paths=1030, threads=1, **kw)
     assert len(forks) == 2
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open fds through /proc/self/fd")
+def test_a_failed_fork_leaves_its_chunks_to_the_caller(gl, monkeypatch):
+    """threads=3 on three chunks, with the second fork failing as at the
+    process limit (EAGAIN): the first worker runs chunk 1 and the caller
+    chunks 0 and 2, so the run gives the serial run's results, and no fd
+    or child is left."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    kw = dict(T=0.25, h=0.25, p=1.0, master_seed=2, x0=1.0, n_records=1,
+              n_paths=1030)
+    def waited_too_long(signum, frame):
+        raise TimeoutError("the run waits for a chunk that no process runs")
+
+    serial = moment_trace(gl, BE, threads=1, **kw)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = os.listdir("/proc/self/fd")
+    previous = signal.signal(signal.SIGALRM, waited_too_long)
+    signal.alarm(60)
+    try:
+        forked = moment_trace(gl, BE, threads=3, **kw)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert pickle.dumps(forked) == pickle.dumps(serial)
+    assert len(forks) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+    _assert_no_child()
 
 
 def test_chunks_share_the_paths_between_the_workers():
