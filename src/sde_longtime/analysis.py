@@ -18,7 +18,7 @@ import numpy as np
 from .errors import UsageError
 from .model import MonotoneConstants, theorem_admissible_p_max
 from .noise import check_positive, check_real
-from .schemes import RESIDUAL_TOL, scheme_orders
+from .schemes import GLOBAL_ORDER, RESIDUAL_TOL, SchemeConfig
 from .simulate import ErrorCurve
 
 __all__ = [
@@ -109,8 +109,8 @@ def make_convergence_report(curve: ErrorCurve, band: float = 0.1,
                             r2_min: float = 0.98,
                             constants: Optional[MonotoneConstants] = None
                             ) -> ConvergenceReport:
-    """Fit the curve and compare against the predicted global order of its
-    scheme (`scheme_orders(curve.scheme)`).
+    """Fit the curve and compare against the global order every scheme is
+    predicted, `schemes.GLOBAL_ORDER`; a curve of no known scheme is refused.
 
     Points whose error is at or below 10x the implicit solve's residual
     tolerance (`schemes.RESIDUAL_TOL`) are excluded from the fit (they
@@ -122,7 +122,7 @@ def make_convergence_report(curve: ErrorCurve, band: float = 0.1,
     with a note and no slope, intercept or r^2. Bad bounds are refused.
     """
     check_report_bounds(band, r2_min)
-    predicted = scheme_orders(curve.scheme).global_order
+    SchemeConfig(curve.scheme)
     notes = []
     kept_h, kept_e, kept_se, excluded = [], [], [], []
     floor = 10.0 * RESIDUAL_TOL
@@ -148,7 +148,7 @@ def make_convergence_report(curve: ErrorCurve, band: float = 0.1,
         notes.append("fewer than 2 error points above the solver floor; "
                      "no order fitted")
     passed = (fit is not None and not diverged
-              and abs(fit.slope - predicted) <= band
+              and abs(fit.slope - GLOBAL_ORDER) <= band
               and fit.r_squared >= r2_min)
     p_max = theorem_admissible_p_max(constants) if constants is not None else None
     within = (curve.p <= p_max) if p_max is not None else None
@@ -160,7 +160,7 @@ def make_convergence_report(curve: ErrorCurve, band: float = 0.1,
         model=curve.model, scheme=curve.scheme, p=curve.p, T=curve.T,
         h_ref=curve.h_ref, hs=tuple(kept_h), errors=tuple(kept_e),
         std_errors=tuple(kept_se), excluded_hs=tuple(excluded),
-        predicted_order=predicted,
+        predicted_order=GLOBAL_ORDER,
         slope=fit and fit.slope, intercept=fit and fit.intercept,
         r_squared=fit and fit.r_squared, band=band,
         r2_min=r2_min, passed=passed, p_max_theorem=p_max,

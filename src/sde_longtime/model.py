@@ -15,11 +15,12 @@ theory rests on:
 from which the growth bound |f(x)|^2 <= c2 |x|^(2 kappa) + c3 follows with
 c2 = 2 c1 (kappa + 1) / kappa and c3 = 2 |f(0)|^2 + 2 c1 (kappa - 1) / kappa.
 
-The checkers certify the claimed constants on a seeded sample of state pairs,
-or the constants given in their place, which MonotoneConstants checks like
-any claim (`_claimed`). They are falsifiers, not proofs, but the sampling is
-scale-stratified so that the near-origin regime -- where the monotone margin
-of the built-in problems is tightest -- is always probed.
+The checkers certify the claimed constants, or the constants given in their
+place, which MonotoneConstants checks like any claim (`_claimed`), on one
+fixed sample: SAMPLE_PAIRS pairs from the box SAMPLE_BOX^d, drawn under
+DEFAULT_SAMPLE_SEED (`_pair_differences`). They are falsifiers, not proofs,
+but the sampling is scale-stratified so that the near-origin regime -- where
+the monotone margin of the built-in problems is tightest -- is always probed.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .noise import check_count, check_master_seed, check_positive, check_real
+from .noise import check_count, check_positive, check_real
 
 __all__ = [
     "MonotoneConstants",
     "SdeProblem",
-    "SampleSpec",
     "AssumptionReport",
     "drift_rows",
     "build_ginzburg_landau",
@@ -49,9 +49,11 @@ __all__ = [
     "PSTAR_CAP",
 ]
 
-# Fixed seed for all default assumption-check sampling; documented so that
-# certification results are reproducible across machines and thread counts.
+# The one sample every assumption check draws (`_pair_differences`), fixed so
+# that certification results are reproducible across machines and threads.
 DEFAULT_SAMPLE_SEED = 123456789
+SAMPLE_BOX = (-10.0, 10.0)
+SAMPLE_PAIRS = 10_000
 
 # Upper cap for the feasible p* (e.g. zero-diffusion problems satisfy the
 # monotone condition for every p*).
@@ -200,32 +202,6 @@ class SdeProblem:
 
 
 @dataclass(frozen=True)
-class SampleSpec:
-    """Sampling box and budget for the assumption checkers.
-
-    Pairs are drawn uniformly from [lo, hi]^d; half of them are then shrunk
-    toward the origin by a common random factor 10^-u, u ~ U[0, 3], because
-    the monotone margin of dissipative problems peaks as |x|, |y| -> 0 and a
-    plain uniform sample would systematically miss that regime.
-    """
-
-    lo: float = -10.0
-    hi: float = 10.0
-    n_pairs: int = 10_000
-    seed: int = DEFAULT_SAMPLE_SEED
-
-    def __post_init__(self):
-        check_real(self.lo, "lo"), check_real(self.hi, "hi")
-        if not (self.hi > self.lo):
-            raise UsageError(f"empty sampling box [{self.lo}, {self.hi}]")
-        if not math.isfinite(self.hi - self.lo):
-            raise UsageError(f"sampling box [{self.lo}, {self.hi}] must have "
-                             "a finite width")
-        check_count(self.n_pairs, "n_pairs", 2)
-        check_master_seed(self.seed)
-
-
-@dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of one sampled structural check."""
 
@@ -278,7 +254,7 @@ def build_ginzburg_landau(eta: float = -1.5, sigma: float = 1.0,
     from sigma^2 below about 0.0118 |a|); for sigma = 0 the monotone
     condition is p*-independent, so alpha1 = |a| and p* sits at PSTAR_CAP.
     kappa = 3 (the drift is cubic, so |f(x)|^2 grows like |x|^6) with c1
-    certified on the default sample. The implicit step's cubic has a
+    certified on the checks' sample. The implicit step's cubic has a
     closed-form root (`_cubic_root`), the problem's resolvent_batch.
     """
     eta, sigma = check_real(eta, "eta"), check_real(sigma, "sigma")
@@ -339,7 +315,7 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
 
     The smallest eigenvalue of -A is 4 K^2 sin^2(pi / (2K)) >= 8 for K >= 2,
     which certifies (alpha1, p*) = (1, 3.5) for every K with the sine
-    diffusion. kappa = 3 with c1 certified on the default sample. The
+    diffusion. kappa = 3 with c1 certified on the checks' sample. The
     implicit solve's Newton steps are a Thomas solve on the three diagonals
     of the Jacobian (jacobian_solve_batch); no dense Jacobian is formed.
     Far above the root, where a Newton step from b shrinks the iterate by
@@ -418,14 +394,18 @@ def build_allen_cahn(K: int = 4) -> SdeProblem:
 # sampled checks
 # ---------------------------------------------------------------------------
 
-def _pair_differences(rows, d: int, spec: SampleSpec):
-    """Seeded scale-stratified state pairs (X, Y), both (n, d), with
-    dX = X - Y, nsq = |dX|^2 and dF = rows(X) - rows(Y) for a batch drift."""
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
-    X = gen.uniform(spec.lo, spec.hi, (spec.n_pairs, d))
-    Y = gen.uniform(spec.lo, spec.hi, (spec.n_pairs, d))
-    half = spec.n_pairs // 2
-    scale = 10.0 ** (-gen.uniform(0.0, 3.0, (spec.n_pairs - half, 1)))
+def _pair_differences(rows, d: int):
+    """The checks' state pairs (X, Y), both (n, d), with dX = X - Y,
+    nsq = |dX|^2 and dF = rows(X) - rows(Y) for a batch drift: SAMPLE_PAIRS
+    pairs uniform in SAMPLE_BOX^d, the second half shrunk toward the origin
+    by a random factor 10^-u per pair, u ~ U[0, 3], because the monotone
+    margin of dissipative problems peaks as |x|, |y| -> 0, which a plain
+    uniform sample would miss; pairs with x = y are dropped."""
+    gen = np.random.Generator(np.random.Philox(DEFAULT_SAMPLE_SEED))
+    X = gen.uniform(*SAMPLE_BOX, (SAMPLE_PAIRS, d))
+    Y = gen.uniform(*SAMPLE_BOX, (SAMPLE_PAIRS, d))
+    half = SAMPLE_PAIRS // 2
+    scale = 10.0 ** (-gen.uniform(0.0, 3.0, (SAMPLE_PAIRS - half, 1)))
     X[half:] *= scale
     Y[half:] *= scale
     keep = np.linalg.norm(X - Y, axis=1) > 0.0
@@ -443,7 +423,7 @@ def _claimed(problem: SdeProblem, **given) -> MonotoneConstants:
         name: value for name, value in given.items() if value is not None})
 
 
-def _monotone_margin(problem: SdeProblem, spec: SampleSpec):
+def _monotone_margin(problem: SdeProblem):
     """The sampled per-pair slopes (a, b) of the monotone margin.
 
     Per pair, a = <x-y, f(x)-f(y)> / |x-y|^2 and
@@ -451,7 +431,7 @@ def _monotone_margin(problem: SdeProblem, spec: SampleSpec):
     max over pairs of a + (2p*-1)/2 b + alpha1, affine in p* pair by pair.
     """
     X, Y, dX, nsq, dF = _pair_differences(
-        lambda Z: drift_rows(problem, Z), problem.d, spec)
+        lambda Z: drift_rows(problem, Z), problem.d)
     a = np.einsum("ij,ij->i", dX, dF) / nsq
     # the m columns of g(x) - g(y), flattened: their squared norm is the
     # squared Frobenius norm
@@ -463,8 +443,8 @@ def _monotone_margin(problem: SdeProblem, spec: SampleSpec):
 
 def check_contractive_monotone(problem: SdeProblem,
                                p_star: Optional[float] = None,
-                               alpha1: Optional[float] = None,
-                               spec: SampleSpec = SampleSpec()) -> AssumptionReport:
+                               alpha1: Optional[float] = None
+                               ) -> AssumptionReport:
     """Certify the contractive monotone condition at (p_star, alpha1) on a sample.
 
     Both parameters default to the problem's claimed constants. The reported
@@ -475,15 +455,14 @@ def check_contractive_monotone(problem: SdeProblem,
     and the check passes iff it is <= 0.
     """
     c = _claimed(problem, p_star=p_star, alpha1=alpha1)
-    a, b = _monotone_margin(problem, spec)
+    a, b = _monotone_margin(problem)
     worst = float(np.max(a + 0.5 * (2.0 * c.p_star - 1.0) * b + c.alpha1))
     return AssumptionReport(condition="contractive_monotone", n_pairs=len(a),
                             worst_margin=worst, passed=worst <= 0.0)
 
 
 def max_feasible_pstar(problem: SdeProblem,
-                       alpha1: Optional[float] = None,
-                       spec: SampleSpec = SampleSpec()) -> float:
+                       alpha1: Optional[float] = None) -> float:
     """Largest p* in [1, PSTAR_CAP] passing the sampled monotone check at alpha1.
 
     A pair's margin a + alpha1 + (p* - 1/2) b grows with p* at the slope
@@ -493,7 +472,7 @@ def max_feasible_pstar(problem: SdeProblem,
     below 1; PSTAR_CAP when it is above the cap or no pair has b > 0.
     """
     alpha1 = _claimed(problem, alpha1=alpha1).alpha1
-    a, b = _monotone_margin(problem, spec)
+    a, b = _monotone_margin(problem)
     flat = b == 0.0
     if np.any(a[flat] + alpha1 > 0.0):
         return 0.0
@@ -507,8 +486,7 @@ def max_feasible_pstar(problem: SdeProblem,
 
 def check_poly_lipschitz(problem: SdeProblem,
                          kappa: Optional[float] = None,
-                         c1: Optional[float] = None,
-                         spec: SampleSpec = SampleSpec()) -> AssumptionReport:
+                         c1: Optional[float] = None) -> AssumptionReport:
     """Certify the polynomial-growth Lipschitz condition at (kappa, c1) on a sample.
 
     Margin per pair:
@@ -519,27 +497,26 @@ def check_poly_lipschitz(problem: SdeProblem,
     """
     constants = _claimed(problem, kappa=kappa, c1=c1)
     fsq, nsq, growth = _lipschitz_pairs(
-        lambda Z: drift_rows(problem, Z), problem.d, constants.kappa, spec)
+        lambda Z: drift_rows(problem, Z), problem.d, constants.kappa)
     worst = float(np.max(fsq / nsq - constants.c1 * growth))
     return AssumptionReport(condition="polynomial_lipschitz", n_pairs=len(nsq),
                             worst_margin=worst, passed=worst <= 0.0,
                             c2=constants.c2, c3=constants.c3(problem.f0_norm_sq))
 
 
-def _lipschitz_pairs(rows, d: int, kappa: float, spec: SampleSpec):
+def _lipschitz_pairs(rows, d: int, kappa: float):
     """Per sampled pair: |f(x)-f(y)|^2, |x-y|^2 and the growth term
     1 + |x|^(2 kappa-2) + |y|^(2 kappa-2)."""
-    X, Y, _, nsq, dF = _pair_differences(rows, d, spec)
+    X, Y, _, nsq, dF = _pair_differences(rows, d)
     fsq = np.einsum("ij,ij->i", dF, dF)
     pw = 2.0 * kappa - 2.0
     growth = 1.0 + np.linalg.norm(X, axis=1) ** pw + np.linalg.norm(Y, axis=1) ** pw
     return fsq, nsq, growth
 
 
-def _certify_c1(drift_batch, kappa: float, d: int,
-                spec: SampleSpec = SampleSpec()) -> float:
+def _certify_c1(drift_batch, kappa: float, d: int) -> float:
     """Smallest sampled c1 for the polynomial Lipschitz condition, with 5% headroom."""
-    fsq, nsq, growth = _lipschitz_pairs(drift_batch, d, kappa, spec)
+    fsq, nsq, growth = _lipschitz_pairs(drift_batch, d, kappa)
     return 1.05 * float(np.max(fsq / (nsq * growth)))
 
 

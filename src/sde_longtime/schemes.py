@@ -15,7 +15,8 @@ only step map: a single path is a batch of one, stepped and checked by
 every problem; a problem's optional hooks (see `SdeProblem`) may propose
 its roots or solve its Newton systems, and the solve still certifies
 every row it returns. The solve, the projection and the engine's
-statistics share one overflow-safe norm of a state (`_row_norms`).
+statistics share one overflow-safe norm of a state (`_row_norms`). The
+orders the long-time theorem asks of a step are the constants Q1 and Q2.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .noise import check_positive
 
 __all__ = [
     "SchemeConfig",
-    "SchemeOrders",
     "VARIANTS",
-    "scheme_orders",
+    "Q1",
+    "Q2",
+    "GLOBAL_ORDER",
     "step_ceiling",
     "step_batch",
     "project_batch",
@@ -43,6 +45,15 @@ __all__ = [
 
 VARIANTS = ("em", "be", "pe")
 
+# Local weak order q1 and local strong order q2 of every variant: the
+# fundamental long-time theorem turns 1/2 < q2 <= q1 - 1/2 into the global
+# strong rate q2 - 1/2, uniformly in time (for Euler-Maruyama only under
+# globally Lipschitz coefficients). They are the orders the theorem needs,
+# lower bounds: on smooth coefficients the local weak order of these
+# Euler-type steps is 2 (Itô–Taylor).
+Q1 = 1.5
+Q2 = 1.0
+GLOBAL_ORDER = Q2 - 0.5
 
 # the implicit solve's absolute tolerance and iteration budget
 RESIDUAL_TOL = 1e-12
@@ -58,36 +69,6 @@ class SchemeConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise UsageError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class SchemeOrders:
-    """Local weak order q1, local strong order q2, and the implied global order.
-
-    The fundamental long-time theorem turns (q1, q2) with 1/2 < q2 <= q1 - 1/2
-    into a global strong rate of q2 - 1/2 that holds uniformly in time.
-    (q1, q2) are the orders the theorem requires, so they are lower bounds,
-    not the exact orders a step attains: on smooth coefficients the local
-    weak order of these Euler-type steps is 2 (Itô–Taylor), above q1 = 1.5.
-    requires_global_lipschitz marks schemes whose orders are only valid under
-    globally Lipschitz coefficients (Euler-Maruyama here).
-    """
-
-    q1: float
-    q2: float
-    global_order: float
-    requires_global_lipschitz: bool
-
-
-def scheme_orders(variant: str) -> SchemeOrders:
-    """Order metadata for a scheme variant.
-
-    The local orders are the lower bounds the long-time theorem needs; the
-    local weak order these steps reach on smooth coefficients is 2.
-    """
-    SchemeConfig(variant)
-    return SchemeOrders(q1=1.5, q2=1.0, global_order=0.5,
-                        requires_global_lipschitz=(variant == "em"))
 
 
 def step_ceiling(variant: str, p: float, alpha1: float, h0: float = 1.0) -> float:

@@ -369,15 +369,6 @@ def resolve_threads(requested: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunk(paths, worker):
-    """`worker(paths)`; a SolverFailure is returned rather than raised (see
-    `_map_chunks`)."""
-    try:
-        return worker(paths)
-    except SolverFailure as exc:
-        return exc
-
-
 def _chunk_spans(n_paths: int, threads: int):
     """The path chunks, as ranges of path indices. A chunk is an even share
     of the paths per worker, but at least CHUNK_PATHS paths so numpy's
@@ -387,17 +378,12 @@ def _chunk_spans(n_paths: int, threads: int):
     return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
-def _add(total, result):
-    """Two lists of `_Sums` added field by field; None adds nothing."""
-    return result if total is None else [
-        _Sums(*map(add, a, b)) for a, b in zip(total, result)]
-
-
 def _outcome(worker, paths, catch):
-    """`_run_chunk(paths, worker)`, or the exception of type `catch` that it
-    raised."""
+    """`worker(paths)`, or the exception of type `catch` that it raised,
+    returned instead; `catch` is Exception or BaseException, so a
+    SolverFailure always is (see `_map_chunks`)."""
     try:
-        return _run_chunk(paths, worker)
+        return worker(paths)
     except catch as exc:
         return exc
 
@@ -419,8 +405,11 @@ class _Fold:
         elif isinstance(outcome, BaseException):
             self.error = min(self.error or (i, outcome), (i, outcome),
                              key=itemgetter(0))
+        elif self.total is None:
+            self.total = outcome
         else:
-            self.total = _add(self.total, outcome)
+            self.total = [_Sums(*map(add, a, b))
+                          for a, b in zip(self.total, outcome)]
 
     def needs(self, i: int) -> bool:
         """Whether chunk i can still change what the run returns or raises:

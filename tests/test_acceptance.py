@@ -31,7 +31,7 @@ from sde_longtime import (SchemeConfig, build_allen_cahn,
                           make_convergence_report, make_noise_grid,
                           max_feasible_pstar, moment_trace,
                           one_step_order_experiment, pairwise_block_sum,
-                          coarsen, scheme_orders, stationarity_gap,
+                          coarsen, Q1, stationarity_gap,
                           strong_error_experiment)
 from sde_longtime.model import drift_rows
 from sde_longtime.schemes import project_batch, solve_implicit_batch
@@ -149,7 +149,7 @@ def test_criterion_7_one_step_orders(criterion):
         strong = fit_order([h for h, _, _ in res], [e.value for _, e, _ in res])
         weak = fit_order([h for h, _, _ in res], [w for _, _, w in res])
         s_ok = 0.75 <= strong.slope <= 1.25
-        w_min = scheme_orders(name).q1 - 0.35
+        w_min = Q1 - 0.35
         w_ok = weak.slope >= w_min
         ok = ok and s_ok and w_ok
         parts.append(f"{name}: strong={strong.slope:.4f} (band [0.75,1.25]), "

@@ -434,17 +434,21 @@ def test_a_contraction_trace_writes_its_recorded_bytes(tmp_path):
 
 
 def test_an_assumption_check_writes_its_recorded_bytes(tmp_path):
-    """The GL assumption check: its three rows and its sidecar (each
-    check's report, the claimed constants, p* and the theorem's p range)
-    are pinned by their sha256."""
-    out = tmp_path / "a.csv"
-    assert main(["check-assumptions", "--model", "gl",
-                 "--output", str(out)]) == 0
-    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in (out, out.with_suffix(".json"))]
-    assert digests == [
-        "5c16a7497f4c8c3c9c22f6a7ba06d524cda9678c6030f9746f217f50482780c7",
-        "a328a219029b8eeed300fa38cccd67514bd0872daae91d5ca94fc2562976add9"]
+    """The assumption check on GL and on Allen-Cahn at K = 5 (d = 4): its
+    three rows and its sidecar (each check's report, the claimed
+    constants, p* and the theorem's p range) are pinned by their sha256."""
+    for model, digests in (
+            (["gl"], [
+                "5c16a7497f4c8c3c9c22f6a7ba06d524cda9678c6030f9746f217f50482780c7",
+                "a328a219029b8eeed300fa38cccd67514bd0872daae91d5ca94fc2562976add9"]),
+            (["allen-cahn", "--K", "5"], [
+                "b457145b93047cd0bae962e5e70abe6b1b46562b25d4891e10275bc8bc7f158a",
+                "22f7d25a69f88c4c42e2fbd084fb64a5bd44e84cb70b70175607b5a5e2d37736"])):
+        out = tmp_path / f"{model[0]}.csv"
+        assert main(["check-assumptions", "--model", *model,
+                     "--output", str(out)]) == 0
+        assert [hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (out, out.with_suffix(".json"))] == digests, model
 
 
 def test_contractivity_decay_exits_zero(tmp_path):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_longtime import (MonotoneConstants, SampleSpec, SdeProblem,
+from sde_longtime import (MonotoneConstants, SdeProblem,
                           UsageError, build_allen_cahn, build_ginzburg_landau,
                           check_contractive_monotone, check_poly_lipschitz,
                           max_feasible_pstar, theorem_admissible_p_max)
-from sde_longtime.model import (PSTAR_CAP, _diffusion_columns,
-                                _pair_differences, drift_rows)
+from sde_longtime.model import (PSTAR_CAP, SAMPLE_BOX, SAMPLE_PAIRS,
+                                _diffusion_columns, _pair_differences,
+                                drift_rows)
 
 
 def _linear_problem(rate=1.0, noise=0.1):
@@ -275,13 +276,12 @@ def test_monotone_margin_with_two_noise_columns(pointwise):
     """||g(x) - g(y)||_F^2 must sum over both columns of g: the worst margin
     equals the one computed from the full 2 x 2 diffusion matrices."""
     problem = _diagonal_pair(pointwise)
-    spec = SampleSpec(n_pairs=2000, seed=9)
-    X, Y, dX, nsq, dF = _pair_differences(lambda Z: -Z - Z ** 3, 2, spec)
+    X, Y, dX, nsq, dF = _pair_differences(lambda Z: -Z - Z ** 3, 2)
     dG = (np.einsum("ij,jk->ijk", _SCALES * X, np.eye(2))
           - np.einsum("ij,jk->ijk", _SCALES * Y, np.eye(2)))
     direct = np.max((np.einsum("ij,ij->i", dX, dF)
                      + 0.75 * np.einsum("ijk,ijk->i", dG, dG)) / nsq + 0.25)
-    report = check_contractive_monotone(problem, spec=spec)
+    report = check_contractive_monotone(problem)
     assert report.worst_margin == pytest.approx(direct, rel=1e-12, abs=1e-12)
     npt.assert_array_equal(
         _diffusion_columns(problem, np.array([[2.0, -4.0]]))[0].T,
@@ -435,26 +435,17 @@ def test_constants_validation():
                 MonotoneConstants(**dict(valid, **{name: value}))
 
 
-@pytest.mark.parametrize("fields, message", [
-    ({"n_pairs": 2.5}, "n_pairs must be an integer"),
-    ({"n_pairs": 1}, "n_pairs must be an integer >= 2"),
-    ({"n_pairs": True}, "n_pairs must be an integer"),
-    ({"seed": -1}, "seed must be an integer >= 0"),
-    ({"seed": 1.5}, "seed must be an integer >= 0"),
-    ({"hi": math.inf}, "hi must be finite and real"),
-    ({"lo": -1e308, "hi": 1e308}, "must have a finite width"),
-    ({"lo": 1.0, "hi": 1.0}, "empty sampling box"),
-    ({"lo": "a"}, "lo must be finite and real"),
-])
-def test_sample_spec_checks_its_fields_when_built(fields, message):
-    """A bad field is a usage error when the spec is built, not a TypeError,
-    ValueError or numpy OverflowError once a check samples."""
-    with pytest.raises(UsageError, match=message):
-        SampleSpec(**fields)
-
-
 def test_sample_spec_is_deterministic():
+    """Every check draws the one fixed sample: SAMPLE_PAIRS pairs in
+    SAMPLE_BOX^d, the same bits on every call."""
+    for d in (1, 4):
+        pairs = _pair_differences(lambda Z: -Z - Z ** 3, d)
+        X, Y = pairs[:2]
+        assert X.shape == Y.shape == (SAMPLE_PAIRS, d)
+        assert np.all((X >= SAMPLE_BOX[0]) & (X < SAMPLE_BOX[1]))
+        for a, b in zip(pairs, _pair_differences(lambda Z: -Z - Z ** 3, d)):
+            npt.assert_array_equal(a, b)
     gl = build_ginzburg_landau()
-    a = check_contractive_monotone(gl, spec=SampleSpec(n_pairs=500, seed=5))
-    b = check_contractive_monotone(gl, spec=SampleSpec(n_pairs=500, seed=5))
+    a, b = check_contractive_monotone(gl), check_contractive_monotone(gl)
     assert a.worst_margin == b.worst_margin
+    assert a.n_pairs == SAMPLE_PAIRS

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_longtime import (MonotoneConstants, SchemeConfig, SdeProblem,
+from sde_longtime import (GLOBAL_ORDER, Q1, Q2, ErrorCurve, MomentEstimate,
+                          MonotoneConstants, SchemeConfig, SdeProblem,
                           SolverFailure, UsageError, build_allen_cahn,
                           build_ginzburg_landau, evolve_terminal,
-                          scheme_orders, schemes, step_ceiling)
+                          make_convergence_report, schemes, step_ceiling)
 from sde_longtime.model import _cubic_root, drift_rows
 from sde_longtime.schemes import (VARIANTS, _jacobian_rows, _row_norms,
                                   project_batch, solve_implicit_batch,
@@ -851,15 +852,21 @@ def test_drift_jacobian_finite_difference_fallback():
 # ---------------------------------------------------------------------------
 
 def test_scheme_orders_values():
+    assert (Q1, Q2, GLOBAL_ORDER) == (1.5, 1.0, 0.5)
+    # the order bookkeeping the uniform-in-time rate rests on
+    assert 0.5 < Q2 <= Q1 - 0.5
+    assert GLOBAL_ORDER == Q2 - 0.5
+    # a report predicts GLOBAL_ORDER for every variant, and no other scheme
+    curve = ErrorCurve(model="gl", scheme="be", p=1.0, T=1.0, h_ref=2.0 ** -8,
+                       hs=(0.25, 0.0625), estimates=tuple(
+                           MomentEstimate(value=e, std_error=0.0, p=1.0,
+                                          n_paths=8) for e in (0.2, 0.1)))
     for variant in VARIANTS:
-        o = scheme_orders(variant)
-        assert (o.q1, o.q2, o.global_order) == (1.5, 1.0, 0.5)
-        assert o.requires_global_lipschitz is (variant == "em")
-        # the order bookkeeping the uniform-in-time rate rests on
-        assert 0.5 < o.q2 <= o.q1 - 0.5
-        assert o.global_order == o.q2 - 0.5
-    with pytest.raises(UsageError):
-        scheme_orders("milstein")
+        report = make_convergence_report(
+            dataclasses.replace(curve, scheme=variant))
+        assert report.predicted_order == GLOBAL_ORDER
+    with pytest.raises(UsageError, match="variant must be one of"):
+        make_convergence_report(dataclasses.replace(curve, scheme="milstein"))
 
 
 def test_step_ceiling_values():

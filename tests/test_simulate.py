@@ -798,6 +798,47 @@ def test_a_failed_fork_leaves_its_chunks_to_the_caller(gl, monkeypatch):
     _assert_no_child()
 
 
+def _threads() -> int:
+    """This process's thread count, from /proc/self/status."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("Threads:"))
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
+                    reason="counts threads through /proc/self/status")
+def test_a_fork_after_a_threaded_matrix_product_runs_the_serial_bytes():
+    """The workers are forked while BLAS's thread pool exists: after a
+    2,048 x 2,048 product has started that pool, an Allen-Cahn K = 8 run
+    (d = 7, `X @ A` drift) at 2 and 3 workers gives the serial run's
+    pickle and leaves no child, or fails on an alarm instead of hanging."""
+    A = np.ones((2048, 2048))
+    A @ A
+    if _threads() == 1:
+        pytest.skip("the matrix product started no BLAS thread")
+
+    def run(threads):
+        return strong_error_experiment(
+            build_allen_cahn(K=8), BE, T=0.25, h_list=[2.0 ** -3, 2.0 ** -4],
+            h_ref=2.0 ** -6, n_paths=1030, p=1.0, master_seed=8, x0=1.0,
+            threads=threads)
+
+    def waited_too_long(signum, frame):
+        raise TimeoutError("a worker forked after the BLAS pool hangs")
+
+    serial = pickle.dumps(run(1))
+    previous = signal.signal(signal.SIGALRM, waited_too_long)
+    signal.alarm(60)
+    try:
+        forked = [pickle.dumps(run(threads)) for threads in (2, 3)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert forked == [serial, serial]
+    _assert_no_child()
+
+
 def test_chunks_share_the_paths_between_the_workers():
     """A chunk is an even share of the paths per worker, clamped to
     [CHUNK_PATHS, 2 * CHUNK_PATHS]."""
@@ -1135,16 +1176,16 @@ def test_a_chunk_returns_sums_not_samples(gl, monkeypatch):
     a chunk returns nor what the run holds grows with its paths."""
     chunks, totals = {}, {}
 
-    def chunk_spy(paths, worker=None):
-        chunks[len(paths)] = real_chunk(paths, worker)
+    def chunk_spy(worker, paths, catch):
+        chunks[len(paths)] = real_chunk(worker, paths, catch)
         return chunks[len(paths)]
 
     def map_spy(worker, n_paths, threads):
         totals[n_paths] = real_map(worker, n_paths, threads)
         return totals[n_paths]
 
-    real_chunk, real_map = simulate._run_chunk, simulate._map_chunks
-    monkeypatch.setattr(simulate, "_run_chunk", chunk_spy)
+    real_chunk, real_map = simulate._outcome, simulate._map_chunks
+    monkeypatch.setattr(simulate, "_outcome", chunk_spy)
     monkeypatch.setattr(simulate, "_map_chunks", map_spy)
     for n_paths in (16, 1024):  # one chunk each at one worker
         moment_trace(gl, EM, T=4.0, h=0.25, n_paths=n_paths, x0=2.0,
