@@ -3,12 +3,11 @@
 Order fits regress log2(error) on log2(h) — the ladders are dyadic, so base-2
 logs make the abscissa integer-spaced. Points whose error has fallen to the
 solver's residual floor carry no rate information and are excluded (with a
-logged note) before fitting.
+note in the report) before fitting.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -29,8 +28,6 @@ __all__ = [
     "decay_slope",
     "stationarity_gap",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
@@ -114,7 +111,7 @@ def make_convergence_report(curve: ErrorCurve, band: float = 0.1,
 
     Points whose error is at or below 10x the implicit solve's residual
     tolerance (`schemes.RESIDUAL_TOL`) are excluded from the fit (they
-    measure the solver, not the scheme) with a logged note. So is a level
+    measure the solver, not the scheme) with a note. So is a level
     with no surviving path or an infinite error, and then the report
     fails: the scheme diverged there. Otherwise passing means the fitted
     slope lies within `band` of the predicted order and r^2 >= r2_min.
@@ -141,7 +138,6 @@ def make_convergence_report(curve: ErrorCurve, band: float = 0.1,
             kept_se.append(est.std_error)
             continue
         excluded.append(h)
-        log.warning("excluding h=%g from fit: %s", h, reason)
         notes.append(f"excluded h={h:g}: {reason}")
     fit = fit_order(kept_h, kept_e) if len(kept_h) >= 2 else None
     if fit is None:

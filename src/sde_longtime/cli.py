@@ -13,11 +13,12 @@ and all divisibility checks are literal. Results go to a CSV file (schema
 below) plus a JSON sidecar; nothing in either depends on wall-clock time or
 worker count, so identical configurations produce byte-identical outputs.
 
-Every flag is also a key of the `--config` key=value file, spelled with
-underscores for dashes (`--h-list`, `h_list`). Preset, file and flag values
-merge as text, preset < file < flag, and each merged value is converted once.
+Every option is a flag and a key of the `--config` key=value file, spelled
+with underscores for dashes (`--h-list`, `h_list`); a command refuses, as
+either, an option it does not read (its --help lists those it reads). Preset,
+file and flag values merge as text, preset < file < flag, converted once.
 
-CSV schema: `#`-prefixed comment lines (tool version, config echo, seed),
+CSV schema: `#`-prefixed comment lines (version, command, options it reads),
 then rows of  kind,model,scheme,p,h,t,value,std_error,n_paths,n_divergent
 (the `t` column is empty for convergence and assumption rows).
 
@@ -143,12 +144,13 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 # builders hold the parameters' defaults.
 _MODELS = {"gl": (build_ginzburg_landau, ("eta", "sigma", "theta")),
            "allen-cahn": (build_allen_cahn, ("K",))}
+_PARAMS = sorted(key for _, takes in _MODELS.values() for key in takes)
 
 # Every option: its key -> the conversion of its text value. Each key is a
-# config-file key and, with dashes for underscores, a flag of every
-# subcommand. A preset converts to its entries; the parameters of _MODELS
-# go to model_params; the other keys are ExperimentConfig fields, which
-# hold the defaults (renamed by _FIELDS).
+# config-file key and, with dashes for underscores, a flag. A preset converts
+# to its entries; the parameters of _MODELS go to model_params; the other
+# keys are ExperimentConfig fields, which hold the defaults (renamed by
+# _FIELDS).
 _OPTIONS = {
     "preset": lambda name: PRESETS[name],
     "model": str, "scheme": str,
@@ -177,9 +179,19 @@ _FLAG_ARGUMENTS = {
 }
 _FIELDS = {"paths": "n_paths", "seed": "master_seed"}
 
-# Each command and the options it cannot run without.
-_REQUIRED = {"convergence": ("T", "h_list", "h_ref"), "moments": ("T", "h"),
-             "contractivity": ("T", "h"), "check-assumptions": ()}
+# Each command: the options it cannot run without, and the others it reads
+# besides --config and _ALWAYS. It refuses the rest and its --help hides them.
+_ALWAYS = ("model", *_PARAMS, "scheme", "output")
+_RUN = ("paths", "p", "seed", "threads", "x0", "enforce_step_ceiling")
+_COMMANDS = {"convergence": (("T", "h_list", "h_ref"),
+                             ("preset", *_RUN, "band", "r2_min")),
+             "moments": (("T", "h"), _RUN),
+             "contractivity": (("T", "h"), (*_RUN, "y0")),
+             "check-assumptions": ((), ())}
+_READS = {name: {*_ALWAYS, *needs, *others}
+          for name, (needs, others) in _COMMANDS.items()}
+_ECHO = ("model", "scheme", "seed", "paths", "p", "T", "h_list", "h_ref", "h",
+         "x0", "y0", *_PARAMS, "enforce_step_ceiling")
 
 
 def _convert(key: str, text: str):
@@ -217,12 +229,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Long-time strong approximation experiments for dissipative SDEs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _REQUIRED:
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="key=value file; flags override it")
-        for key in _OPTIONS:
+        for key in _OPTIONS:  # every flag parses, to be refused by name
+            hidden = {} if key in _READS[name] else {"help": argparse.SUPPRESS}
             sp.add_argument("--" + key.replace("_", "-"),
-                            **_FLAG_ARGUMENTS.get(key, {}))
+                            **{**_FLAG_ARGUMENTS.get(key, {}), **hidden})
     return parser
 
 
@@ -232,12 +245,14 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     command, config = args.pop("command"), args.pop("config")
     merged = _read_config_file(config) if config else {}
     merged.update((key, text) for key, text in args.items() if text is not None)
-    preset = merged.pop("preset", None)
-    if preset is not None:
-        merged = {**_convert("preset", preset), **merged}
+    refused = [key for key in merged if key not in _READS[command]]
+    if refused:
+        raise UsageError(f"{command} does not read " + " and ".join(
+            "--" + key.replace("_", "-") for key in refused))
+    if "preset" in merged:  # its entries, under the values given
+        merged = {**_convert("preset", merged.pop("preset")), **merged}
     values = {key: _convert(key, text) for key, text in merged.items()}
-    model_params = {key: values.pop(key) for _, takes in _MODELS.values()
-                    for key in takes if key in values}
+    model_params = {key: values.pop(key) for key in _PARAMS if key in values}
     cfg = ExperimentConfig(command=command, model_params=model_params,
                            **{_FIELDS.get(key, key): value
                               for key, value in values.items()})
@@ -255,7 +270,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for out in paths:
         if out.is_dir():
             raise UsageError(f"cannot write {out}: it is a directory")
-    missing = [key for key in _REQUIRED[cfg.command] if not getattr(cfg, key)]
+    missing = [key for key in _COMMANDS[cfg.command][0] if not getattr(cfg, key)]
     if missing:
         raise UsageError(f"{cfg.command} needs " + " and ".join(
             "--" + key.replace("_", "-") for key in missing))
@@ -299,26 +314,18 @@ def build_problem(cfg: ExperimentConfig) -> SdeProblem:
 
 
 def _config_echo(cfg: ExperimentConfig) -> str:
-    parts = [f"command={cfg.command}", f"model={cfg.model}",
-             f"scheme={cfg.scheme}", f"seed={cfg.master_seed}",
-             f"paths={cfg.n_paths}", f"p={cfg.p:g}"]
-    if cfg.T is not None:
-        parts.append(f"T={cfg.T}")
-    if cfg.h_list:
-        parts.append("h_list=" + ",".join(str(h) for h in cfg.h_list))
-    if cfg.h_ref is not None:
-        parts.append(f"h_ref={cfg.h_ref}")
-    if cfg.h is not None:
-        parts.append(f"h={cfg.h}")
-    if cfg.x0:
-        parts.append("x0=" + ",".join(f"{v:g}" for v in cfg.x0))
-    if cfg.command == "contractivity":
-        parts.append("y0=" + ",".join(f"{v:g}" for v in cfg.y0))
-    for k in sorted(cfg.model_params):
-        parts.append(f"{k}={cfg.model_params[k]:g}")
-    if cfg.enforce_step_ceiling:
-        parts.append("enforce_step_ceiling=true")
-    return " ".join(parts)
+    """command=<command>, then each option of _ECHO it reads that is set."""
+    def text(value) -> str:
+        if isinstance(value, tuple):
+            return ",".join(map(text, value))
+        return f"{value:g}" if isinstance(value, float) else str(value)
+
+    values = dict(vars(cfg), **cfg.model_params, seed=cfg.master_seed,
+                  paths=cfg.n_paths, enforce_step_ceiling=(
+                      "true" if cfg.enforce_step_ceiling else None))
+    return " ".join([f"command={cfg.command}"] + [
+        f"{key}={text(values[key])}" for key in _ECHO
+        if key in _READS[cfg.command] and values.get(key) is not None])
 
 
 def _output_paths(cfg: ExperimentConfig) -> tuple:
@@ -377,46 +384,40 @@ def run(cfg: ExperimentConfig) -> int:
     scheme_cfg = SchemeConfig(variant=cfg.scheme)
     problem = build_problem(cfg)
     base = {"model": problem.name, "scheme": cfg.scheme}
+    paths = dict(n_paths=cfg.n_paths, p=cfg.p, master_seed=cfg.master_seed,
+                 x0=cfg.x0, threads=cfg.threads)
 
     if cfg.command == "convergence":
         _enforce_ceiling(cfg, problem, cfg.h_list, cfg.h_ref)
         curve = strong_error_experiment(
             problem, scheme_cfg, T=float(cfg.T),
             h_list=[float(h) for h in cfg.h_list], h_ref=float(cfg.h_ref),
-            n_paths=cfg.n_paths, p=cfg.p, master_seed=cfg.master_seed,
-            x0=cfg.x0, threads=cfg.threads)
+            **paths)
         report = make_convergence_report(
             curve, band=cfg.band, r2_min=cfg.r2_min, constants=problem.constants)
         rows = [dict(base, kind="convergence", h=h, **asdict(e))
                 for h, e in zip(curve.hs, curve.estimates)]
         entry, passed = {"report": asdict(report)}, report.passed
     elif cfg.command in ("moments", "contractivity"):
-        h = float(cfg.h)
         _enforce_ceiling(cfg, problem, [cfg.h])
-        kind = cfg.command
-        trace = dict(T=float(cfg.T), h=h, n_paths=cfg.n_paths, p=cfg.p,
-                     master_seed=cfg.master_seed, x0=cfg.x0,
-                     threads=cfg.threads)
-        if kind == "moments":
+        trace = dict(T=float(cfg.T), h=float(cfg.h), **paths)
+        if cfg.command == "moments":
             times, ests = moment_trace(problem, scheme_cfg, **trace)
         else:
             times, ests = contraction_experiment(
                 problem, scheme_cfg, y0=cfg.y0, **trace)
-        rows = [dict(base, kind=kind, h=h, t=float(t), **asdict(e))
-                for t, e in zip(times, ests)]
+        rows = [dict(base, kind=cfg.command, h=trace["h"], t=float(t),
+                     **asdict(e)) for t, e in zip(times, ests)]
         values = [e.value for e in ests]
-        summary = {
-            "times": [float(t) for t in times],
-            "values": values,
-            "std_errors": [e.std_error for e in ests],
-            "n_divergent": [e.n_divergent for e in ests],
-        }
+        summary = {"times": [float(t) for t in times], "values": values,
+                   "std_errors": [e.std_error for e in ests],
+                   "n_divergent": [e.n_divergent for e in ests]}
         if cfg.command == "moments":
             gap, sup, ratio = stationarity_gap(times, values)
             n_div = max(e.n_divergent for e in ests)
             passed = (n_div == 0) and (ratio <= 0.10)
-            summary["stationarity"] = {"gap": gap, "sup": sup, "ratio": ratio}
-            summary["max_divergent"] = n_div
+            summary.update(stationarity={"gap": gap, "sup": sup, "ratio": ratio},
+                           max_divergent=n_div)
         else:
             try:
                 slope2p = 2.0 * cfg.p * decay_slope(times, values)
@@ -424,10 +425,9 @@ def run(cfg: ExperimentConfig) -> int:
                 slope2p = None
             threshold = -2.0 * cfg.p * problem.constants.alpha1 + 0.1
             passed = slope2p is not None and slope2p <= threshold
-            summary["decay_slope_2p"] = slope2p
-            summary["threshold"] = threshold
+            summary.update(decay_slope_2p=slope2p, threshold=threshold)
         summary["passed"] = bool(passed)
-        entry = {kind: summary}
+        entry = {cfg.command: summary}
     else:  # check-assumptions
         mono = check_contractive_monotone(problem)
         poly = check_poly_lipschitz(problem)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -95,16 +96,27 @@ _OPTION_TEXT = {
 }
 
 
+# values of the options a command cannot run without, other than the above
+_NEEDED_TEXT = {"T": "4", "h": "1/8", "h_list": "1/2,1/4", "h_ref": "1/32"}
+
+
 @pytest.mark.parametrize("key", list(cli._OPTIONS))
 def test_each_option_reads_the_same_from_file_and_flag(key, tmp_path):
+    """Through the first command that reads the option, on top of a file
+    that holds the options that command cannot run without."""
+    command = next(name for name in cli._COMMANDS if key in cli._READS[name])
+    needed = tmp_path / "needed.cfg"
+    needed.write_text("".join(f"{k} = {_NEEDED_TEXT[k]}\n"
+                              for k in cli._COMMANDS[command][0]))
     f = tmp_path / "run.cfg"
-    f.write_text(f"{key} = {_OPTION_TEXT[key]}\n")
+    f.write_text(needed.read_text() + f"{key} = {_OPTION_TEXT[key]}\n")
     flag = ["--" + key.replace("_", "-")]
     if key != "enforce_step_ceiling":       # the one flag without a value
         flag.append(_OPTION_TEXT[key])
-    from_file = parse_config(["check-assumptions", "--config", str(f)])
-    from_flag = parse_config(["check-assumptions"] + flag)
-    assert from_file == from_flag != parse_config(["check-assumptions"])
+    base = [command, "--config", str(needed)]
+    from_file = parse_config([command, "--config", str(f)])
+    from_flag = parse_config(base + flag)
+    assert from_file == from_flag != parse_config(base)
 
 
 def test_a_malformed_value_exits_2_from_file_and_flag(tmp_path, capsys):
@@ -136,6 +148,62 @@ def test_scheme_and_model_validation(tmp_path):
     with pytest.raises(SystemExit) as exc:  # argparse rejects bad choices
         main(["moments", "--scheme", "heun"])
     assert exc.value.code == 2
+
+
+def test_the_command_table_covers_every_option_and_the_help(capsys):
+    """Every option is read by some command, and each subcommand's --help
+    lists exactly --help, --config and the flags its command reads: 61
+    settable values in all, --config included."""
+    table = {key for needs, others in cli._COMMANDS.values()
+             for key in needs + others}
+    assert table | set(cli._ALWAYS) == set(cli._OPTIONS)
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        shown = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert shown == {"--help", "--config"} | {
+            "--" + key.replace("_", "-") for key in cli._READS[command]}
+    assert [len(cli._READS[c]) + 1 for c in cli._COMMANDS] == [20, 16, 17, 8]
+
+
+def test_a_check_refuses_the_seed_and_path_count_it_never_reads(
+        tmp_path, monkeypatch, capsys):
+    """The assumption checks draw one fixed sample, so a --seed or --paths
+    would only be echoed into outputs that do not depend on it."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["check-assumptions", "--model", "gl", "--seed", "5",
+                 "--paths", "7"]) == 2
+    assert capsys.readouterr().err == (
+        "error: check-assumptions does not read --paths and --seed\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("given", ["flag", "file"])
+@pytest.mark.parametrize("command, key, text", [
+    ("moments", "h_list", "1/8"), ("convergence", "h", "1/4"),
+    ("contractivity", "band", "0.2"), ("moments", "preset", "gl-fig1")])
+def test_an_option_the_command_does_not_read_exits_2_before_any_chunk(
+        command, key, text, given, tmp_path, monkeypatch, capsys):
+    """Refused by name, as a flag or as a config-file key, on top of an
+    otherwise valid run: no chunk runs and no file is written."""
+    calls, map_chunks = [], simulate._map_chunks
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return map_chunks(*args, **kwargs)
+    monkeypatch.setattr(simulate, "_map_chunks", spy)
+    flag = "--" + key.replace("_", "-")
+    (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")
+    out = tmp_path / "r.csv"
+    args = [command, "--output", str(out)] + [
+        arg for f, t in _VALID_RUNS[command].items() for arg in (f"--{f}", t)]
+    args += [flag, text] if given == "flag" else [
+        "--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {command} does not read {flag}\n"
+    assert calls == []
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +507,11 @@ def test_an_assumption_check_writes_its_recorded_bytes(tmp_path):
     constants, p* and the theorem's p range) are pinned by their sha256."""
     for model, digests in (
             (["gl"], [
-                "5c16a7497f4c8c3c9c22f6a7ba06d524cda9678c6030f9746f217f50482780c7",
-                "a328a219029b8eeed300fa38cccd67514bd0872daae91d5ca94fc2562976add9"]),
+                "cbd7bb4836b48f20bf2133759a1df8eab33e538715c1e1ebb280431b9646268f",
+                "bb33c99cdf3f6be7db67db212d3a4330bfa655eeaffddc5494da65b0c3d7d9d3"]),
             (["allen-cahn", "--K", "5"], [
-                "b457145b93047cd0bae962e5e70abe6b1b46562b25d4891e10275bc8bc7f158a",
-                "22f7d25a69f88c4c42e2fbd084fb64a5bd44e84cb70b70175607b5a5e2d37736"])):
+                "5d2a7b0602e48036d5f935b9d46f81575365e0f08e3c958077a0b1fba4268d28",
+                "3f7e0fd765eec1e6e43d1a8522d5a57a11a0d3cb18d22c2a543ab2216edfe927"])):
         out = tmp_path / f"{model[0]}.csv"
         assert main(["check-assumptions", "--model", *model,
                      "--output", str(out)]) == 0
@@ -736,6 +804,20 @@ def test_the_cli_freezes_the_heap_at_exit(call, frozen):
                    f"from sde_longtime.cli import main; {call}")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == frozen
+
+
+def test_a_step_at_the_solver_floor_is_noted_in_the_report_not_on_stderr(
+        tmp_path):
+    """h = h_ref has error 0 by the coupling: the report notes that it is
+    left out of the fit, and stderr stays empty."""
+    proc = _python("-m", "sde_longtime.cli", "convergence", "--model", "gl",
+                   "--scheme", "be", "--T", "1", "--h-list", "1/4,1/8,1/16",
+                   "--h-ref", "1/16", "--paths", "16", "--seed", "1",
+                   "--threads", "1", "--band", "5", "--r2-min", "0",
+                   "--output", "r.csv", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads((tmp_path / "r.json").read_text())["report"]
+    assert "excluded h=0.0625: error 0.000e+00 at solver floor" in report["notes"]
 
 
 @pytest.mark.parametrize("model", ["gl", "allen-cahn"])
